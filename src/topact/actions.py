@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .congruences import RightCongruence, _canonical, _check_right_stable
@@ -196,10 +197,18 @@ def power_mset(monoid: FiniteMonoid, left_act: Sequence[Sequence[int]],
     return MSet(monoid, names, tuple(act))
 
 
+POWERSET_CARRIER_CAP = 1 << 16
+
+
 @lru_cache(maxsize=None)
 def power_of_m(monoid: FiniteMonoid) -> MSet:
     """The powerset of M under the inverse-image action of left
-    multiplication; carrier index i is the subset with bitmask i."""
+    multiplication; carrier index i is the subset with bitmask i.
+
+    Its 2^|M| points are capped like an open-set family, at 2^16.
+    """
+    if 1 << monoid.order > POWERSET_CARRIER_CAP:
+        raise CapExceeded("powerset action carrier", 1 << monoid.order)
     return power_mset(monoid, monoid.table, monoid.elements)
 
 
@@ -285,41 +294,72 @@ def mset_product(x: MSet, y: MSet) -> MSet:
 
 
 def enumerate_mset_homs(source: MSet, target: MSet) -> tuple[tuple[int, ...], ...]:
-    """All equivariant maps, by backtracking on generator images: once a
-    point's image is chosen, its whole orbit is forced."""
-    n = source.monoid.order
-    out: list[tuple[int, ...]] = []
-    assignment: list[int] = [-1] * source.size
+    """All equivariant maps, in sorted order, by a breadth-first search over
+    orbit generators.
 
-    def propagate(x: int, y: int, trail: list[int]) -> bool:
-        stack = [(x, y)]
-        while stack:
-            px, py = stack.pop()
-            if assignment[px] >= 0:
-                if assignment[px] != py:
-                    return False
-                continue
-            assignment[px] = py
-            trail.append(px)
-            for m in range(n):
-                stack.append((source.act[px][m], target.act[py][m]))
-        return True
-
-    def search() -> None:
-        try:
-            x = assignment.index(-1)
-        except ValueError:
-            out.append(tuple(assignment))
-            return
-        for y in range(target.size):
-            trail: list[int] = []
-            if propagate(x, y, trail):
-                search()
-            for px in trail:
-                assignment[px] = -1
-
-    search()
-    return tuple(sorted(out))
+    Sending a generator g to a target point y fixes g·m ↦ y·m for every m.
+    That is well defined when y·m is constant on each class of g's orbit
+    map, and it must agree with the images of the points already fixed.
+    The generators are taken largest orbit first, and the points fixed
+    before a generator are the union of the earlier generators' orbits, so
+    they do not depend on the branch: every partial map at a level fixes
+    the same points, at the same places.  So where several partial maps
+    reach a level, the target rows are indexed once by their images of the
+    fixed points of the generator's orbit and each partial map is looked up
+    (a hash join); a lone partial map is matched against the rows directly.
+    """
+    act = source.act
+    orbit_sizes = [len(set(row)) for row in act]
+    place: dict[int, int] = {}      # fixed source point -> its index in a partial map
+    partials: list[tuple[int, ...]] = [()]
+    for g in sorted(range(source.size), key=orbit_sizes.__getitem__, reverse=True):
+        if g in place:
+            continue
+        orbit = act[g]
+        first: dict[int, int] = {}  # point g·m -> the least m reaching it
+        for m, p in enumerate(orbit):
+            if p not in first:
+                first[p] = m
+        rows = target.act
+        if len(first) < len(orbit):     # keep the rows with y·m = y·first[g·m]
+            through_first = itemgetter(*[first[p] for p in orbit])
+            rows = [row for row in rows if through_first(row) == row]
+        old_places, old_ms, new_ms = [], [], []
+        for p, m in first.items():
+            if p in place:
+                old_places.append(place[p])
+                old_ms.append(m)
+            else:
+                place[p] = len(place)
+                new_ms.append(m)
+        joined = False
+        if old_ms:
+            key_of_row = itemgetter(*old_ms)
+            key_of_partial = itemgetter(*old_places)
+            if len(partials) == 1:
+                key = key_of_partial(partials[0])
+                rows = [row for row in rows if key_of_row(row) == key]
+            else:
+                joined = True
+        if len(new_ms) == 1:
+            m = new_ms[0]
+            extras = [(row[m],) for row in rows]
+        else:
+            extras = list(map(itemgetter(*new_ms), rows))
+        if joined:
+            index: dict = {}
+            for key, extra in zip(map(key_of_row, rows), extras):
+                index.setdefault(key, []).append(extra)
+            partials = [partial + extra for partial in partials
+                        for extra in index.get(key_of_partial(partial), ())]
+        else:
+            partials = [partial + extra for partial in partials for extra in extras]
+        if not partials:
+            return ()
+    if source.size < 2:                 # already in source order
+        return tuple(sorted(partials))
+    in_source_order = itemgetter(*[place[x] for x in range(source.size)])
+    return tuple(sorted(map(in_source_order, partials)))
 
 
 def msets_isomorphic(a: MSet, b: MSet) -> bool:

@@ -61,8 +61,18 @@ DEFAULT_CAP = 100_000
 
 
 def congruence_cap() -> int:
+    """The lattice size cap: TOPACT_MAX_CONGRUENCES when set, else DEFAULT_CAP."""
     value = os.environ.get("TOPACT_MAX_CONGRUENCES")
-    return int(value) if value else DEFAULT_CAP
+    if not value:
+        return DEFAULT_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise TopactError(
+            f"TOPACT_MAX_CONGRUENCES must be a positive integer, not {value!r}")
+    return cap
 
 
 def _canonical(class_of: Sequence[int]) -> tuple[int, ...]:

@@ -252,14 +252,6 @@ def mset_to_obj(mset: MSet, monoid_ref: str) -> dict:
     }
 
 
-def congruence_to_obj(r: RightCongruence, monoid_ref: str) -> dict:
-    names = r.monoid.elements
-    return {
-        "monoid": monoid_ref,
-        "classes": [[names[m] for m in cls] for cls in r.classes()],
-    }
-
-
 def filter_to_obj(flt: CongruenceFilter, monoid_ref: str) -> dict:
     names = flt.monoid.elements
     return {

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topact.actions import (MSet, NotAnAction, NotContinuousInput, NotEquivariantMap,
                             continuous_part, enumerate_mset_homs, epi_mono_factorize,
@@ -10,6 +14,7 @@ from topact.actions import (MSet, NotAnAction, NotContinuousInput, NotEquivarian
 from topact.catalog import all_monoids, all_msets, all_topologies
 from topact.congruences import (diagonal, enumerate_congruences, generated_congruence,
                                 leq, meet, total)
+from topact.monoid import validate_monoid
 from topact.reflections import continuous_subsets
 from topact.topology import discrete_topology
 from topact.util import bits, full_mask, mask_of
@@ -296,3 +301,113 @@ def test_exponential_currying_split_quotient(m_lz, tau_a):
         curried.add(image)
     assert len(curried) == len(lhs)
     assert curried == rhs
+
+
+def brute_force_homs(source, target):
+    """The oracle for the hom search: every map of carriers, in sorted order,
+    kept when it commutes with the action."""
+    order = source.monoid.order
+    return tuple(f for f in itertools.product(range(target.size), repeat=source.size)
+                 if all(f[source.act[x][m]] == target.act[f[x]][m]
+                        for x in range(source.size) for m in range(order)))
+
+
+def test_hom_search_matches_brute_force_through_order_three():
+    pairs = 0
+    for monoid in all_monoids(1) + all_monoids(2) + all_monoids(3):
+        msets = [mset for k in (1, 2, 3) for mset in all_msets(monoid, k)]
+        for x in msets:
+            for y in msets:
+                assert enumerate_mset_homs(x, y) == brute_force_homs(x, y)
+                pairs += 1
+    assert pairs == 516
+
+
+def test_hom_search_overlapping_orbits_against_27_points():
+    # orbits that share a point, like those of 1 and 2 in
+    # ((0,0,0), (1,0,0), (2,0,0)), leave the second generator a point fixed
+    # by the first while many partial maps are alive: the hash-join level
+    sources = 0
+    for monoid in all_monoids(3):
+        msets = all_msets(monoid, 3)
+        target = mset_product(mset_product(msets[0], msets[len(msets) // 2]), msets[-1])
+        for x in msets:
+            orbits = [set(row) for row in x.act]
+            if any(a & b and not a <= b and not b <= a for a in orbits for b in orbits):
+                assert enumerate_mset_homs(x, target) == brute_force_homs(x, target)
+                sources += 1
+    assert sources == 8
+
+
+def test_hom_search_matches_a_lone_partial_map_to_fixed_points():
+    # x0 can only go to y1, so one partial map reaches the next generator,
+    # x1, whose orbit meets x0's at x4 and x5; y0 passes x1's own check
+    # but would send x4 to y0
+    monoid = _transformation_monoid(_closure([(2, 1, 2, 0), (0, 1, 1, 0)]))
+    x = validate_mset(monoid, [f"x{i}" for i in range(6)],
+                      [(0, 4, 3, 4, 5, 4, 5, 5), (1, 4, 5, 4, 5, 5, 5, 5),
+                       (2, 5, 5, 5, 5, 5, 5, 5), (3, 4, 3, 4, 5, 4, 5, 5),
+                       (4, 4, 5, 4, 5, 5, 5, 5), (5,) * 8])
+    y = validate_mset(monoid, ["y0", "y1"], [(0, 0, 1, 0, 1, 1, 1, 1), (1,) * 8])
+    assert enumerate_mset_homs(x, y) == brute_force_homs(x, y) == ((1,) * 6,)
+
+
+def _closure(maps, limit=8):
+    """The self-maps of {0..3} generated by maps, identity first; the search
+    stops once it has found more than limit of them."""
+    elements = [(0, 1, 2, 3)]
+    for a in elements:
+        for g in maps:
+            product = tuple(g[v] for v in a)
+            if product not in elements:
+                elements.append(product)
+                if len(elements) > limit:
+                    return elements
+    return elements
+
+
+def _transformation_monoid(elements):
+    """m·n is the map m followed by n, so that x·m = m(x) is a right action."""
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[tuple(b[v] for v in a)] for b in elements] for a in elements]
+    return validate_monoid([str(i) for i in range(len(elements))], table, 0)
+
+
+@st.composite
+def transformation_msets(draw):
+    """A monoid of order 4 to 8, the closure of the identity and k random
+    self-maps of {0..3} (a map that would take the order past 8 is left
+    out), with M-sets made from its quotients, its action on {0..3}, the
+    terminal M-set and their products.  A pair (X, Y) is drawn from those
+    with 2 to 4096 maps X -> Y, so that the brute force stays cheap, the
+    pairs with the most maps first (Hypothesis favours early members).  The
+    regular M-set, of at least 4 points, makes at least one such pair."""
+    maps: list[tuple[int, ...]] = []
+    wanted = draw(st.integers(1, 3))
+    for attempt in range(6):
+        if attempt >= wanted and len(_closure(maps)) >= 4:
+            break
+        g = draw(st.tuples(*[st.integers(0, 3)] * 4))
+        if len(_closure(maps + [g])) <= 8:
+            maps.append(g)
+    elements = _closure(maps)
+    assume(len(elements) >= 4)
+    monoid = _transformation_monoid(elements)
+    basic = [terminal_mset(monoid), regular_mset(monoid),
+             MSet(monoid, ("0", "1", "2", "3"),
+                  tuple(tuple(e[x] for e in elements) for x in range(4)))]
+    lattice = enumerate_congruences(monoid)
+    for _ in range(2):
+        basic.append(quotient_mset(monoid, draw(st.sampled_from(lattice))))
+    pool = basic + [mset_product(a, b) for a in basic[1:] for b in basic[1:]
+                    if a.size * b.size <= 16]
+    pairs = [(x, y) for x in pool for y in pool if 1 < y.size ** x.size <= 4096]
+    pairs.sort(key=lambda pair: -pair[1].size ** pair[0].size)
+    return draw(st.sampled_from(pairs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformation_msets())
+def test_hom_search_matches_brute_force_beyond_order_four(pair):
+    x, y = pair
+    assert enumerate_mset_homs(x, y) == brute_force_homs(x, y)

@@ -5,6 +5,10 @@ import pytest
 from topact import files
 from topact.catalog import cyclic, left_zeros, truncated_addition
 from topact.cli import main
+from topact.congruences import enumerate_congruences
+from topact.errors import CapExceeded
+from topact.reflections import continuous_subsets
+from topact.topology import partition_topology
 
 
 @pytest.fixture
@@ -170,6 +174,25 @@ def test_congruence_cap_env(fixture_dir, capsys, monkeypatch):
     assert congruence_cap() == 100000
     monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "7")
     assert congruence_cap() == 7
+    enumerate_congruences.cache_clear()     # the cap is read on a cache miss
+    for bad in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", bad)
+        assert main(["congruences", path(fixture_dir, "C4.json")]) == 2
+        err = capsys.readouterr().err
+        assert "TOPACT_MAX_CONGRUENCES" in err and repr(bad) in err
+
+
+def test_powerset_cap_stops_act_topology(tmp_path, capsys):
+    c17 = cyclic(17)
+    halves = [list(c17.elements[:8]), list(c17.elements[8:])]
+    with pytest.raises(CapExceeded, match="powerset action carrier"):
+        continuous_subsets(c17, partition_topology(17, [range(8), range(8, 17)]))
+    (tmp_path / "C17.json").write_text(json.dumps(files.monoid_to_obj(c17)))
+    (tmp_path / "halves.json").write_text(json.dumps(
+        {"monoid": "C17.json", "carrier": list(c17.elements), "base": halves}))
+    assert main(["act-topology", str(tmp_path / "C17.json"),
+                 str(tmp_path / "halves.json")]) == 2
+    assert "powerset action carrier: cap exceeded at 131072" in capsys.readouterr().err
 
 
 def test_suite_command(capsys):
