@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .congruences import RightCongruence, _canonical, _check_right_stable
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import BadShape, FiniteMonoid
-from .topology import Topology, is_continuous
+from .topology import Topology, is_continuous, is_locally_constant
 from .util import bits, mask_of, render_subset
 
 
@@ -136,28 +136,21 @@ def left_translations_continuous(monoid: FiniteMonoid, topology: Topology) -> bo
 
 
 def continuous_part(mset: MSet, topology: Topology) -> int:
-    """Bitmask of the largest continuous sub-M-set: points all of whose
-    translates have open necessary clopens.
+    """Bitmask of the largest continuous sub-M-set.
 
-    The general formula quantifies over translates x·q.  When the topology
-    makes left translation continuous the one-point formula must agree; a
-    mismatch is an engine bug.
+    A point x is continuous when its orbit map m ↦ x·m is locally constant,
+    i.e. all its necessary clopens are open: flags[x] =
+    is_locally_constant(act[x], τ).  The continuous part keeps the points
+    all of whose translates are flagged: x with flags[x·q] for every q.
+    When the topology makes left translation continuous, the flag mask
+    itself must agree; a mismatch is an engine bug.
     """
-    general = 0
-    for x in range(mset.size):
-        if all(topology.is_open(necessary_clopen(mset, mset.act[x][q], p))
-               for q in range(mset.monoid.order)
-               for p in range(mset.monoid.order)):
-            general |= 1 << x
-    if left_translations_continuous(mset.monoid, topology):
-        simple = 0
-        for x in range(mset.size):
-            if all(topology.is_open(necessary_clopen(mset, x, p))
-                   for p in range(mset.monoid.order)):
-                simple |= 1 << x
-        if simple != general:
-            raise InternalCheckError(
-                "simplified continuous-part formula disagrees with the general one")
+    flags = [is_locally_constant(row, topology) for row in mset.act]
+    general = mask_of(x for x, row in enumerate(mset.act) if all(flags[y] for y in row))
+    if (left_translations_continuous(mset.monoid, topology)
+            and mask_of(x for x, flag in enumerate(flags) if flag) != general):
+        raise InternalCheckError(
+            "simplified continuous-part formula disagrees with the general one")
     return general
 
 

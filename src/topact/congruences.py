@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid
-from .topology import Topology, is_open_in_product
+from .topology import Topology, is_locally_constant
 from .util import mask_of
 
 
@@ -361,15 +361,21 @@ def open_congruences(monoid: FiniteMonoid, topology: Topology) -> CongruenceFilt
     """The congruences whose quotients are continuous actions: every
     inverse-image translate q*(r) must be open in the product topology.
 
+    An equivalence relation R is open in τ×τ exactly when each of its
+    classes is τ-open.  If R is open, (a, a) ∈ R gives nb(a)×nb(a) ⊆ R, so
+    nb(a) ⊆ [a]; conversely, open classes give nb(a)×nb(b) ⊆ [a]×[a] ⊆ R
+    for every (a, b) ∈ R.  So r is a member when m ↦ r.class_of[q·m] is
+    locally constant for every q, i.e. when M/r is a continuous action.
+
     Openness of r alone is weaker (a right-zero monoid with a suitable
     topology separates the two) and does not yield an equivariant filter;
     the translate-closed form always does, and validation re-checks it.
     """
+    table = monoid.table
     members = []
     for r in enumerate_congruences(monoid):
-        if all(is_open_in_product(
-                inverse_image_congruence(monoid, q, r).relation_mask(),
-                topology, topology) for q in range(monoid.order)):
+        cls = r.class_of
+        if all(is_locally_constant([cls[t] for t in row], topology) for row in table):
             members.append(r)
     return validate_filter(monoid, members)
 

@@ -1,9 +1,13 @@
 """Finite topologies as explicit open-set families of bitmasks.
 
-Carriers are capped at 32 elements for directly constructed topologies;
-products may reach 1024 (stored as the generated family, guarded against
-blow-up).  Every finite topology has minimal open neighbourhoods, which
-power the product-openness check without materializing product families.
+Every finite space is Alexandrov: each point x has a minimal open
+neighbourhood nb[x], and the opens are exactly the unions of these.  So a
+topology is generated by intersecting, for each point, the base sets that
+contain it, and then taking all unions of the resulting neighbourhoods;
+openness of a product set, continuity of a map and local constancy of a
+function are decided point by point on the neighbourhoods.  Carriers are
+capped at 32 points and open-set families, products included, at 2^16
+members.
 """
 
 from __future__ import annotations
@@ -73,33 +77,22 @@ def generate_topology(carrier_size: int, base: Iterable[int]) -> Topology:
 
 
 def _generate(carrier_size: int, base: Iterable[int], cap: int) -> Topology:
+    """The minimal neighbourhood of x is the intersection of the base sets
+    containing x (the full set if none does); fold each distinct one into
+    the family of unions."""
     full = full_mask(carrier_size)
-    family = {full}
+    nb = [full] * carrier_size
     for b in base:
         if b & ~full:
             raise OutOfRange(f"subset {b:#x} exceeds carrier of size {carrier_size}")
-        family.add(b)
-    family = _close(family, int.__and__, cap)
-    family = _close(family, int.__or__, cap)
-    family.add(0)
+        for x in bits(b):
+            nb[x] &= b
+    family = {0}
+    for v in set(nb):
+        family |= {u | v for u in family}
+        if len(family) > cap:
+            raise TopactError(f"open-set family exceeds {cap} members")
     return Topology(carrier_size, frozenset(family))
-
-
-def _close(family: set[int], op, cap: int) -> set[int]:
-    out = set(family)
-    frontier = list(out)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(out):
-                c = op(a, b)
-                if c not in out:
-                    out.add(c)
-                    fresh.append(c)
-                    if len(out) > cap:
-                        raise TopactError(f"open-set family exceeds {cap} members")
-        frontier = fresh
-    return out
 
 
 def discrete_topology(carrier_size: int) -> Topology:
@@ -128,15 +121,31 @@ def minimal_neighborhoods(topology: Topology) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_locally_constant(values: Sequence, topology: Topology) -> bool:
+    """True when values[y] == values[x] for every y in the minimal
+    neighbourhood nb[x] of every point x, i.e. when every fibre of the map
+    x ↦ values[x] is open (a set is open iff it contains nb[x] around each
+    of its points x)."""
+    nb = minimal_neighborhoods(topology)
+    for x, v in enumerate(values):
+        rest = nb[x] ^ (1 << x)
+        while rest:
+            low = rest & -rest
+            if values[low.bit_length() - 1] != v:
+                return False
+            rest ^= low
+    return True
+
+
 def product_topology(t1: Topology, t2: Topology) -> Topology:
     """Topology on the size-n1·n2 carrier (row-major pairing) generated by
-    open rectangles."""
-    n1, n2 = t1.carrier_size, t2.carrier_size
-    rects = []
-    for u in t1.opens:
-        for v in t2.opens:
-            rects.append(_rectangle(u, v, n2))
-    return _generate(n1 * n2, rects, cap=_MAX_FAMILY)
+    the rectangles of minimal neighbourhoods, a base of the open
+    rectangles."""
+    n2 = t2.carrier_size
+    nb1 = minimal_neighborhoods(t1)
+    nb2 = minimal_neighborhoods(t2)
+    rects = [_rectangle(u, v, n2) for u in nb1 for v in nb2]
+    return _generate(t1.carrier_size * n2, rects, cap=_MAX_FAMILY)
 
 
 def _rectangle(u: int, v: int, n2: int) -> int:
@@ -197,8 +206,8 @@ def separation_report(topology: Topology) -> SeparationReport:
             assigned[y] = len(classes)
         classes.append(cls)
     t0 = all(len(c) == 1 for c in classes)
-    clopen = set(topology.clopens())
-    clopen_base = all(_union_of_contained(u, clopen) == u for u in topology.opens)
+    # every open is a union of clopens iff every minimal neighbourhood is closed
+    clopen_base = all(topology.is_closed(v) for v in nb)
     return SeparationReport(
         preorder=nb,
         partition=tuple(tuple(c) for c in classes),
@@ -206,14 +215,6 @@ def separation_report(topology: Topology) -> SeparationReport:
         clopen_base=clopen_base,
         discrete=topology.is_discrete(),
     )
-
-
-def _union_of_contained(target: int, family: set[int]) -> int:
-    acc = 0
-    for u in family:
-        if u & ~target == 0:
-            acc |= u
-    return acc
 
 
 def connected_components(topology: Topology) -> tuple[tuple[int, ...], ...]:
@@ -235,16 +236,23 @@ def connected_components(topology: Topology) -> tuple[tuple[int, ...], ...]:
 
 
 def is_continuous(f: Sequence[int], t_src: Topology, t_tgt: Topology) -> bool:
-    """Preimage of every open is open."""
+    """Preimage of every open is open: f maps the minimal neighbourhood of
+    each x into the minimal neighbourhood of f(x)."""
     if len(f) != t_src.carrier_size:
         raise SizeMismatch(f"map has {len(f)} entries for carrier {t_src.carrier_size}")
     for v in f:
         if not (0 <= v < t_tgt.carrier_size):
             raise SizeMismatch(f"map value {v} outside target carrier")
-    for u in t_tgt.opens:
-        pre = mask_of(x for x in range(len(f)) if u >> f[x] & 1)
-        if pre not in t_src.opens:
-            return False
+    nb_src = minimal_neighborhoods(t_src)
+    nb_tgt = minimal_neighborhoods(t_tgt)
+    for x, fx in enumerate(f):
+        target = nb_tgt[fx]
+        rest = nb_src[x] ^ (1 << x)
+        while rest:
+            low = rest & -rest
+            if not target >> f[low.bit_length() - 1] & 1:
+                return False
+            rest ^= low
     return True
 
 

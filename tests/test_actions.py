@@ -15,7 +15,7 @@ from topact.catalog import all_monoids, all_msets, all_topologies
 from topact.congruences import (diagonal, enumerate_congruences, generated_congruence,
                                 leq, meet, total)
 from topact.monoid import validate_monoid
-from topact.reflections import continuous_subsets
+from topact.reflections import congruence_set, continuous_subsets
 from topact.topology import discrete_topology
 from topact.util import bits, full_mask, mask_of
 
@@ -237,6 +237,24 @@ def test_continuous_part_agrees_with_action_topology():
                 for mset in all_msets(monoid, k):
                     assert continuous_part(mset, topology) \
                         == continuous_part(mset, tilde)
+
+
+def _necessary_clopens(mset):
+    return [frozenset(necessary_clopen(mset, y, p) for p in range(mset.monoid.order))
+            for y in range(mset.size)]
+
+
+def test_continuous_part_matches_necessary_clopens_of_translates():
+    # oracle: x is kept when every necessary clopen of every translate x·q is open
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for mset in (power_of_m(monoid), congruence_set(monoid)):
+                clopens = _necessary_clopens(mset)
+                for topology in all_topologies(order):
+                    expected = mask_of(x for x in range(mset.size)
+                                       if all(clopens[y] <= topology.opens
+                                              for y in mset.act[x]))
+                    assert continuous_part(mset, topology) == expected
 
 
 def test_exponential_requires_continuous_inputs(m_lz, tau_a):

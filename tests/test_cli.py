@@ -195,6 +195,17 @@ def test_powerset_cap_stops_act_topology(tmp_path, capsys):
     assert "powerset action carrier: cap exceeded at 131072" in capsys.readouterr().err
 
 
+def test_open_set_cap_stops_analyze(tmp_path, capsys):
+    c17 = cyclic(17)
+    (tmp_path / "C17.json").write_text(json.dumps(files.monoid_to_obj(c17)))
+    (tmp_path / "disc17.json").write_text(json.dumps(
+        {"monoid": "C17.json", "carrier": list(c17.elements),
+         "base": [[e] for e in c17.elements]}))
+    assert main(["analyze", str(tmp_path / "C17.json"),
+                 str(tmp_path / "disc17.json")]) == 2
+    assert "open-set family exceeds 65536 members" in capsys.readouterr().err
+
+
 def test_suite_command(capsys):
     assert main(["suite", "--order", "2", "--topologies", "2"]) == 0
     out = capsys.readouterr().out

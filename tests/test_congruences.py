@@ -1,6 +1,6 @@
 import pytest
 
-from topact.catalog import all_monoids, cyclic, truncated_addition
+from topact.catalog import all_monoids, all_topologies, cyclic, truncated_addition
 from topact.congruences import (CapExceeded, EmptyFilter, NotDirected, NotInFilter,
                                 NotStable, NotUpwardClosed, congruence_from_class_map,
                                 diagonal, enumerate_congruences, enumerate_filters,
@@ -8,7 +8,7 @@ from topact.congruences import (CapExceeded, EmptyFilter, NotDirected, NotInFilt
                                 hom_classes, inverse_image_congruence, is_two_sided,
                                 join, leq, meet, open_congruences, total,
                                 validate_filter)
-from topact.topology import discrete_topology, indiscrete_topology
+from topact.topology import discrete_topology, indiscrete_topology, is_open_in_product
 
 
 def all_partitions(n):
@@ -156,6 +156,22 @@ def test_open_congruence_members_have_continuous_quotients():
             for r in enumerate_congruences(monoid):
                 continuous = is_continuous_mset(quotient_mset(monoid, r), topology)[0]
                 assert continuous == (r in flt)
+
+
+def test_open_congruences_match_product_openness_of_translates():
+    # oracle: r is a member when every q*(r) is open in the product topology
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            lattice = enumerate_congruences(monoid)
+            translates = [{inverse_image_congruence(monoid, q, r).relation_mask()
+                           for q in range(order)} for r in lattice]
+            relations = set().union(*translates)
+            for topology in all_topologies(order):
+                opened = {rel for rel in relations
+                          if is_open_in_product(rel, topology, topology)}
+                expected = tuple(r for r, masks in zip(lattice, translates)
+                                 if masks <= opened)
+                assert open_congruences(monoid, topology).members == expected
 
 
 def test_validate_filter_errors(m_lz, c4):

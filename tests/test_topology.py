@@ -1,15 +1,17 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topact.catalog import all_topologies
+from topact.errors import TopactError
 from topact.topology import (OutOfRange, SizeMismatch, connected_components,
                              discrete_topology, generate_topology, indiscrete_topology,
-                             is_continuous, is_open_in_product, minimal_base,
-                             minimal_neighborhoods, partition_topology, product_topology,
-                             separation_report, subspace_topology)
+                             is_continuous, is_locally_constant, is_open_in_product,
+                             minimal_base, minimal_neighborhoods, partition_topology,
+                             product_topology, separation_report, subspace_topology)
 from topact.util import bits, mask_of
 
 
@@ -39,14 +41,62 @@ def test_generate_out_of_range():
         generate_topology(2, [4])
 
 
+def _close(family, op):
+    out = set(family)
+    frontier = list(out)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(out):
+                c = op(a, b)
+                if c not in out:
+                    out.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return out
+
+
+def generated_by_pairwise_closure(carrier, base):
+    """Oracle: close the base and the full set under pairwise
+    intersections, then under pairwise unions, and add the empty set."""
+    family = {(1 << carrier) - 1, *base}
+    return frozenset(_close(_close(family, int.__and__), int.__or__) | {0})
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=6))
 def test_generate_yields_topology_and_is_idempotent(carrier, base):
     base = [b & ((1 << carrier) - 1) for b in base]
     t = generate_topology(carrier, base)
     assert is_topology(carrier, t.opens)
+    assert t.opens == generated_by_pairwise_closure(carrier, base)
     again = generate_topology(carrier, t.opens)
     assert again.opens == t.opens
+
+
+def test_product_matches_pairwise_closure_of_open_rectangles():
+    for n1, n2 in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for t1 in all_topologies(n1):
+            for t2 in all_topologies(n2):
+                rects = [_rectangle(u, v, n2) for u in t1.opens for v in t2.opens]
+                assert product_topology(t1, t2).opens \
+                    == generated_by_pairwise_closure(n1 * n2, rects)
+
+
+def test_discrete_topology_at_the_family_cap_is_fast():
+    start = time.perf_counter()
+    t = discrete_topology(16)
+    assert len(t.opens) == 1 << 16
+    assert time.perf_counter() - start < 1
+
+
+def test_families_beyond_the_cap_fail_fast():
+    for build in (lambda: discrete_topology(17),
+                  lambda: product_topology(discrete_topology(5), discrete_topology(5))):
+        start = time.perf_counter()
+        with pytest.raises(TopactError, match="open-set family exceeds 65536 members"):
+            build()
+        assert time.perf_counter() - start < 1
 
 
 def test_product_discrete_discrete():
@@ -145,6 +195,34 @@ def test_t0_plus_clopen_base_forces_discrete():
             rep = separation_report(t)
             if rep.t0 and rep.clopen_base:
                 assert rep.discrete
+
+
+def test_clopen_base_matches_unions_of_clopens():
+    for carrier in (1, 2, 3, 4):
+        for t in all_topologies(carrier):
+            clopens = t.clopens()
+            expected = all(_union_of_contained(u, clopens) == u for u in t.opens)
+            assert separation_report(t).clopen_base == expected
+
+
+def test_locally_constant_means_open_fibres():
+    for carrier in (1, 2, 3):
+        for t in all_topologies(carrier):
+            for values in itertools.product(range(carrier), repeat=carrier):
+                fibres = {mask_of(x for x in range(carrier) if values[x] == v)
+                          for v in values}
+                assert is_locally_constant(values, t) == all(t.is_open(u) for u in fibres)
+
+
+def test_is_continuous_matches_preimages_of_opens():
+    for n_src, n_tgt in ((2, 3), (3, 2), (3, 3)):
+        for t_src in all_topologies(n_src):
+            for t_tgt in all_topologies(n_tgt):
+                for f in itertools.product(range(n_tgt), repeat=n_src):
+                    expected = all(
+                        mask_of(x for x in range(n_src) if u >> f[x] & 1) in t_src.opens
+                        for u in t_tgt.opens)
+                    assert is_continuous(f, t_src, t_tgt) == expected
 
 
 def test_connected_components(tau_a):
