@@ -15,8 +15,8 @@ from pathlib import Path
 from . import files
 from .completion import (complete, dense_closed_factorization, is_complete,
                          prodiscrete_criteria)
-from .congruences import (CongruenceFilter, enumerate_congruences, filter_generated,
-                          full_filter, open_congruences)
+from .congruences import (CongruenceFilter, congruence_cap, enumerate_congruences,
+                          filter_generated, full_filter, open_congruences)
 from .errors import TopactError
 from .invariants import (categories_equivalent, dense_units, is_atomic,
                          joint_covering, morita_fingerprint, principal_site,
@@ -38,6 +38,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
+        # resolved here, since a cached lattice would never read it
+        congruence_cap()
         return args.func(args)
     except TopactError as exc:
         print(f"error: {exc}", file=sys.stderr)

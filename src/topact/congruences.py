@@ -154,8 +154,10 @@ def total(monoid: FiniteMonoid) -> RightCongruence:
 
 def generated_congruence(monoid: FiniteMonoid,
                          pairs: Iterable[tuple[int, int]]) -> RightCongruence:
-    """Smallest right congruence containing the pairs: union-find closure
-    under right translation."""
+    """Smallest right congruence containing the pairs: the equivalence
+    closure, by union-find, of their right translates (a·m, b·m).  That
+    relation is stable under right multiplication, and so is its
+    equivalence closure, whose chains translate link by link."""
     parent = list(range(monoid.order))
 
     def find(x: int) -> int:
@@ -164,15 +166,11 @@ def generated_congruence(monoid: FiniteMonoid,
             x = parent[x]
         return x
 
-    queue = list(pairs)
-    while queue:
-        a, b = queue.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[rb] = ra
-        for m in range(monoid.order):
-            queue.append((monoid.table[a][m], monoid.table[b][m]))
+    for a, b in pairs:
+        for am, bm in zip(monoid.table[a], monoid.table[b]):
+            ra, rb = find(am), find(bm)
+            if ra != rb:
+                parent[rb] = ra
     return RightCongruence(monoid, _canonical([find(x) for x in range(monoid.order)]))
 
 
@@ -243,32 +241,71 @@ def is_two_sided(r: RightCongruence) -> bool:
 def enumerate_congruences(monoid: FiniteMonoid,
                           cap: Optional[int] = None) -> tuple[RightCongruence, ...]:
     """The full lattice: join closure of the principal congruences plus the
-    diagonal, in canonical order."""
+    diagonal, in canonical order.
+
+    Every right congruence is the join of the principal congruences it
+    contains, and the join closure of G ∪ {p} is C(G) ∪ {r ∨ p : r ∈ C(G)}.
+    So the distinct principal congruences are added one at a time, finest
+    first: a p already in C(G) adds nothing (C(G) is closed under joins),
+    which leaves only the join-irreducible ones to be joined with the
+    members found so far.  When p is generated by (b, a) and r already
+    relates a and b, p ⊆ r and r ∨ p = r is skipped; otherwise a union-find
+    merges r's classes along p's (least member, member) pairs.  Members are
+    kept in least-member form (m ↦ least element of m's class), a canonical
+    key that the union-find yields directly.
+
+    The cap (``TOPACT_MAX_CONGRUENCES`` unless given) bounds the work of a
+    cache miss: CapExceeded is raised as soon as more than cap members are
+    found.
+    """
     limit = cap if cap is not None else congruence_cap()
-    found = {diagonal(monoid)}
-    principal = []
+    principal: dict[tuple[int, ...], tuple[int, int]] = {}
     for a in range(monoid.order):
         for b in range(a):
-            principal.append(generated_congruence(monoid, [(b, a)]))
-    frontier = []
-    for p in principal:
-        if p not in found:
-            found.add(p)
-            frontier.append(p)
-            if len(found) > limit:
-                raise CapExceeded("right congruences", len(found))
-    while frontier:
-        fresh = []
-        for r in frontier:
-            for p in principal:
-                j = join(r, p)
-                if j not in found:
-                    found.add(j)
-                    fresh.append(j)
-                    if len(found) > limit:
-                        raise CapExceeded("right congruences", len(found))
-        frontier = fresh
-    return tuple(sorted(found, key=lambda r: (r.num_classes, r.class_of)))
+            p = _least_members(generated_congruence(monoid, [(b, a)]).class_of)
+            principal.setdefault(p, (b, a))
+    lattice = [tuple(range(monoid.order))]
+    found = set(lattice)
+    for p in sorted(principal, key=lambda p: -len(set(p))):
+        if p in found:
+            continue
+        b, a = principal[p]
+        links = [(least, m) for m, least in enumerate(p) if least != m]
+        for r in lattice[:]:
+            if r[a] == r[b]:
+                continue
+            parent = list(r)
+            linked = []
+            for x, y in links:
+                x, y = parent[x], parent[y]
+                while parent[x] != x:
+                    x = parent[x]
+                while parent[y] != y:
+                    y = parent[y]
+                if x < y:
+                    parent[y] = x
+                    linked.append(y)
+                elif y < x:
+                    parent[x] = y
+                    linked.append(x)
+            # a root links to a smaller one, so ascending order resolves
+            # each linked root from an already resolved parent
+            for x in sorted(linked):
+                parent[x] = parent[parent[x]]
+            j = tuple(map(parent.__getitem__, r))
+            if j not in found:
+                found.add(j)
+                lattice.append(j)
+                if len(found) > limit:
+                    raise CapExceeded("right congruences", len(found))
+    classes = sorted((_canonical(r) for r in lattice), key=lambda c: (max(c) + 1, c))
+    return tuple(RightCongruence(monoid, c) for c in classes)
+
+
+def _least_members(class_of: Sequence[int]) -> tuple[int, ...]:
+    """m ↦ the least element of m's class."""
+    least: dict[int, int] = {}
+    return tuple(least.setdefault(c, m) for m, c in enumerate(class_of))
 
 
 @dataclass(frozen=True)

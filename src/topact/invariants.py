@@ -11,6 +11,7 @@ these sites coincide with the strict epis.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -67,34 +68,63 @@ class FiniteCategory:
 
 
 def validate_category(cat: FiniteCategory) -> FiniteCategory:
+    """Check the identities' endpoints, the composition table against
+    composability and endpoints, the unit laws and associativity, raising
+    BadCategory at the first failure in (f, g, h) order.
+
+    Arrows are indexed by source object: the arrows composable after f are
+    out[tgt(f)], so a row of the table is checked by counting its -1
+    entries, and the associativity loop visits only composable pairs and
+    triples, comparing the entries for all h after g at once.
+    """
+    src, tgt, table = cat.arrow_src, cat.arrow_tgt, cat.compose_table
     for i, ident in enumerate(cat.identities):
-        if cat.arrow_src[ident] != i or cat.arrow_tgt[ident] != i:
+        if src[ident] != i or tgt[ident] != i:
             raise BadCategory(f"identity of object {i} has wrong endpoints")
-    for f in range(cat.arrow_count):
-        for g in range(cat.arrow_count):
-            composable = cat.arrow_tgt[f] == cat.arrow_src[g]
-            h = cat.compose_table[f][g]
-            if composable != (h >= 0):
-                raise BadCategory("composition table disagrees with composability")
-            if h >= 0 and (cat.arrow_src[h] != cat.arrow_src[f]
-                           or cat.arrow_tgt[h] != cat.arrow_tgt[g]):
+    count = cat.arrow_count
+    out: dict[int, list[int]] = {}
+    for g in range(count):
+        out.setdefault(src[g], []).append(g)
+    for f in range(count):
+        row, after = table[f], out.get(tgt[f], [])
+        if (row.count(-1) != count - len(after)
+                or any(row[g] < 0 for g in after)):
+            _check_row_composability(cat, f)
+        for g in after:
+            h = row[g]
+            if src[h] != src[f] or tgt[h] != tgt[g]:
                 raise BadCategory("composite has wrong endpoints")
-    for f in range(cat.arrow_count):
-        if cat.compose_table[cat.identities[cat.arrow_src[f]]][f] != f:
+    for f in range(count):
+        if table[cat.identities[src[f]]][f] != f:
             raise BadCategory(f"left unit law fails at arrow {f}")
-        if cat.compose_table[f][cat.identities[cat.arrow_tgt[f]]] != f:
+        if table[f][cat.identities[tgt[f]]] != f:
             raise BadCategory(f"right unit law fails at arrow {f}")
-    for f in range(cat.arrow_count):
-        for g in range(cat.arrow_count):
-            if cat.arrow_tgt[f] != cat.arrow_src[g]:
-                continue
-            fg = cat.compose_table[f][g]
-            for h in range(cat.arrow_count):
-                if cat.arrow_tgt[g] != cat.arrow_src[h]:
-                    continue
-                if cat.compose_table[fg][h] != cat.compose_table[f][cat.compose_table[g][h]]:
-                    raise BadCategory(f"associativity fails at ({f}, {g}, {h})")
+    # f;(g;h) for every h after g is row f gathered at g's row segment, and
+    # (f;g);h is row f;g taken at the same positions
+    take = {o: operator.itemgetter(*hs) for o, hs in out.items()}
+    gather = [operator.itemgetter(*[table[g][h] for h in out[tgt[g]]])
+              for g in range(count)]
+    for f in range(count):
+        row_f = table[f]
+        for g in out.get(tgt[f], []):
+            if take[tgt[g]](table[row_f[g]]) != gather[g](row_f):
+                row_fg, row_g = table[row_f[g]], table[g]
+                for h in out[tgt[g]]:
+                    if row_fg[h] != row_f[row_g[h]]:
+                        raise BadCategory(f"associativity fails at ({f}, {g}, {h})")
     return cat
+
+
+def _check_row_composability(cat: FiniteCategory, f: int) -> None:
+    """The entry-by-entry check of row f, for a row whose -1 count is off."""
+    for g in range(cat.arrow_count):
+        composable = cat.arrow_tgt[f] == cat.arrow_src[g]
+        h = cat.compose_table[f][g]
+        if composable != (h >= 0):
+            raise BadCategory("composition table disagrees with composability")
+        if h >= 0 and (cat.arrow_src[h] != cat.arrow_src[f]
+                       or cat.arrow_tgt[h] != cat.arrow_tgt[g]):
+            raise BadCategory("composite has wrong endpoints")
 
 
 def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategory:
@@ -113,15 +143,15 @@ def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategor
         r1, r2 = members[i], members[j]
         return tuple(r2.class_of[monoid.table[m][rep]] for rep in r1.representatives())
 
+    out: dict[int, list[int]] = {}
+    for g, (j, _, _) in enumerate(arrows):
+        out.setdefault(j, []).append(g)
     compose = []
     for f, (i, j, m) in enumerate(arrows):
-        row = []
-        for g, (j2, k, n2) in enumerate(arrows):
-            if j != j2:
-                row.append(-1)
-                continue
-            prod = monoid.table[n2][m]
-            row.append(lookup[(i, k, members[k].class_of[prod])])
+        row = [-1] * len(arrows)
+        for g in out[j]:
+            _, k, n2 = arrows[g]
+            row[g] = lookup[(i, k, members[k].class_of[monoid.table[n2][m]])]
         compose.append(tuple(row))
     identities = []
     for i in range(len(members)):

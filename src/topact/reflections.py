@@ -19,7 +19,7 @@ from .congruences import (CongruenceFilter, RightCongruence, congruence_from_cla
 from .errors import InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, opposite, validate_hom, validate_monoid
 from .topology import (Topology, generate_topology, is_open_in_product,
-                       separation_report)
+                       minimal_neighborhoods, separation_report)
 from .util import bits, mask_of
 
 
@@ -75,12 +75,26 @@ def left_action_topology(monoid: FiniteMonoid, topology: Topology
 
 
 def is_topological_monoid(monoid: FiniteMonoid, topology: Topology) -> bool:
-    n = monoid.order
-    for u in topology.opens:
-        pre = mask_of(a * n + b for a in range(n) for b in range(n)
-                      if u >> monoid.table[a][b] & 1)
-        if not is_open_in_product(pre, topology, topology):
-            return False
+    """Multiplication is continuous exactly when nb[a]·nb[b] ⊆ nb[a·b] for
+    every a, b, since nb[a] × nb[b] is the minimal neighbourhood of (a, b)
+    in the product.  times[v][x] is the mask of x·v for each distinct
+    neighbourhood v, and each distinct product nb[a]·nb[b] is formed once,
+    so a coarse topology costs no more than a fine one."""
+    nb = minimal_neighborhoods(topology)
+    times = {v: [mask_of(row[y] for y in bits(v)) for row in monoid.table]
+             for v in set(nb)}
+    products: dict[tuple[int, int], int] = {}
+    for a, row in enumerate(monoid.table):
+        for b, ab in enumerate(row):
+            key = (nb[a], nb[b])
+            if key not in products:
+                right = times[nb[b]]
+                image = 0
+                for x in bits(nb[a]):
+                    image |= right[x]
+                products[key] = image
+            if products[key] & ~nb[ab]:
+                return False
     return True
 
 

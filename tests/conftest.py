@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
                             right_zeros, truncated_addition, trivial_monoid,
                             two_idempotents)
+from topact.monoid import validate_monoid
 
 
 @pytest.fixture
@@ -43,3 +46,46 @@ def one():
 @pytest.fixture
 def tau_a():
     return left_zero_split_topology()
+
+
+def transformation_closure(maps, points, limit):
+    """The self-maps of {0..points-1} generated by maps, identity first; the
+    search stops once it has found more than limit of them."""
+    elements = [tuple(range(points))]
+    for a in elements:
+        for g in maps:
+            product = tuple(g[v] for v in a)
+            if product not in elements:
+                elements.append(product)
+                if len(elements) > limit:
+                    return elements
+    return elements
+
+
+def transformation_monoid(elements):
+    """m·n is the map m followed by n, so that x·m = m(x) is a right action;
+    each element is named by its images, "01210" for 0→0, 1→1, 2→2, 3→1,
+    4→0."""
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[tuple(b[v] for v in a)] for b in elements] for a in elements]
+    return validate_monoid(["".join(map(str, e)) for e in elements], table, 0)
+
+
+@st.composite
+def transformation_monoids(draw, points=5, orders=(5, 20)):
+    """A monoid whose order lies in orders: the closure of the identity and
+    1 to 3 random self-maps of {0..points-1}, with up to 6 drawn while the
+    order is still below the bottom of orders.  A map that would take the
+    order past the top of orders is left out."""
+    low, high = orders
+    maps: list[tuple[int, ...]] = []
+    wanted = draw(st.integers(1, 3))
+    for attempt in range(6):
+        if attempt >= wanted and len(transformation_closure(maps, points, high)) >= low:
+            break
+        g = draw(st.tuples(*[st.integers(0, points - 1)] * points))
+        if len(transformation_closure(maps + [g], points, high)) <= high:
+            maps.append(g)
+    elements = transformation_closure(maps, points, high)
+    assume(len(elements) >= low)
+    return transformation_monoid(elements)

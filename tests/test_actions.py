@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topact.actions import (MSet, NotAnAction, NotContinuousInput, NotEquivariantMap,
@@ -14,10 +14,11 @@ from topact.actions import (MSet, NotAnAction, NotContinuousInput, NotEquivarian
 from topact.catalog import all_monoids, all_msets, all_topologies
 from topact.congruences import (diagonal, enumerate_congruences, generated_congruence,
                                 leq, meet, total)
-from topact.monoid import validate_monoid
 from topact.reflections import congruence_set, continuous_subsets
 from topact.topology import discrete_topology
 from topact.util import bits, full_mask, mask_of
+
+from conftest import transformation_closure, transformation_monoid, transformation_monoids
 
 
 def trivial_action(monoid, size=2):
@@ -361,7 +362,8 @@ def test_hom_search_matches_a_lone_partial_map_to_fixed_points():
     # x0 can only go to y1, so one partial map reaches the next generator,
     # x1, whose orbit meets x0's at x4 and x5; y0 passes x1's own check
     # but would send x4 to y0
-    monoid = _transformation_monoid(_closure([(2, 1, 2, 0), (0, 1, 1, 0)]))
+    monoid = transformation_monoid(
+        transformation_closure([(2, 1, 2, 0), (0, 1, 1, 0)], 4, 8))
     x = validate_mset(monoid, [f"x{i}" for i in range(6)],
                       [(0, 4, 3, 4, 5, 4, 5, 5), (1, 4, 5, 4, 5, 5, 5, 5),
                        (2, 5, 5, 5, 5, 5, 5, 5), (3, 4, 3, 4, 5, 4, 5, 5),
@@ -370,50 +372,19 @@ def test_hom_search_matches_a_lone_partial_map_to_fixed_points():
     assert enumerate_mset_homs(x, y) == brute_force_homs(x, y) == ((1,) * 6,)
 
 
-def _closure(maps, limit=8):
-    """The self-maps of {0..3} generated by maps, identity first; the search
-    stops once it has found more than limit of them."""
-    elements = [(0, 1, 2, 3)]
-    for a in elements:
-        for g in maps:
-            product = tuple(g[v] for v in a)
-            if product not in elements:
-                elements.append(product)
-                if len(elements) > limit:
-                    return elements
-    return elements
-
-
-def _transformation_monoid(elements):
-    """m·n is the map m followed by n, so that x·m = m(x) is a right action."""
-    index = {e: i for i, e in enumerate(elements)}
-    table = [[index[tuple(b[v] for v in a)] for b in elements] for a in elements]
-    return validate_monoid([str(i) for i in range(len(elements))], table, 0)
-
-
 @st.composite
 def transformation_msets(draw):
-    """A monoid of order 4 to 8, the closure of the identity and k random
-    self-maps of {0..3} (a map that would take the order past 8 is left
-    out), with M-sets made from its quotients, its action on {0..3}, the
-    terminal M-set and their products.  A pair (X, Y) is drawn from those
-    with 2 to 4096 maps X -> Y, so that the brute force stays cheap, the
-    pairs with the most maps first (Hypothesis favours early members).  The
-    regular M-set, of at least 4 points, makes at least one such pair."""
-    maps: list[tuple[int, ...]] = []
-    wanted = draw(st.integers(1, 3))
-    for attempt in range(6):
-        if attempt >= wanted and len(_closure(maps)) >= 4:
-            break
-        g = draw(st.tuples(*[st.integers(0, 3)] * 4))
-        if len(_closure(maps + [g])) <= 8:
-            maps.append(g)
-    elements = _closure(maps)
-    assume(len(elements) >= 4)
-    monoid = _transformation_monoid(elements)
+    """A transformation monoid from the shared strategy (order 5 to 20, on
+    {0..4}), with M-sets made from its quotients, its action on {0..4},
+    the terminal M-set and their products.  A pair (X, Y) is drawn from
+    those with 2 to 4096 maps X -> Y, so that the brute force stays cheap,
+    the pairs with the most maps first (Hypothesis favours early members).
+    The regular M-set, of at least 5 points, makes at least one such
+    pair."""
+    monoid = draw(transformation_monoids())
     basic = [terminal_mset(monoid), regular_mset(monoid),
-             MSet(monoid, ("0", "1", "2", "3"),
-                  tuple(tuple(e[x] for e in elements) for x in range(4)))]
+             MSet(monoid, ("0", "1", "2", "3", "4"),
+                  tuple(tuple(int(e[x]) for e in monoid.elements) for x in range(5)))]
     lattice = enumerate_congruences(monoid)
     for _ in range(2):
         basic.append(quotient_mset(monoid, draw(st.sampled_from(lattice))))

@@ -182,6 +182,19 @@ def test_congruence_cap_env(fixture_dir, capsys, monkeypatch):
         assert "TOPACT_MAX_CONGRUENCES" in err and repr(bad) in err
 
 
+def test_malformed_cap_exits_2_with_a_warm_lattice(fixture_dir, capsys, monkeypatch):
+    monkeypatch.delenv("TOPACT_MAX_CONGRUENCES", raising=False)
+    enumerate_congruences(cyclic(4))
+    assert main(["congruences", path(fixture_dir, "C4.json")]) == 0
+    capsys.readouterr()
+    misses = enumerate_congruences.cache_info().misses
+    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "abc")
+    assert main(["congruences", path(fixture_dir, "C4.json")]) == 2
+    assert "TOPACT_MAX_CONGRUENCES must be a positive integer, not 'abc'" \
+        in capsys.readouterr().err
+    assert enumerate_congruences.cache_info().misses == misses
+
+
 def test_powerset_cap_stops_act_topology(tmp_path, capsys):
     c17 = cyclic(17)
     halves = [list(c17.elements[:8]), list(c17.elements[8:])]

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
 
 from topact.catalog import all_monoids, all_topologies, cyclic, truncated_addition
 from topact.congruences import (CapExceeded, EmptyFilter, NotDirected, NotInFilter,
@@ -9,6 +12,8 @@ from topact.congruences import (CapExceeded, EmptyFilter, NotDirected, NotInFilt
                                 join, leq, meet, open_congruences, total,
                                 validate_filter)
 from topact.topology import discrete_topology, indiscrete_topology, is_open_in_product
+
+from conftest import transformation_closure, transformation_monoid, transformation_monoids
 
 
 def all_partitions(n):
@@ -32,6 +37,69 @@ def right_stable_partitions(monoid):
                if p[a] == p[b] for m in range(monoid.order)):
             out.append(p)
     return sorted(out, key=lambda p: (max(p) + 1, p))
+
+
+def generated_by_queue(monoid, pairs):
+    """Oracle for generated_congruence: union-find, pushing every right
+    translate of a pair whose classes it merges."""
+    parent = list(range(monoid.order))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    queue = list(pairs)
+    while queue:
+        a, b = queue.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        parent[rb] = ra
+        for m in range(monoid.order):
+            queue.append((monoid.table[a][m], monoid.table[b][m]))
+    return congruence_from_class_map(monoid, [find(x) for x in range(monoid.order)])
+
+
+def pairwise_join_closure(monoid, cap):
+    """Oracle for enumerate_congruences: join every frontier member with
+    every principal congruence until nothing new appears."""
+    found = {diagonal(monoid)}
+    principal = []
+    for a in range(monoid.order):
+        for b in range(a):
+            principal.append(generated_by_queue(monoid, [(b, a)]))
+    frontier = []
+    for p in principal:
+        if p not in found:
+            found.add(p)
+            frontier.append(p)
+            if len(found) > cap:
+                raise CapExceeded("right congruences", len(found))
+    while frontier:
+        fresh = []
+        for r in frontier:
+            for p in principal:
+                j = join(r, p)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+                    if len(found) > cap:
+                        raise CapExceeded("right congruences", len(found))
+        frontier = fresh
+    return tuple(sorted(found, key=lambda r: (r.num_classes, r.class_of)))
+
+
+def lattice_or_cap(build, monoid, cap):
+    try:
+        return build(monoid, cap)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def full_transformation_monoid(points):
+    maps = list(itertools.product(range(points), repeat=points))
+    return transformation_monoid(transformation_closure(maps, points, len(maps)))
 
 
 def test_generated_empty_is_diagonal(c4):
@@ -72,6 +140,56 @@ def test_enumeration_examples(c2, c4, m_lz):
 def test_enumeration_cap(c4):
     with pytest.raises(CapExceeded):
         enumerate_congruences(c4, cap=1)
+
+
+def test_generated_congruence_matches_queue_closure_through_order_three():
+    for monoid in all_monoids(1) + all_monoids(2) + all_monoids(3):
+        pairs = [(a, b) for a in range(monoid.order) for b in range(monoid.order)]
+        for k in (1, 2):
+            for chosen in itertools.combinations(pairs, k):
+                assert generated_congruence(monoid, chosen) \
+                    == generated_by_queue(monoid, chosen)
+
+
+def test_lattice_matches_pairwise_join_closure_through_order_four():
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            assert enumerate_congruences(monoid) \
+                == pairwise_join_closure(monoid, cap=100_000)
+
+
+def test_lattice_matches_pairwise_join_closure_on_t3():
+    t3 = full_transformation_monoid(3)
+    lattice = enumerate_congruences(t3)
+    assert len(lattice) == 287
+    assert lattice == pairwise_join_closure(t3, cap=100_000)
+
+
+def test_lattice_matches_pairwise_join_closure_where_a_wrong_skip_key_loses_a_member():
+    # skipping r ∨ p whenever r relates a - 1 and a, rather than p's own
+    # generating pair (b, a), loses one of these 43 congruences
+    monoid = transformation_monoid(
+        transformation_closure([(0, 1, 2, 0, 4), (1, 0, 0, 2, 3)], 5, 20))
+    lattice = enumerate_congruences(monoid)
+    assert len(lattice) == 43
+    assert lattice == pairwise_join_closure(monoid, cap=100_000)
+
+
+def test_lattice_cap_raises_once_the_count_passes_it():
+    t3 = full_transformation_monoid(3)
+    assert len(enumerate_congruences(t3, cap=287)) == 287
+    for cap in (1, 44, 286):
+        with pytest.raises(CapExceeded, match=f"cap exceeded at {cap + 1}$"):
+            enumerate_congruences(t3, cap=cap)
+
+
+@settings(max_examples=25, deadline=None)
+@given(transformation_monoids())
+def test_lattice_matches_pairwise_join_closure_beyond_order_four(monoid):
+    # the oracle joins every member with every principal congruence, so
+    # both run under a cap of 150, and past it both must raise
+    assert lattice_or_cap(enumerate_congruences, monoid, 150) \
+        == lattice_or_cap(pairwise_join_closure, monoid, 150)
 
 
 def test_members_are_joins_of_their_principal_congruences():

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from topact.catalog import all_monoids, cyclic, left_zeros, two_idempotents
 from topact.congruences import (enumerate_filters, filter_generated,
                                 full_filter, open_congruences, total)
 from topact.invariants import (BadCategory, MonogenicHomFlags, NoZeroElement,
-                               categories_equivalent,
+                               categories_equivalent, validate_category,
                                classify_monogenic, dense_units, is_atomic,
                                joint_covering, make_category, monogenic_homs,
                                monogenic_homs_bruteforce, monogenic_orbit,
@@ -237,3 +239,107 @@ def test_bad_category_rejected():
     with pytest.raises(BadCategory):
         make_category(["*"], [("id", 0, 0), ("e", 0, 0)],
                       lambda f, g: 0, [0], [], [])
+
+
+def validate_category_by_triples(cat):
+    """Oracle for validate_category: every pair and every triple of arrows,
+    skipping those that do not compose."""
+    for i, ident in enumerate(cat.identities):
+        if cat.arrow_src[ident] != i or cat.arrow_tgt[ident] != i:
+            raise BadCategory(f"identity of object {i} has wrong endpoints")
+    for f in range(cat.arrow_count):
+        for g in range(cat.arrow_count):
+            composable = cat.arrow_tgt[f] == cat.arrow_src[g]
+            h = cat.compose_table[f][g]
+            if composable != (h >= 0):
+                raise BadCategory("composition table disagrees with composability")
+            if h >= 0 and (cat.arrow_src[h] != cat.arrow_src[f]
+                           or cat.arrow_tgt[h] != cat.arrow_tgt[g]):
+                raise BadCategory("composite has wrong endpoints")
+    for f in range(cat.arrow_count):
+        if cat.compose_table[cat.identities[cat.arrow_src[f]]][f] != f:
+            raise BadCategory(f"left unit law fails at arrow {f}")
+        if cat.compose_table[f][cat.identities[cat.arrow_tgt[f]]] != f:
+            raise BadCategory(f"right unit law fails at arrow {f}")
+    for f in range(cat.arrow_count):
+        for g in range(cat.arrow_count):
+            if cat.arrow_tgt[f] != cat.arrow_src[g]:
+                continue
+            fg = cat.compose_table[f][g]
+            for h in range(cat.arrow_count):
+                if cat.arrow_tgt[g] != cat.arrow_src[h]:
+                    continue
+                if cat.compose_table[fg][h] != cat.compose_table[f][cat.compose_table[g][h]]:
+                    raise BadCategory(f"associativity fails at ({f}, {g}, {h})")
+    return cat
+
+
+def bad_category_message(check, cat):
+    try:
+        check(cat)
+    except BadCategory as exc:
+        return str(exc)
+    return None
+
+
+def with_entry(cat, f, g, value):
+    table = [list(row) for row in cat.compose_table]
+    table[f][g] = value
+    return dataclasses.replace(cat, compose_table=tuple(tuple(row) for row in table))
+
+
+def with_endpoint(cat, field, f, obj):
+    ends = list(getattr(cat, field))
+    ends[f] = obj
+    return dataclasses.replace(cat, **{field: tuple(ends)})
+
+
+def corruptions(cat, rng):
+    """Copies of cat with one fault each: every composite changed (to an
+    arrow with the same endpoints where there is one, so that the unit laws
+    and associativity are reached), every arrow's source or target moved,
+    and every composable entry, and one entry that does not compose,
+    flipped."""
+    arrows = range(cat.arrow_count)
+    table = cat.compose_table
+    pairs = [(f, g) for f in arrows for g in arrows if table[f][g] >= 0]
+    apart = [(f, g) for f in arrows for g in arrows if table[f][g] < 0]
+    for f, g in pairs:
+        h = table[f][g]
+        parallel = [k for k in arrows if k != h and cat.arrow_src[k] == cat.arrow_src[h]
+                    and cat.arrow_tgt[k] == cat.arrow_tgt[h]]
+        others = parallel or [k for k in arrows if k != h]
+        if others:
+            yield with_entry(cat, f, g, rng.choice(others))
+    if len(cat.objects) > 1:
+        for f in arrows:
+            field = rng.choice(["arrow_src", "arrow_tgt"])
+            old = getattr(cat, field)[f]
+            yield with_endpoint(cat, field, f,
+                                rng.choice([o for o in range(len(cat.objects)) if o != old]))
+    for f, g in pairs:
+        yield with_entry(cat, f, g, -1)
+    if apart:
+        f, g = rng.choice(apart)
+        yield with_entry(cat, f, g, rng.choice(arrows))
+
+
+def test_validate_category_matches_triple_loop_on_corrupted_sites():
+    rng = random.Random(5)
+    seen = set()
+    cases = 0
+    for monoid in all_monoids(1) + all_monoids(2) + all_monoids(3):
+        for flt in enumerate_filters(monoid):
+            site = principal_site(monoid, flt)
+            negated = dataclasses.replace(site, compose_table=tuple(
+                tuple(-2 if h < 0 else h for h in row) for row in site.compose_table))
+            for cat in (site, negated, *corruptions(site, rng)):
+                message = bad_category_message(validate_category, cat)
+                assert message == bad_category_message(validate_category_by_triples, cat)
+                seen.add(re.sub(r"\d+", "N", message) if message else None)
+                cases += 1
+    assert cases > 1000
+    assert seen == {None, "identity of object N has wrong endpoints",
+                    "composition table disagrees with composability",
+                    "composite has wrong endpoints", "left unit law fails at arrow N",
+                    "right unit law fails at arrow N", "associativity fails at (N, N, N)"}

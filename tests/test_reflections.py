@@ -16,8 +16,21 @@ from topact.reflections import (NotTopologicalMonoid, congruence_hat_topology,
                                 powder_reflection, t0_quotient, two_sided_commutation)
 from topact.invariants import monoids_isomorphic
 from topact.topology import (Topology, discrete_topology, generate_topology,
-                             indiscrete_topology, partition_topology)
+                             indiscrete_topology, is_open_in_product,
+                             partition_topology)
 from topact.util import mask_of
+
+
+def is_topological_monoid_by_preimages(monoid, topology):
+    """Oracle for is_topological_monoid: the preimage of every open under
+    multiplication is open in the product."""
+    n = monoid.order
+    for u in topology.opens:
+        pre = mask_of(a * n + b for a in range(n) for b in range(n)
+                      if u >> monoid.table[a][b] & 1)
+        if not is_open_in_product(pre, topology, topology):
+            return False
+    return True
 
 
 def test_continuous_subsets_discrete_indiscrete(m_lz):
@@ -271,3 +284,26 @@ def test_action_topology_generated_by_components():
             components = generate_topology(
                 3, [mask_of(c) for c in connected_components(topology)])
             assert tilde.opens == components.opens
+
+
+def test_topological_monoid_matches_preimages_through_order_four():
+    cells = continuous = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for topology in all_topologies(order):
+                verdict = is_topological_monoid(monoid, topology)
+                assert verdict == is_topological_monoid_by_preimages(monoid, topology)
+                cells += 1
+                continuous += verdict
+    assert cells == 12637
+    assert 0 < continuous < cells
+
+
+def test_topological_monoid_on_large_discrete_and_coarse_carriers():
+    c13 = cyclic(13)
+    assert is_topological_monoid(c13, discrete_topology(13))
+    assert is_topological_monoid(c13, indiscrete_topology(13))
+    # 1·12 = 0, yet nb[1]·nb[12] holds 1·1 = 2, outside the open {0}
+    split = partition_topology(13, [[0], range(1, 13)])
+    assert not is_topological_monoid(c13, split)
+    assert not is_topological_monoid_by_preimages(c13, split)
