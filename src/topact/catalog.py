@@ -131,10 +131,7 @@ def all_topologies(carrier: int) -> tuple[Topology, ...]:
             rel[a][b] = on
         if not _transitive(rel, carrier):
             continue
-        up = mask_of_rows(rel, carrier)
-        opens = frozenset(u for u in range(1 << carrier)
-                          if all(up[x] & ~u == 0 for x in range(carrier) if u >> x & 1))
-        out.append(Topology(carrier, opens))
+        out.append(Topology(carrier, tuple(mask_of_rows(rel, carrier))))
     return tuple(out)
 
 

@@ -20,7 +20,7 @@ from .congruences import (CongruenceFilter, RightCongruence, class_projection,
 from .errors import InternalCheckError, TopactError
 from .monoid import (FiniteMonoid, SemigroupHom, sub_monoid, unit_indices,
                      validate_hom, validate_monoid)
-from .topology import (Topology, generate_topology, separation_report,
+from .topology import (Topology, continuity_witness, generate_topology, separation_report,
                        subspace_topology)
 from .reflections import continuous_subsets
 from .util import bits, mask_of
@@ -155,10 +155,8 @@ def complete(monoid: FiniteMonoid, flt: CongruenceFilter) -> Completion:
                      tuple(pos[u_tuple[m]] for m in range(monoid.order)))
     if not u.preserves_identity:
         raise InternalMismatch("comparison map must be a monoid homomorphism")
-    image = mask_of(u.map)
-    for v in rho.opens:
-        if v and not v & image:
-            raise InternalCheckError("comparison image is not dense")
+    if not rho.is_dense(mask_of(u.map)):
+        raise InternalCheckError("comparison image is not dense")
     return Completion(limit_monoid, rho, u, tuple(tuples), flt)
 
 
@@ -169,8 +167,9 @@ def is_complete(monoid: FiniteMonoid, topology: Topology) -> bool:
     u = cpl.comparison
     if len(set(u.map)) != monoid.order or cpl.monoid.order != monoid.order:
         return False
-    forward = {mask_of(u.map[m] for m in bits(a)) for a in topology.opens}
-    return forward == set(cpl.topology.opens)
+    nb = cpl.topology.nbhd
+    return all(nb[u.map[x]] == mask_of(u.map[m] for m in bits(v))
+               for x, v in enumerate(topology.nbhd))
 
 
 @dataclass(frozen=True)
@@ -245,10 +244,9 @@ def dense_closed_factorization(phi: SemigroupHom, tau_src: Topology,
     the target's action topology: a dense corestriction followed by a closed
     inclusion."""
     tgt_tilde = continuous_subsets(phi.target, tau_tgt).topology
-    for u in sorted(tgt_tilde.opens):
-        pre = mask_of(m for m in range(phi.source.order) if u >> phi.map[m] & 1)
-        if not tau_src.is_open(pre):
-            raise NotContinuous(u)
+    witness = continuity_witness(phi.map, tau_src, tgt_tilde)
+    if witness is not None:
+        raise NotContinuous(witness)
     image = mask_of(phi.map)
     closure = tgt_tilde.closure(image)
     members = list(bits(closure))
@@ -269,11 +267,8 @@ def dense_closed_factorization(phi: SemigroupHom, tau_src: Topology,
     mid = sub_monoid(tgt, members, ident)
     first = validate_hom(phi.source, mid, tuple(pos[v] for v in phi.map))
     second = SemigroupHom(mid, tgt, tuple(members), ident == tgt.identity)
-    sub_top = subspace_topology(tgt_tilde, closure)
-    first_image = mask_of(first.map)
-    for v in sub_top.opens:
-        if v and not v & first_image:
-            raise InternalCheckError("first factor is not dense in the closure")
+    if not subspace_topology(tgt_tilde, closure).is_dense(mask_of(first.map)):
+        raise InternalCheckError("first factor is not dense in the closure")
     return first, second
 
 

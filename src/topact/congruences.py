@@ -349,9 +349,11 @@ def validate_filter(monoid: FiniteMonoid,
         for s in lattice:
             if leq(r, s) and s not in member_set:
                 raise NotUpwardClosed(r, s)
+    # with upward closure checked, some member lies below r1 and r2 iff
+    # their meet (a lattice element above that member) is a member
     for i, r1 in enumerate(mem):
         for r2 in mem[:i]:
-            if not any(leq(s, r1) and leq(s, r2) for s in mem):
+            if meet(r1, r2) not in member_set:
                 raise NotDirected(r1, r2)
     for r in mem:
         for q in range(monoid.order):

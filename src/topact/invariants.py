@@ -4,8 +4,9 @@ the tail/cycle classification of monogenic actions.
 
 Arrows of a principal site are congruence classes [m]: r1 -> r2 with
 r1 ⊆ m*(r2); the underlying map of classes sends [x] to [mx], so composing
-[m] then [n] yields [n·m].  Epis are the class-surjective arrows, which in
-these sites coincide with the strict epis.
+[m] then [n] yields [n·m].  Epis are the class-surjective arrows; the
+strict joint-covering check takes them as the strict epis too, which the
+engine does not verify.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class FiniteCategory:
     identities: tuple[int, ...]
     epis: frozenset[int]
     monos: frozenset[int]
-    strict_epis: frozenset[int]
 
     @property
     def arrow_count(self) -> int:
@@ -172,7 +172,6 @@ def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategor
         identities=tuple(identities),
         epis=frozenset(epis),
         monos=frozenset(monos),
-        strict_epis=frozenset(epis),
     )
     return validate_category(cat)
 
@@ -182,8 +181,7 @@ def make_category(objects: Sequence[str],
                   compose: Callable[[int, int], int],
                   identities: Sequence[int],
                   epis: Sequence[int],
-                  monos: Sequence[int] = (),
-                  strict_epis: Optional[Sequence[int]] = None) -> FiniteCategory:
+                  monos: Sequence[int] = ()) -> FiniteCategory:
     """Assemble and validate a hand-built category; compose(f, g) is
     "f then g" on arrow indices."""
     table = []
@@ -204,7 +202,6 @@ def make_category(objects: Sequence[str],
         identities=tuple(identities),
         epis=frozenset(epis),
         monos=frozenset(monos),
-        strict_epis=frozenset(strict_epis if strict_epis is not None else epis),
     )
     return validate_category(cat)
 
@@ -348,7 +345,6 @@ def _skeleton(cat: FiniteCategory) -> tuple[FiniteCategory, tuple[int, ...]]:
         identities=tuple(arrow_pos[cat.identities[o]] for o in reps),
         epis=frozenset(arrow_pos[f] for f in keep if f in cat.epis),
         monos=frozenset(arrow_pos[f] for f in keep if f in cat.monos),
-        strict_epis=frozenset(arrow_pos[f] for f in keep if f in cat.strict_epis),
     )
     return sk, reps
 
@@ -455,7 +451,6 @@ def relabeled_category(cat: FiniteCategory, rng: random.Random) -> FiniteCategor
         identities=tuple(inv[cat.identities[obj_perm.index(i)]] for i in range(k)),
         epis=frozenset(inv[f] for f in cat.epis),
         monos=frozenset(inv[f] for f in cat.monos),
-        strict_epis=frozenset(inv[f] for f in cat.strict_epis),
     )
 
 
@@ -465,7 +460,8 @@ def joint_covering(cat: FiniteCategory) -> bool:
 
 
 def strict_joint_covering(cat: FiniteCategory) -> bool:
-    return _jcp(cat, cat.strict_epis)
+    """Joint covering by strict epis, taken to be the marked epis."""
+    return _jcp(cat, cat.epis)
 
 
 def _jcp(cat: FiniteCategory, epis: frozenset[int]) -> bool:
@@ -509,8 +505,7 @@ def dense_units(monoid: FiniteMonoid, topology: Topology) -> bool:
     from .monoid import unit_indices
     flt = open_congruences(monoid, topology)
     cpl = complete(monoid, flt)
-    units = mask_of(unit_indices(cpl.monoid))
-    dense = all(u & units for u in cpl.topology.opens if u)
+    dense = cpl.topology.is_dense(mask_of(unit_indices(cpl.monoid)))
     if dense != is_atomic(monoid, flt)[0]:
         raise InternalCheckError("atomicity conditions 3 and 4 disagree")
     return dense

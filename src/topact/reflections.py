@@ -18,8 +18,7 @@ from .congruences import (CongruenceFilter, RightCongruence, congruence_from_cla
                           enumerate_congruences, inverse_image_congruence)
 from .errors import InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, opposite, validate_hom, validate_monoid
-from .topology import (Topology, generate_topology, is_open_in_product,
-                       minimal_neighborhoods, separation_report)
+from .topology import Topology, generate_topology, is_open_in_product, separation_report
 from .util import bits, mask_of
 
 
@@ -55,8 +54,7 @@ def _report(monoid: FiniteMonoid, topology: Topology, masks: tuple[int, ...]
             if power.act[a][g] not in members:
                 raise InternalCheckError("continuous subsets not closed under the action")
     tau_tilde = generate_topology(monoid.order, masks)
-    return ActionTopologyReport(masks, tau_tilde,
-                                tau_tilde.opens == topology.opens)
+    return ActionTopologyReport(masks, tau_tilde, tau_tilde == topology)
 
 
 def continuous_subsets(monoid: FiniteMonoid, topology: Topology
@@ -80,7 +78,7 @@ def is_topological_monoid(monoid: FiniteMonoid, topology: Topology) -> bool:
     in the product.  times[v][x] is the mask of x·v for each distinct
     neighbourhood v, and each distinct product nb[a]·nb[b] is formed once,
     so a coarse topology costs no more than a fine one."""
-    nb = minimal_neighborhoods(topology)
+    nb = topology.nbhd
     times = {v: [mask_of(row[y] for y in bits(v)) for row in monoid.table]
              for v in set(nb)}
     products: dict[tuple[int, int], int] = {}
@@ -111,8 +109,8 @@ def mult_continuous_core(monoid: FiniteMonoid, topology: Topology) -> Topology:
                           if u >> monoid.table[a][b] & 1)
             if is_open_in_product(pre, current, current):
                 kept.append(u)
-        nxt = Topology(n, frozenset(kept))
-        if nxt.opens == current.opens:
+        nxt = generate_topology(n, kept)
+        if nxt == current:
             break
         current = nxt
     if not is_topological_monoid(monoid, current):
@@ -146,8 +144,8 @@ def t0_quotient(monoid: FiniteMonoid, topology: Topology
                         "indistinguishability is not a two-sided congruence")
     names = tuple(f"[{monoid.elements[m]}]" for m in reps)
     quotient = validate_monoid(names, table, cong.class_of[monoid.identity])
-    opens = frozenset(mask_of({cong.class_of[m] for m in bits(u)}) for u in topology.opens)
-    q_top = Topology(len(reps), opens)
+    q_top = Topology(len(reps), tuple(mask_of(cong.class_of[m] for m in bits(topology.nbhd[rep]))
+                                      for rep in reps))
     projection = validate_hom(monoid, quotient, cong.class_of)
     if not separation_report(q_top).t0:
         raise InternalCheckError("T0 quotient failed to separate points")
@@ -181,7 +179,7 @@ def two_sided_commutation(monoid: FiniteMonoid, topology: Topology) -> bool:
         raise NotTopologicalMonoid("commutation check needs a T0 input")
     right_first = left_action_topology(monoid, continuous_subsets(monoid, topology).topology)
     left_first = continuous_subsets(monoid, left_action_topology(monoid, topology).topology)
-    if right_first.topology.opens != left_first.topology.opens:
+    if right_first.topology != left_first.topology:
         raise CommutationFailure(f"reflections disagree on {monoid!r}")
     return True
 

@@ -1,19 +1,21 @@
-"""Finite topologies as explicit open-set families of bitmasks.
+"""Finite topologies stored as the minimal neighbourhood of each point.
 
 Every finite space is Alexandrov: each point x has a minimal open
-neighbourhood nb[x], and the opens are exactly the unions of these.  So a
-topology is generated by intersecting, for each point, the base sets that
-contain it, and then taking all unions of the resulting neighbourhoods;
-openness of a product set, continuity of a map and local constancy of a
-function are decided point by point on the neighbourhoods.  Carriers are
-capped at 32 points and open-set families, products included, at 2^16
-members.
+neighbourhood nb[x], and a set is open iff it contains nb[x] around each of
+its points x.  So a topology is the tuple of these bitmasks (its
+specialization preorder), generated by intersecting, for each point, the
+base sets that contain it; openness, closure, subspaces, components,
+products, continuity and local constancy are all decided point by point on
+the neighbourhoods.  Carriers are capped at 32 points.  The open-set family
+`Topology.opens` is enumerated only on demand and capped at 2^16 members;
+the open counts printed by `analyze`, `act-topology` and `mult-core`,
+`mult_continuous_core` and the suite read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import TopactError
@@ -34,52 +36,60 @@ _MAX_FAMILY = 1 << 16
 
 @dataclass(frozen=True)
 class Topology:
+    """nbhd[x] is the minimal open neighbourhood of x: it contains x, and
+    contains nbhd[y] for each of its points y."""
+
     carrier_size: int
-    opens: frozenset[int]
+    nbhd: tuple[int, ...]
 
     @property
     def full(self) -> int:
         return full_mask(self.carrier_size)
 
+    @cached_property
+    def opens(self) -> frozenset[int]:
+        """Every open set, as the unions of the neighbourhoods: each distinct
+        one is folded into the family of unions found so far."""
+        family = {0}
+        for v in set(self.nbhd):
+            family |= {u | v for u in family}
+            if len(family) > _MAX_FAMILY:
+                raise TopactError(f"open-set family exceeds {_MAX_FAMILY} members")
+        return frozenset(family)
+
     def is_open(self, mask: int) -> bool:
-        return mask in self.opens
+        if mask & ~self.full:
+            return False
+        nb = self.nbhd
+        return all(nb[x] & ~mask == 0 for x in bits(mask))
 
     def is_closed(self, mask: int) -> bool:
-        return (self.full & ~mask) in self.opens
+        return self.is_open(self.full & ~mask)
 
     def clopens(self) -> tuple[int, ...]:
         return tuple(sorted(u for u in self.opens if self.is_closed(u)))
 
-    def sorted_opens(self) -> tuple[int, ...]:
-        return tuple(sorted(self.opens))
-
     def is_discrete(self) -> bool:
-        return len(self.opens) == 1 << self.carrier_size
+        return all(v == 1 << x for x, v in enumerate(self.nbhd))
 
     def closure(self, mask: int) -> int:
-        """Smallest closed superset."""
-        away = 0
-        for u in self.opens:
-            if u & mask == 0:
-                away |= u
-        return self.full & ~away
+        """Smallest closed superset: the points whose neighbourhood meets it."""
+        return mask_of(x for x, v in enumerate(self.nbhd) if v & mask)
+
+    def is_dense(self, mask: int) -> bool:
+        """Every non-empty open meets the mask."""
+        return all(v & mask for v in self.nbhd)
 
     def __repr__(self) -> str:
-        return f"Topology(n={self.carrier_size}, opens={len(self.opens)})"
+        return f"Topology(n={self.carrier_size}, nbhd={self.nbhd})"
 
 
 def generate_topology(carrier_size: int, base: Iterable[int]) -> Topology:
-    """Smallest topology containing the base: close under finite
-    intersections (the empty one giving the full set), then unions."""
+    """Smallest topology containing the base: the minimal neighbourhood of x
+    is the intersection of the base sets containing x (the full set if none
+    does)."""
     if carrier_size > MAX_CARRIER:
         raise OutOfRange(f"carrier {carrier_size} exceeds cap {MAX_CARRIER}")
-    return _generate(carrier_size, base, cap=_MAX_FAMILY)
-
-
-def _generate(carrier_size: int, base: Iterable[int], cap: int) -> Topology:
-    """The minimal neighbourhood of x is the intersection of the base sets
-    containing x (the full set if none does); fold each distinct one into
-    the family of unions."""
     full = full_mask(carrier_size)
     nb = [full] * carrier_size
     for b in base:
@@ -87,12 +97,7 @@ def _generate(carrier_size: int, base: Iterable[int], cap: int) -> Topology:
             raise OutOfRange(f"subset {b:#x} exceeds carrier of size {carrier_size}")
         for x in bits(b):
             nb[x] &= b
-    family = {0}
-    for v in set(nb):
-        family |= {u | v for u in family}
-        if len(family) > cap:
-            raise TopactError(f"open-set family exceeds {cap} members")
-    return Topology(carrier_size, frozenset(family))
+    return Topology(carrier_size, tuple(nb))
 
 
 def discrete_topology(carrier_size: int) -> Topology:
@@ -107,18 +112,11 @@ def partition_topology(carrier_size: int, blocks: Sequence[Iterable[int]]) -> To
     return generate_topology(carrier_size, [mask_of(b) for b in blocks])
 
 
-@lru_cache(maxsize=None)
 def minimal_neighborhoods(topology: Topology) -> tuple[int, ...]:
-    """For each point, the intersection of all opens containing it (open,
-    since the carrier is finite)."""
-    out = []
-    for x in range(topology.carrier_size):
-        acc = topology.full
-        for u in topology.opens:
-            if u >> x & 1:
-                acc &= u
-        out.append(acc)
-    return tuple(out)
+    """For each point, the intersection of all opens containing it.  Package
+    code reads `topology.nbhd` directly; this accessor stays for callers
+    that name it, such as the benchmark's tracer."""
+    return topology.nbhd
 
 
 def is_locally_constant(values: Sequence, topology: Topology) -> bool:
@@ -126,7 +124,7 @@ def is_locally_constant(values: Sequence, topology: Topology) -> bool:
     neighbourhood nb[x] of every point x, i.e. when every fibre of the map
     x ↦ values[x] is open (a set is open iff it contains nb[x] around each
     of its points x)."""
-    nb = minimal_neighborhoods(topology)
+    nb = topology.nbhd
     for x, v in enumerate(values):
         rest = nb[x] ^ (1 << x)
         while rest:
@@ -137,17 +135,6 @@ def is_locally_constant(values: Sequence, topology: Topology) -> bool:
     return True
 
 
-def product_topology(t1: Topology, t2: Topology) -> Topology:
-    """Topology on the size-n1·n2 carrier (row-major pairing) generated by
-    the rectangles of minimal neighbourhoods, a base of the open
-    rectangles."""
-    n2 = t2.carrier_size
-    nb1 = minimal_neighborhoods(t1)
-    nb2 = minimal_neighborhoods(t2)
-    rects = [_rectangle(u, v, n2) for u in nb1 for v in nb2]
-    return _generate(t1.carrier_size * n2, rects, cap=_MAX_FAMILY)
-
-
 def _rectangle(u: int, v: int, n2: int) -> int:
     out = 0
     for a in bits(u):
@@ -156,11 +143,11 @@ def _rectangle(u: int, v: int, n2: int) -> int:
 
 
 def is_open_in_product(mask: int, t1: Topology, t2: Topology) -> bool:
-    """Openness in t1 x t2 via minimal neighbourhoods: a set is open iff it
-    contains U_a x U_b around each of its points (a, b)."""
+    """Openness in t1 x t2 (row-major pairing) via minimal neighbourhoods: a
+    set is open iff it contains U_a x U_b around each of its points (a, b)."""
     n2 = t2.carrier_size
-    nb1 = minimal_neighborhoods(t1)
-    nb2 = minimal_neighborhoods(t2)
+    nb1 = t1.nbhd
+    nb2 = t2.nbhd
     for idx in bits(mask):
         a, b = divmod(idx, n2)
         if _rectangle(nb1[a], nb2[b], n2) & ~mask:
@@ -169,15 +156,15 @@ def is_open_in_product(mask: int, t1: Topology, t2: Topology) -> bool:
 
 
 def subspace_topology(topology: Topology, subset: int) -> Topology:
-    """Traces U ∩ subset, reindexed along the sorted members of the subset."""
+    """Traces nb[m] ∩ subset, reindexed along the sorted members of the
+    subset."""
     if subset & ~topology.full:
         raise OutOfRange("subset exceeds carrier")
     members = list(bits(subset))
     pos = {m: i for i, m in enumerate(members)}
-    traces = set()
-    for u in topology.opens:
-        traces.add(mask_of(pos[m] for m in bits(u & subset)))
-    return Topology(len(members), frozenset(traces))
+    nb = topology.nbhd
+    return Topology(len(members), tuple(mask_of(pos[y] for y in bits(nb[m] & subset))
+                                        for m in members))
 
 
 @dataclass(frozen=True)
@@ -193,7 +180,7 @@ class SeparationReport:
 
 
 def separation_report(topology: Topology) -> SeparationReport:
-    nb = minimal_neighborhoods(topology)
+    nb = topology.nbhd
     # x and y are indistinguishable iff they share the minimal open neighbourhood
     classes: list[list[int]] = []
     assigned = [-1] * topology.carrier_size
@@ -218,46 +205,58 @@ def separation_report(topology: Topology) -> SeparationReport:
 
 
 def connected_components(topology: Topology) -> tuple[tuple[int, ...], ...]:
-    """Classes of "no clopen separates x from y" (quasi-components, which
-    coincide with components on finite carriers)."""
-    clopens = topology.clopens()
-    sig = {}
+    """Classes of the equivalence generated by "y ∈ nb[x]", ordered by
+    least member: on a finite carrier these are the components, and no
+    clopen separates two points of one class."""
+    parent = list(range(topology.carrier_size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, v in enumerate(topology.nbhd):
+        for y in bits(v):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    classes: dict[int, list[int]] = {}
     for x in range(topology.carrier_size):
-        sig[x] = tuple(u >> x & 1 for u in clopens)
-    classes: list[list[int]] = []
-    for x in range(topology.carrier_size):
-        for c in classes:
-            if sig[c[0]] == sig[x]:
-                c.append(x)
-                break
-        else:
-            classes.append([x])
-    return tuple(tuple(c) for c in classes)
+        classes.setdefault(find(x), []).append(x)
+    return tuple(tuple(c) for c in classes.values())
 
 
 def is_continuous(f: Sequence[int], t_src: Topology, t_tgt: Topology) -> bool:
     """Preimage of every open is open: f maps the minimal neighbourhood of
     each x into the minimal neighbourhood of f(x)."""
+    return continuity_witness(f, t_src, t_tgt) is None
+
+
+def continuity_witness(f: Sequence[int], t_src: Topology, t_tgt: Topology
+                       ) -> int | None:
+    """None when f is continuous; otherwise nb_tgt[f(x)] for the first x
+    whose neighbourhood f does not map into it, an open set whose preimage
+    contains x but not nb_src[x], so is not open."""
     if len(f) != t_src.carrier_size:
         raise SizeMismatch(f"map has {len(f)} entries for carrier {t_src.carrier_size}")
     for v in f:
         if not (0 <= v < t_tgt.carrier_size):
             raise SizeMismatch(f"map value {v} outside target carrier")
-    nb_src = minimal_neighborhoods(t_src)
-    nb_tgt = minimal_neighborhoods(t_tgt)
+    nb_src = t_src.nbhd
+    nb_tgt = t_tgt.nbhd
     for x, fx in enumerate(f):
         target = nb_tgt[fx]
         rest = nb_src[x] ^ (1 << x)
         while rest:
             low = rest & -rest
             if not target >> f[low.bit_length() - 1] & 1:
-                return False
+                return target
             rest ^= low
-    return True
+    return None
 
 
 def minimal_base(topology: Topology) -> tuple[int, ...]:
     """The join-irreducible opens (= distinct minimal point neighbourhoods);
     every open is a union of these and no smaller family suffices."""
-    nb = minimal_neighborhoods(topology)
-    return tuple(sorted(set(nb)))
+    return tuple(sorted(set(topology.nbhd)))

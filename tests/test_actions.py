@@ -376,7 +376,10 @@ def test_hom_search_matches_a_lone_partial_map_to_fixed_points():
 def transformation_msets(draw):
     """A transformation monoid from the shared strategy (order 5 to 20, on
     {0..4}), with M-sets made from its quotients, its action on {0..4},
-    the terminal M-set and their products.  A pair (X, Y) is drawn from
+    the terminal M-set and their products.  Each quotient is by the right
+    congruence generated by up to order - 1 drawn pairs, which reaches
+    every right congruence without enumerating the lattice (some of these
+    monoids have more right congruences than the enumeration cap).  A pair (X, Y) is drawn from
     those with 2 to 4096 maps X -> Y, so that the brute force stays cheap,
     the pairs with the most maps first (Hypothesis favours early members).
     The regular M-set, of at least 5 points, makes at least one such
@@ -385,9 +388,10 @@ def transformation_msets(draw):
     basic = [terminal_mset(monoid), regular_mset(monoid),
              MSet(monoid, ("0", "1", "2", "3", "4"),
                   tuple(tuple(int(e[x]) for e in monoid.elements) for x in range(5)))]
-    lattice = enumerate_congruences(monoid)
+    element = st.integers(0, monoid.order - 1)
     for _ in range(2):
-        basic.append(quotient_mset(monoid, draw(st.sampled_from(lattice))))
+        pairs = draw(st.lists(st.tuples(element, element), max_size=monoid.order - 1))
+        basic.append(quotient_mset(monoid, generated_congruence(monoid, pairs)))
     pool = basic + [mset_product(a, b) for a in basic[1:] for b in basic[1:]
                     if a.size * b.size <= 16]
     pairs = [(x, y) for x in pool for y in pool if 1 < y.size ** x.size <= 4096]

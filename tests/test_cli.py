@@ -219,6 +219,22 @@ def test_open_set_cap_stops_analyze(tmp_path, capsys):
     assert "open-set family exceeds 65536 members" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [17, 32])
+def test_discrete_carriers_past_the_open_set_cap(tmp_path, capsys, n):
+    monoid = cyclic(n)
+    (tmp_path / "C.json").write_text(json.dumps(files.monoid_to_obj(monoid)))
+    (tmp_path / "disc.json").write_text(json.dumps(
+        {"monoid": "C.json", "carrier": list(monoid.elements),
+         "base": [[e] for e in monoid.elements]}))
+    m, t = str(tmp_path / "C.json"), str(tmp_path / "disc.json")
+    assert main(["t0", m, t]) == 0
+    assert f"order {n}" in capsys.readouterr().out
+    assert main(["complete", m, "--filter", "all"]) == 0
+    assert "discrete=True" in capsys.readouterr().out
+    assert main(["check", "complete", m, t]) == 0
+    assert "true" in capsys.readouterr().out
+
+
 def test_suite_command(capsys):
     assert main(["suite", "--order", "2", "--topologies", "2"]) == 0
     out = capsys.readouterr().out

@@ -12,7 +12,7 @@ from topact.invariants import monoids_isomorphic
 from topact.monoid import idempotents, identity_hom, validate_hom
 from topact.topology import (discrete_topology, generate_topology,
                              indiscrete_topology, partition_topology)
-from topact.util import mask_of
+from topact.util import bits, mask_of
 
 
 def test_completion_of_full_filter_is_identity():
@@ -242,3 +242,41 @@ def test_completion_idempotent_everywhere():
             again = complete(cpl.monoid, open_congruences(cpl.monoid, cpl.topology))
             assert len(set(again.comparison.map)) == cpl.monoid.order
             assert again.monoid.order == cpl.monoid.order
+
+
+def test_is_complete_matches_forward_images_of_opens():
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for topology in all_topologies(order):
+                cpl = complete(monoid, open_congruences(monoid, topology))
+                u = cpl.comparison
+                expected = (len(set(u.map)) == order and cpl.monoid.order == order
+                            and cpl.topology.opens
+                            == {mask_of(u.map[m] for m in bits(a)) for a in topology.opens})
+                assert is_complete(monoid, topology) == expected
+
+
+def test_dense_closed_continuity_witness_is_an_open_with_open_preimage_missing():
+    from topact.catalog import all_semigroup_homs
+    from topact.reflections import continuous_subsets
+    raised = 0
+    for src in all_monoids(1) + all_monoids(2):
+        for tgt in [m for n in (1, 2, 3) for m in all_monoids(n)]:
+            homs = all_semigroup_homs(src, tgt)
+            for tau_tgt in all_topologies(tgt.order):
+                tilde = continuous_subsets(tgt, tau_tgt).topology
+                for tau_src in all_topologies(src.order):
+                    for hom in homs:
+                        failing = {u for u in tilde.opens
+                                   if not tau_src.is_open(mask_of(
+                                       m for m in range(src.order) if u >> hom.map[m] & 1))}
+                        try:
+                            dense_closed_factorization(hom, tau_src, tau_tgt)
+                        except NotContinuous as exc:
+                            assert exc.witness in failing
+                            raised += 1
+                        except ClosureNotMonoid:
+                            assert not failing
+                        else:
+                            assert not failing
+    assert raised > 0

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 
 from topact.catalog import all_monoids, all_topologies, cyclic, truncated_addition
-from topact.congruences import (CapExceeded, EmptyFilter, NotDirected, NotInFilter,
-                                NotStable, NotUpwardClosed, congruence_from_class_map,
+from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, InvalidFilter,
+                                NotDirected, NotEquivariant, NotInFilter,
+                                NotStable, NotUpwardClosed, _sorted_members,
+                                congruence_from_class_map,
                                 diagonal, enumerate_congruences, enumerate_filters,
                                 filter_generated, full_filter, generated_congruence,
                                 hom_classes, inverse_image_congruence, is_two_sided,
                                 join, leq, meet, open_congruences, total,
                                 validate_filter)
+from topact.errors import InternalCheckError
 from topact.topology import discrete_topology, indiscrete_topology, is_open_in_product
 
 from conftest import transformation_closure, transformation_monoid, transformation_monoids
@@ -312,6 +315,53 @@ def test_validate_filter_not_directed():
     rb = generated_congruence(klein, [(0, 2)])
     with pytest.raises(NotDirected):
         validate_filter(klein, [ra, rb, total(klein)])
+
+
+def validate_filter_by_common_refinement(monoid, members):
+    """Oracle: the filter axioms as first written, with directedness
+    decided by searching the members for a common refinement."""
+    mem = _sorted_members(members)
+    if not mem:
+        raise EmptyFilter("a congruence filter cannot be empty")
+    lattice = enumerate_congruences(monoid)
+    member_set = set(mem)
+    for r in mem:
+        for s in lattice:
+            if leq(r, s) and s not in member_set:
+                raise NotUpwardClosed(r, s)
+    for i, r1 in enumerate(mem):
+        for r2 in mem[:i]:
+            if not any(leq(s, r1) and leq(s, r2) for s in mem):
+                raise NotDirected(r1, r2)
+    for r in mem:
+        for q in range(monoid.order):
+            if inverse_image_congruence(monoid, q, r) not in member_set:
+                raise NotEquivariant(q, r)
+    minimal = tuple(r for r in mem
+                    if not any(s != r and leq(s, r) for s in mem))
+    if len(minimal) != 1:
+        raise InternalCheckError("directed finite filter must have a unique minimum")
+    return CongruenceFilter(monoid, mem, minimal)
+
+
+def _outcome(check, monoid, members):
+    try:
+        return check(monoid, members)
+    except InvalidFilter as exc:
+        return type(exc), exc.args
+
+
+def test_validate_filter_matches_common_refinement_search():
+    kinds = set()
+    for monoid in all_monoids(1) + all_monoids(2) + all_monoids(3):
+        lattice = enumerate_congruences(monoid)
+        for pick in itertools.product((False, True), repeat=len(lattice)):
+            members = [r for r, on in zip(lattice, pick) if on]
+            expected = _outcome(validate_filter_by_common_refinement, monoid, members)
+            assert _outcome(validate_filter, monoid, members) == expected
+            kinds.add(expected[0] if isinstance(expected, tuple) else CongruenceFilter)
+    assert kinds == {EmptyFilter, NotUpwardClosed, NotDirected, NotEquivariant,
+                     CongruenceFilter}
 
 
 def test_filter_generated_examples(c4, m_lz):

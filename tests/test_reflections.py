@@ -15,10 +15,10 @@ from topact.reflections import (NotTopologicalMonoid, congruence_hat_topology,
                                 left_action_topology, mult_continuous_core,
                                 powder_reflection, t0_quotient, two_sided_commutation)
 from topact.invariants import monoids_isomorphic
-from topact.topology import (Topology, discrete_topology, generate_topology,
+from topact.topology import (discrete_topology, generate_topology,
                              indiscrete_topology, is_open_in_product,
                              partition_topology)
-from topact.util import mask_of
+from topact.util import bits, mask_of
 
 
 def is_topological_monoid_by_preimages(monoid, topology):
@@ -122,7 +122,7 @@ def test_mult_core_is_finest_continuous_subtopology():
                 family = frozenset(opens) | {0, topology.full}
                 if not _is_topology(family):
                     continue
-                sub = Topology(monoid.order, family)
+                sub = generate_topology(monoid.order, family)
                 if is_topological_monoid(monoid, sub):
                     assert sub.opens <= core.opens
 
@@ -307,3 +307,17 @@ def test_topological_monoid_on_large_discrete_and_coarse_carriers():
     split = partition_topology(13, [[0], range(1, 13)])
     assert not is_topological_monoid(c13, split)
     assert not is_topological_monoid_by_preimages(c13, split)
+
+
+def test_t0_quotient_topology_is_the_image_of_the_opens():
+    quotients = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for topology in all_topologies(order):
+                if not is_topological_monoid(monoid, topology):
+                    continue
+                _, q_top, projection = t0_quotient(monoid, topology)
+                images = {mask_of(projection.map[m] for m in bits(u)) for u in topology.opens}
+                assert q_top.opens == images
+                quotients += 1
+    assert quotients > 0

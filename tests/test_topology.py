@@ -11,7 +11,7 @@ from topact.topology import (OutOfRange, SizeMismatch, connected_components,
                              discrete_topology, generate_topology, indiscrete_topology,
                              is_continuous, is_locally_constant, is_open_in_product,
                              minimal_base, minimal_neighborhoods, partition_topology,
-                             product_topology, separation_report, subspace_topology)
+                             separation_report, subspace_topology)
 from topact.util import bits, mask_of
 
 
@@ -74,6 +74,15 @@ def test_generate_yields_topology_and_is_idempotent(carrier, base):
     assert again.opens == t.opens
 
 
+def product_topology(t1, t2):
+    """Oracle for is_open_in_product: the topology on the n1·n2 carrier
+    (row-major pairing) generated by the rectangles of minimal
+    neighbourhoods, a base of the open rectangles."""
+    n2 = t2.carrier_size
+    rects = [_rectangle(u, v, n2) for u in t1.nbhd for v in t2.nbhd]
+    return generate_topology(t1.carrier_size * n2, rects)
+
+
 def test_product_matches_pairwise_closure_of_open_rectangles():
     for n1, n2 in ((2, 2), (2, 3), (3, 2), (3, 3)):
         for t1 in all_topologies(n1):
@@ -91,8 +100,8 @@ def test_discrete_topology_at_the_family_cap_is_fast():
 
 
 def test_families_beyond_the_cap_fail_fast():
-    for build in (lambda: discrete_topology(17),
-                  lambda: product_topology(discrete_topology(5), discrete_topology(5))):
+    for build in (lambda: discrete_topology(17).opens,
+                  lambda: product_topology(discrete_topology(5), discrete_topology(5)).opens):
         start = time.perf_counter()
         with pytest.raises(TopactError, match="open-set family exceeds 65536 members"):
             build()
@@ -286,3 +295,77 @@ def test_partition_topology_opens():
     assert len(t.opens) == 8
     rep = separation_report(t)
     assert rep.clopen_base and not rep.t0
+
+
+def _every_topology_through_4():
+    for carrier in (1, 2, 3, 4):
+        for t in all_topologies(carrier):
+            yield carrier, t
+
+
+def test_opens_are_the_up_sets_of_the_neighbourhoods():
+    for carrier, t in _every_topology_through_4():
+        up_sets = {u for u in range(1 << carrier)
+                   if all(t.nbhd[x] & ~u == 0 for x in bits(u))}
+        assert t.opens == up_sets
+        assert generate_topology(carrier, t.opens) == t
+
+
+def test_point_methods_match_the_open_set_family():
+    """Oracles: the methods as first written on the family of opens, for
+    masks inside and (openness, closedness) outside the carrier."""
+    for carrier, t in _every_topology_through_4():
+        full = (1 << carrier) - 1
+        for mask in range(1 << (carrier + 1)):
+            assert t.is_open(mask) == (mask in t.opens)
+            assert t.is_closed(mask) == ((full & ~mask) in t.opens)
+        for mask in range(1 << carrier):
+            away = 0
+            for u in t.opens:
+                if u & mask == 0:
+                    away |= u
+            assert t.closure(mask) == full & ~away
+            assert t.is_dense(mask) == all(u & mask for u in t.opens if u)
+        assert t.is_discrete() == (len(t.opens) == 1 << carrier)
+
+
+def components_by_clopen_signature(t):
+    """Oracle: classes of "no clopen separates x from y", ordered by least
+    member."""
+    clopens = t.clopens()
+    classes = {}
+    for x in range(t.carrier_size):
+        classes.setdefault(tuple(u >> x & 1 for u in clopens), []).append(x)
+    return tuple(tuple(c) for c in classes.values())
+
+
+def test_connected_components_match_clopen_signatures():
+    for _, t in _every_topology_through_4():
+        assert connected_components(t) == components_by_clopen_signature(t)
+
+
+def test_subspace_topology_matches_traces_of_opens():
+    for carrier, t in _every_topology_through_4():
+        for subset in range(1 << carrier):
+            pos = {m: i for i, m in enumerate(bits(subset))}
+            traces = {mask_of(pos[m] for m in bits(u & subset)) for u in t.opens}
+            assert subspace_topology(t, subset).opens == traces
+
+
+def test_separation_report_matches_the_open_set_family():
+    for carrier, t in _every_topology_through_4():
+        around = [frozenset(u for u in t.opens if u >> x & 1) for x in range(carrier)]
+        preorder = []
+        for x in range(carrier):
+            acc = (1 << carrier) - 1
+            for u in around[x]:
+                acc &= u
+            preorder.append(acc)
+        classes = {}
+        for x in range(carrier):
+            classes.setdefault(around[x], []).append(x)
+        rep = separation_report(t)
+        assert rep.preorder == tuple(preorder)
+        assert rep.partition == tuple(tuple(c) for c in classes.values())
+        assert rep.t0 == (len(classes) == carrier)
+        assert rep.discrete == (len(t.opens) == 1 << carrier)
