@@ -157,29 +157,64 @@ def action_topologies(monoid: FiniteMonoid) -> tuple[Topology, ...]:
 @lru_cache(maxsize=None)
 def all_msets(monoid: FiniteMonoid, carrier: int) -> tuple[MSet, ...]:
     """All right actions on a carrier of the given size, up to carrier
-    permutation."""
+    permutation: the first of each permutation orbit in the order of the
+    columns (m ↦ the map x ↦ x·m).  Only the columns of a greedy generating
+    set are chosen; the others follow as composites, and a choice that
+    reaches one element with two columns is cut off at once."""
     if carrier > MAX_ENUM_CARRIER:
         raise CapExceeded("M-set enumeration carrier", carrier)
     names = tuple(f"p{i}" for i in range(carrier))
     functions = list(itertools.product(range(carrier), repeat=carrier))
-    non_identity = [m for m in range(monoid.order) if m != monoid.identity]
+    gens: list[int] = []
+    for m in range(monoid.order):
+        # on the empty carrier every column is () and only elements are derived
+        if m not in _derive(monoid, {g: () for g in gens}, 0):
+            gens.append(m)
+    valid = []
+
+    def extend(chosen: dict) -> None:
+        cols = _derive(monoid, chosen, carrier)
+        if cols is None:
+            return
+        if len(chosen) < len(gens):
+            for f in functions:
+                extend({**chosen, gens[len(chosen)]: f})
+        elif _action_law(cols, monoid, carrier):
+            valid.append(tuple(cols[m] for m in range(monoid.order)))
+
+    extend({})
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out = []
-    for choice in itertools.product(range(len(functions)), repeat=len(non_identity)):
-        cols: list[tuple[int, ...]] = [()] * monoid.order
-        cols[monoid.identity] = tuple(range(carrier))
-        for m, idx in zip(non_identity, choice):
-            cols[m] = functions[idx]
-        if not _action_law(cols, monoid, carrier):
-            continue
-        act = tuple(tuple(cols[m][x] for m in range(monoid.order))
-                    for x in range(carrier))
+    for cols in sorted(valid):
         canon = _canonical_action(cols, monoid.order, carrier)
         if canon in seen:
             continue
         seen.add(canon)
+        act = tuple(tuple(cols[m][x] for m in range(monoid.order))
+                    for x in range(carrier))
         out.append(MSet(monoid, names, act))
     return tuple(out)
+
+
+def _derive(monoid: FiniteMonoid, chosen: dict, carrier: int) -> dict | None:
+    """The columns of the submonoid generated by the chosen generators'
+    columns, by x·(w·g) = (x·w)·g; None when one element is reached with two
+    different columns, which breaks the action law."""
+    cols = {monoid.identity: tuple(range(carrier))}
+    frontier = [monoid.identity]
+    while frontier:
+        fresh = []
+        for w in frontier:
+            for g, col_g in chosen.items():
+                wg = monoid.table[w][g]
+                col = tuple(col_g[y] for y in cols[w])
+                if wg not in cols:
+                    cols[wg] = col
+                    fresh.append(wg)
+                elif cols[wg] != col:
+                    return None
+        frontier = fresh
+    return cols
 
 
 def _action_law(cols, monoid: FiniteMonoid, carrier: int) -> bool:

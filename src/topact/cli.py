@@ -230,16 +230,17 @@ def cmd_act_topology(args) -> int:
     tname, topo = _topology(ws, args.topology_arg, monoid)
     report = continuous_subsets(monoid, topo)
     names = monoid.elements
+    # listed before len(topo.opens): the input is finer, so it has at least as
+    # many opens, and past the 2^16 cap the error names the union list
+    sets = [render_subset(a, names) for a in report.continuous_sets]
     lines = [
         f"input topology {tname}: {len(topo.opens)} opens, "
         f"base {_opens_text(topo, names)}",
-        f"continuous subsets of ({name}, {tname}): "
-        f"{' '.join(render_subset(a, names) for a in report.continuous_sets)}",
+        f"continuous subsets of ({name}, {tname}): {' '.join(sets)}",
         f"action topology base: {_opens_text(report.topology, names)}",
         f"is action topology: {report.is_action_topology}",
     ]
-    _emit(args, {"continuous_sets": [render_subset(a, names)
-                                     for a in report.continuous_sets],
+    _emit(args, {"continuous_sets": sets,
                  "is_action_topology": report.is_action_topology}, lines)
     return 0
 

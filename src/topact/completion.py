@@ -161,15 +161,17 @@ def complete(monoid: FiniteMonoid, flt: CongruenceFilter) -> Completion:
 
 
 def is_complete(monoid: FiniteMonoid, topology: Topology) -> bool:
-    """Whether the comparison into the completion of the open-congruence
-    filter is an isomorphism of topological monoids."""
+    """Whether the comparison u into the completion L of the open-congruence
+    filter is an isomorphism of topological monoids, which holds exactly
+    when u is bijective.  u is a monoid hom, and its kernel is the least
+    open congruence r0, whose classes span the action topology, which lies
+    inside the input topology.  So if u is injective, r0 is the diagonal,
+    and the action topology, hence the input topology, is discrete.  The
+    coordinate of L at r0 is then all of M, and it determines every other
+    coordinate, so the fibres of that projection are points and L is
+    discrete too: a bijective u is a homeomorphism."""
     cpl = complete(monoid, open_congruences(monoid, topology))
-    u = cpl.comparison
-    if len(set(u.map)) != monoid.order or cpl.monoid.order != monoid.order:
-        return False
-    nb = cpl.topology.nbhd
-    return all(nb[u.map[x]] == mask_of(u.map[m] for m in bits(v))
-               for x, v in enumerate(topology.nbhd))
+    return cpl.monoid.order == monoid.order == len(set(cpl.comparison.map))
 
 
 @dataclass(frozen=True)

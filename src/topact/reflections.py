@@ -3,6 +3,15 @@ multiplication-continuous core, the T0 quotient, their composite (the powder
 reflection), left/right duality, and topologies induced by congruence
 filters.
 
+The action topology is the partition topology on the classes of r0, the
+least open right congruence, which is generated by the left translates
+(q·a, q·b) of the pairs a, b in one connected component.  r0 is two-sided,
+so the powder reflection is M/r0 with the discrete topology.  Neither
+builds the 2^|M|-point powerset action: the continuous subsets are the
+unions of the r0 classes, listed only where a caller reads them and capped
+at 2^16 of them.  The multiplication-continuous core is likewise computed
+on minimal neighbourhoods.
+
 The hat topology built from continuous congruences is provided only to
 reproduce a known counterexample; it is not a reflection and its category of
 actions genuinely differs from the input's.
@@ -15,10 +24,12 @@ from dataclasses import dataclass
 from .actions import (MSet, continuous_part, is_continuous_mset, orbit_congruence,
                       power_of_m, quotient_mset)
 from .congruences import (CongruenceFilter, RightCongruence, congruence_from_class_map,
-                          enumerate_congruences, inverse_image_congruence)
-from .errors import InternalCheckError, TopactError
+                          enumerate_congruences, generated_congruence,
+                          inverse_image_congruence, is_two_sided)
+from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, opposite, validate_hom, validate_monoid
-from .topology import Topology, generate_topology, is_open_in_product, separation_report
+from .topology import (Topology, connected_components, discrete_topology,
+                       generate_topology, separation_report)
 from .util import bits, mask_of
 
 
@@ -30,86 +41,145 @@ class CommutationFailure(InternalCheckError):
     """Left-then-right and right-then-left action topologies disagree."""
 
 
+MAX_UNIONS = 1 << 16
+
+
+class _Unions:
+    """The `continuous_sets` field: every union of the partition's classes,
+    ascending, enumerated on first read and capped at MAX_UNIONS.  A list
+    passed in is kept as given."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None
+        if "_unions" not in report.__dict__:
+            classes = [mask_of(c) for c in report.partition.classes()]
+            if 1 << len(classes) > MAX_UNIONS:
+                raise CapExceeded("continuous-subset union list", 1 << len(classes))
+            family = [0]
+            for c in classes:
+                family += [u | c for u in family]
+            report.__dict__["_unions"] = tuple(sorted(family))
+        return report.__dict__["_unions"]
+
+    def __set__(self, report, value):
+        if value is not None:
+            report.__dict__["_unions"] = value
+
+
 @dataclass(frozen=True)
 class ActionTopologyReport:
-    """The Boolean algebra of continuous subsets and the topology it spans."""
+    """The action topology as a two-sided congruence whose classes are open:
+    its partition topology, and whether that is the input topology.  The
+    continuous subsets are the unions of the classes."""
 
-    continuous_sets: tuple[int, ...]
+    partition: RightCongruence
     topology: Topology
     is_action_topology: bool
+    continuous_sets: tuple[int, ...] = _Unions()
 
 
-def _report(monoid: FiniteMonoid, topology: Topology, masks: tuple[int, ...]
-            ) -> ActionTopologyReport:
-    full = topology.full
-    members = set(masks)
-    power = power_of_m(monoid)
-    for a in masks:
-        if (full & ~a) not in members:
-            raise InternalCheckError("continuous subsets not closed under complement")
-        for b in masks:
-            if (a & b) not in members:
-                raise InternalCheckError("continuous subsets not closed under meet")
-        for g in range(monoid.order):
-            if power.act[a][g] not in members:
-                raise InternalCheckError("continuous subsets not closed under the action")
-    tau_tilde = generate_topology(monoid.order, masks)
-    return ActionTopologyReport(masks, tau_tilde, tau_tilde == topology)
+def _report(partition: RightCongruence, topology: Topology) -> ActionTopologyReport:
+    """The report on the partition topology of an action-topology partition,
+    which must be two-sided with every class open in the topology."""
+    if not is_two_sided(partition):
+        raise InternalCheckError("action-topology partition is not two-sided")
+    masks = [mask_of(c) for c in partition.classes()]
+    if not all(topology.is_open(c) for c in masks):
+        raise InternalCheckError("a class of the action-topology partition is not open")
+    tau_tilde = Topology(topology.carrier_size,
+                         tuple(masks[c] for c in partition.class_of))
+    return ActionTopologyReport(partition, tau_tilde, tau_tilde == topology)
+
+
+def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCongruence:
+    """r0: a right congruence r is open iff every q*(r) has open, hence
+    clopen, classes, i.e. iff r relates q·a and q·b whenever a and b lie in
+    one component; r0 is generated by those pairs, and is two-sided since
+    they are closed under left multiplication."""
+    pairs = set()
+    for comp in connected_components(topology):
+        for b in comp[1:]:
+            pairs.update((row[comp[0]], row[b]) for row in monoid.table)
+    return generated_congruence(monoid, pairs)
 
 
 def continuous_subsets(monoid: FiniteMonoid, topology: Topology
                        ) -> ActionTopologyReport:
-    """Continuous elements of the powerset action; they form a clopen base
-    for the action topology contained in the input topology."""
-    mask = continuous_part(power_of_m(monoid), topology)
-    return _report(monoid, topology, tuple(bits(mask)))
+    """Continuous elements of the powerset action: A is continuous iff
+    m ↦ {x : m·x ∈ A} is locally constant at every translate, i.e. iff A is
+    a union of r0 classes.  They form a clopen base for the action topology
+    contained in the input topology."""
+    return _report(least_open_congruence(monoid, topology), topology)
 
 
 def left_action_topology(monoid: FiniteMonoid, topology: Topology
                          ) -> ActionTopologyReport:
     """Same construction run on the opposite multiplication table."""
-    mask = continuous_part(power_of_m(opposite(monoid)), topology)
-    return _report(opposite(monoid), topology, tuple(bits(mask)))
+    return continuous_subsets(opposite(monoid), topology)
+
+
+class _NeighbourhoodProducts(dict):
+    """(u, v) ↦ u·v for neighbourhoods u and v, formed on first lookup:
+    times[v][x] is the mask of x·v."""
+
+    def __init__(self, monoid: FiniteMonoid, nb: tuple[int, ...]):
+        super().__init__()
+        self.times = {v: [mask_of(row[y] for y in bits(v)) for row in monoid.table]
+                      for v in set(nb)}
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        u, v = key
+        right = self.times[v]
+        image = 0
+        for x in bits(u):
+            image |= right[x]
+        self[key] = image
+        return image
 
 
 def is_topological_monoid(monoid: FiniteMonoid, topology: Topology) -> bool:
     """Multiplication is continuous exactly when nb[a]·nb[b] ⊆ nb[a·b] for
     every a, b, since nb[a] × nb[b] is the minimal neighbourhood of (a, b)
-    in the product.  times[v][x] is the mask of x·v for each distinct
-    neighbourhood v, and each distinct product nb[a]·nb[b] is formed once,
-    so a coarse topology costs no more than a fine one."""
+    in the product.  Each distinct product is formed once, so a coarse
+    topology costs no more than a fine one."""
     nb = topology.nbhd
-    times = {v: [mask_of(row[y] for y in bits(v)) for row in monoid.table]
-             for v in set(nb)}
-    products: dict[tuple[int, int], int] = {}
+    products = _NeighbourhoodProducts(monoid, nb)
     for a, row in enumerate(monoid.table):
+        left = nb[a]
         for b, ab in enumerate(row):
-            key = (nb[a], nb[b])
-            if key not in products:
-                right = times[nb[b]]
-                image = 0
-                for x in bits(nb[a]):
-                    image |= right[x]
-                products[key] = image
-            if products[key] & ~nb[ab]:
+            if products[left, nb[b]] & ~nb[ab]:
                 return False
     return True
 
 
 def mult_continuous_core(monoid: FiniteMonoid, topology: Topology) -> Topology:
-    """Finest topology inside the input making multiplication continuous:
-    repeatedly discard opens whose preimage under multiplication is not open
-    in the current square."""
+    """Finest topology inside the input making multiplication continuous.
+    An open u keeps an open preimage under multiplication iff
+    nb[a]·nb[b] ⊆ u whenever a·b ∈ u; these kept opens form a topology, in
+    which the neighbourhood of x is the closure of {x} under
+    z ↦ ⋃_{a·b=z} nb[a]·nb[b] (it contains nb[z], as 1·z = z).  Repeat on
+    the new neighbourhoods until they stop changing."""
     n = monoid.order
     current = topology
     while True:
-        kept = []
-        for u in current.opens:
-            pre = mask_of(a * n + b for a in range(n) for b in range(n)
-                          if u >> monoid.table[a][b] & 1)
-            if is_open_in_product(pre, current, current):
-                kept.append(u)
-        nxt = generate_topology(n, kept)
+        nb = current.nbhd
+        products = _NeighbourhoodProducts(monoid, nb)
+        reach = [0] * n
+        for a, row in enumerate(monoid.table):
+            for b, ab in enumerate(row):
+                reach[ab] |= products[nb[a], nb[b]]
+        nbhd = []
+        for x in range(n):
+            closed = frontier = 1 << x
+            while frontier:
+                step = 0
+                for z in bits(frontier):
+                    step |= reach[z]
+                frontier = step & ~closed
+                closed |= frontier
+            nbhd.append(closed)
+        nxt = Topology(n, tuple(nbhd))
         if nxt == current:
             break
         current = nxt
@@ -118,35 +188,31 @@ def mult_continuous_core(monoid: FiniteMonoid, topology: Topology) -> Topology:
     return current
 
 
+def _quotient_monoid(monoid: FiniteMonoid, cong: RightCongruence
+                     ) -> tuple[FiniteMonoid, SemigroupHom]:
+    """M/cong for a two-sided congruence, each class named [m] after its
+    least member m, in order of least member."""
+    reps = cong.representatives()
+    table = [tuple(cong.class_of[monoid.table[a][b]] for b in reps) for a in reps]
+    names = tuple(f"[{monoid.elements[m]}]" for m in reps)
+    quotient = validate_monoid(names, table, cong.class_of[monoid.identity])
+    return quotient, validate_hom(monoid, quotient, cong.class_of)
+
+
 def t0_quotient(monoid: FiniteMonoid, topology: Topology
                 ) -> tuple[FiniteMonoid, Topology, SemigroupHom]:
     """Quotient a topological monoid by topological indistinguishability;
     the relation is a two-sided congruence, so the quotient is a monoid."""
     if not is_topological_monoid(monoid, topology):
         raise NotTopologicalMonoid("T0 quotient needs continuous multiplication")
-    report = separation_report(topology)
-    class_of = [0] * monoid.order
-    for cid, cls in enumerate(report.partition):
-        for m in cls:
-            class_of[m] = cid
-    cong = congruence_from_class_map(monoid, class_of)
-    reps = cong.representatives()
-    table = []
-    for a in reps:
-        table.append(tuple(cong.class_of[monoid.table[a][b]] for b in reps))
-    for c, rep in enumerate(reps):
-        for other in range(monoid.order):
-            if cong.class_of[other] != c:
-                continue
-            for d, rep2 in enumerate(reps):
-                if cong.class_of[monoid.table[other][rep2]] != table[c][d]:
-                    raise InternalCheckError(
-                        "indistinguishability is not a two-sided congruence")
-    names = tuple(f"[{monoid.elements[m]}]" for m in reps)
-    quotient = validate_monoid(names, table, cong.class_of[monoid.identity])
-    q_top = Topology(len(reps), tuple(mask_of(cong.class_of[m] for m in bits(topology.nbhd[rep]))
-                                      for rep in reps))
-    projection = validate_hom(monoid, quotient, cong.class_of)
+    nb = topology.nbhd
+    # x and y are indistinguishable iff they share the minimal neighbourhood
+    cong = congruence_from_class_map(monoid, nb)
+    if not is_two_sided(cong):
+        raise InternalCheckError("indistinguishability is not a two-sided congruence")
+    quotient, projection = _quotient_monoid(monoid, cong)
+    q_top = Topology(quotient.order, tuple(mask_of(cong.class_of[m] for m in bits(nb[rep]))
+                                           for rep in cong.representatives()))
     if not separation_report(q_top).t0:
         raise InternalCheckError("T0 quotient failed to separate points")
     return quotient, q_top, projection
@@ -161,13 +227,13 @@ class PowderReflection:
 
 
 def powder_reflection(monoid: FiniteMonoid, topology: Topology) -> PowderReflection:
-    """Action topology followed by the T0 quotient.  The result is a powder
-    monoid, which at finite scale always carries the discrete topology."""
+    """Action topology followed by the T0 quotient: M/r0, since the action
+    topology's points are indistinguishable exactly within an r0 class.  The
+    result is a powder monoid, which at finite scale always carries the
+    discrete topology."""
     report = continuous_subsets(monoid, topology)
-    quotient, q_top, projection = t0_quotient(monoid, report.topology)
-    if not q_top.is_discrete():
-        raise InternalCheckError("finite powder reflection must be discrete")
-    return PowderReflection(quotient, q_top, projection, report)
+    quotient, projection = _quotient_monoid(monoid, report.partition)
+    return PowderReflection(quotient, discrete_topology(quotient.order), projection, report)
 
 
 def two_sided_commutation(monoid: FiniteMonoid, topology: Topology) -> bool:
@@ -196,7 +262,12 @@ def induced_topology_from_filter(monoid: FiniteMonoid, flt: CongruenceFilter
         if all(orbit_congruence(power, power.act[a][q]) in member_set
                for q in range(monoid.order)):
             masks.append(a)
-    report = _report(monoid, generate_topology(monoid.order, masks), tuple(masks))
+    induced = generate_topology(monoid.order, masks)
+    # its points' neighbourhoods are the atoms of the masks, the classes of
+    # the meet of the masks' orbit congruences
+    report = _report(congruence_from_class_map(monoid, induced.nbhd), induced)
+    if report.continuous_sets != tuple(masks):
+        raise InternalCheckError("induced subsets are not the unions of their atoms")
     for r in flt.members:
         ok, witness = is_continuous_mset(quotient_mset(monoid, r), report.topology)
         if not ok:
@@ -209,10 +280,12 @@ def induced_topology_from_filter(monoid: FiniteMonoid, flt: CongruenceFilter
 def atom_image_congruence(monoid: FiniteMonoid, r: RightCongruence,
                           p: int) -> RightCongruence:
     """Kernel of the atom map [q] ↦ q*(class of p) out of M/r into the
-    powerset, i.e. the orbit congruence of p's class."""
-    class_mask = mask_of(m for m in range(monoid.order)
-                         if r.class_of[m] == r.class_of[p])
-    return orbit_congruence(power_of_m(monoid), class_mask)
+    powerset, i.e. the orbit congruence of p's class A: m and m' are related
+    when {x : m·x ∈ A} = {x : m'·x ∈ A}.  Right stability is re-verified."""
+    cls = r.class_of[p]
+    return congruence_from_class_map(
+        monoid, [mask_of(x for x, y in enumerate(row) if r.class_of[y] == cls)
+                 for row in monoid.table])
 
 
 def is_topological_filter(monoid: FiniteMonoid, flt: CongruenceFilter

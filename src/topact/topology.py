@@ -8,8 +8,8 @@ base sets that contain it; openness, closure, subspaces, components,
 products, continuity and local constancy are all decided point by point on
 the neighbourhoods.  Carriers are capped at 32 points.  The open-set family
 `Topology.opens` is enumerated only on demand and capped at 2^16 members;
-the open counts printed by `analyze`, `act-topology` and `mult-core`,
-`mult_continuous_core` and the suite read it.
+the open counts printed by `analyze`, `act-topology` and `mult-core` and
+the suite read it.
 """
 
 from __future__ import annotations

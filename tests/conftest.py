@@ -6,6 +6,7 @@ from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
                             right_zeros, truncated_addition, trivial_monoid,
                             two_idempotents)
 from topact.monoid import validate_monoid
+from topact.topology import Topology
 
 
 @pytest.fixture
@@ -89,3 +90,21 @@ def transformation_monoids(draw, points=5, orders=(5, 20)):
     elements = transformation_closure(maps, points, high)
     assume(len(elements) >= low)
     return transformation_monoid(elements)
+
+
+@st.composite
+def preorder_topologies(draw, n):
+    """The topology of a random preorder on {0..n-1}: each point gets up to
+    width drawn points above it, for a drawn width of 0 (discrete) to 2, and
+    nb[x] is everything reachable from x."""
+    width = draw(st.integers(0, 2))
+    above = [draw(st.lists(st.integers(0, n - 1), max_size=width)) for _ in range(n)]
+    nbhd = []
+    for x in range(n):
+        reach, frontier = {x}, [x]
+        while frontier:
+            fresh = [z for y in frontier for z in above[y] if z not in reach]
+            reach.update(fresh)
+            frontier = fresh
+        nbhd.append(sum(1 << y for y in reach))
+    return Topology(n, tuple(nbhd))

@@ -21,6 +21,37 @@ from topact.util import bits, full_mask, mask_of
 from conftest import transformation_closure, transformation_monoid, transformation_monoids
 
 
+def msets_by_brute_force(monoid, carrier):
+    """Oracle for all_msets: every tuple of self-maps, one per non-identity
+    element, checked against the action law, the first of each orbit under
+    carrier permutation kept."""
+    from topact.catalog import _action_law, _canonical_action
+    names = tuple(f"p{i}" for i in range(carrier))
+    functions = list(itertools.product(range(carrier), repeat=carrier))
+    non_identity = [m for m in range(monoid.order) if m != monoid.identity]
+    seen = set()
+    out = []
+    for choice in itertools.product(functions, repeat=len(non_identity)):
+        cols = [tuple(range(carrier))] * monoid.order
+        for m, f in zip(non_identity, choice):
+            cols[m] = f
+        if not _action_law(cols, monoid, carrier):
+            continue
+        canon = _canonical_action(cols, monoid.order, carrier)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(MSet(monoid, names, tuple(
+                tuple(cols[m][x] for m in range(monoid.order)) for x in range(carrier))))
+    return tuple(out)
+
+
+def test_all_msets_matches_the_brute_force_through_order_three():
+    for order in (1, 2, 3):
+        for monoid in all_monoids(order):
+            for carrier in (1, 2, 3, 4):
+                assert all_msets(monoid, carrier) == msets_by_brute_force(monoid, carrier)
+
+
 def trivial_action(monoid, size=2):
     return MSet(monoid, tuple(f"t{i}" for i in range(size)),
                 tuple((x,) * monoid.order for x in range(size)))

@@ -1,14 +1,16 @@
+import itertools
 import json
+import time
 
 import pytest
 
+from conftest import transformation_monoid
 from topact import files
+from topact.actions import power_of_m
 from topact.catalog import cyclic, left_zeros, truncated_addition
 from topact.cli import main
-from topact.congruences import enumerate_congruences
+from topact.congruences import enumerate_congruences, generated_congruence
 from topact.errors import CapExceeded
-from topact.reflections import continuous_subsets
-from topact.topology import partition_topology
 
 
 @pytest.fixture
@@ -199,13 +201,64 @@ def test_powerset_cap_stops_act_topology(tmp_path, capsys):
     c17 = cyclic(17)
     halves = [list(c17.elements[:8]), list(c17.elements[8:])]
     with pytest.raises(CapExceeded, match="powerset action carrier"):
-        continuous_subsets(c17, partition_topology(17, [range(8), range(8, 17)]))
+        power_of_m(c17)
     (tmp_path / "C17.json").write_text(json.dumps(files.monoid_to_obj(c17)))
     (tmp_path / "halves.json").write_text(json.dumps(
         {"monoid": "C17.json", "carrier": list(c17.elements), "base": halves}))
+    # the action topology no longer goes through the powerset action
     assert main(["act-topology", str(tmp_path / "C17.json"),
-                 str(tmp_path / "halves.json")]) == 2
-    assert "powerset action carrier: cap exceeded at 131072" in capsys.readouterr().err
+                 str(tmp_path / "halves.json")]) == 0
+    assert "is action topology: False" in capsys.readouterr().out
+
+
+def test_union_list_cap_stops_act_topology(tmp_path, capsys):
+    c17 = cyclic(17)
+    (tmp_path / "C17.json").write_text(json.dumps(files.monoid_to_obj(c17)))
+    (tmp_path / "disc17.json").write_text(json.dumps(
+        {"monoid": "C17.json", "carrier": list(c17.elements),
+         "base": [[e] for e in c17.elements]}))
+    assert main(["act-topology", str(tmp_path / "C17.json"),
+                 str(tmp_path / "disc17.json")]) == 2
+    assert "continuous-subset union list: cap exceeded at 131072" \
+        in capsys.readouterr().err
+
+
+@pytest.fixture
+def t3_dir(tmp_path):
+    """T3, the full transformation monoid on 3 points, with the discrete
+    topology and a coset topology: the classes of the first principal right
+    congruence (in index order) with at most 4 classes."""
+    t3 = transformation_monoid(
+        sorted(itertools.product(range(3), repeat=3), key=lambda e: e != (0, 1, 2)))
+    coset = next(r for a in range(27) for b in range(a + 1, 27)
+                 for r in [generated_congruence(t3, [(a, b)])] if r.num_classes <= 4)
+    names = list(t3.elements)
+    (tmp_path / "T3.json").write_text(json.dumps(files.monoid_to_obj(t3)))
+    for name, blocks in (("coset", coset.classes()), ("disc", [[m] for m in range(27)])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"monoid": "T3.json", "carrier": names,
+             "base": [[names[m] for m in block] for block in blocks]}))
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", ["act-topology", "powder", "mult-core"])
+def test_reflections_of_t3_answer_within_a_second(t3_dir, capsys, command):
+    start = time.perf_counter()
+    assert main([command, str(t3_dir / "T3.json"), str(t3_dir / "coset.json")]) == 0
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+
+
+def test_powder_on_discrete_t3_and_c32(t3_dir, tmp_path, capsys):
+    assert main(["powder", str(t3_dir / "T3.json"), str(t3_dir / "disc.json")]) == 0
+    assert "order 27" in capsys.readouterr().out
+    c32 = cyclic(32)
+    (tmp_path / "C32.json").write_text(json.dumps(files.monoid_to_obj(c32)))
+    (tmp_path / "disc32.json").write_text(json.dumps(
+        {"monoid": "C32.json", "carrier": list(c32.elements),
+         "base": [[e] for e in c32.elements]}))
+    assert main(["powder", str(tmp_path / "C32.json"), str(tmp_path / "disc32.json")]) == 0
+    assert "order 32" in capsys.readouterr().out
 
 
 def test_open_set_cap_stops_analyze(tmp_path, capsys):

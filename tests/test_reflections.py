@@ -1,17 +1,21 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topact.actions import (is_continuous_mset, necessary_clopen, power_of_m,
-                            quotient_mset)
+from conftest import preorder_topologies, transformation_monoids
+from topact.actions import (continuous_part, is_continuous_mset, necessary_clopen,
+                            orbit_congruence, power_of_m, quotient_mset)
 from topact.catalog import all_monoids, all_topologies, cyclic
-from topact.congruences import (diagonal, enumerate_filters, filter_generated,
-                                full_filter, generated_congruence,
+from topact.congruences import (diagonal, enumerate_congruences, enumerate_filters,
+                                filter_generated, full_filter, generated_congruence,
                                 open_congruences, total)
 from topact.monoid import opposite
-from topact.reflections import (NotTopologicalMonoid, congruence_hat_topology,
-                                continuous_subsets, induced_topology_from_filter,
-                                is_topological_filter, is_topological_monoid,
+from topact.reflections import (NotTopologicalMonoid, atom_image_congruence,
+                                congruence_hat_topology, continuous_subsets,
+                                induced_topology_from_filter, is_topological_filter,
+                                is_topological_monoid, least_open_congruence,
                                 left_action_topology, mult_continuous_core,
                                 powder_reflection, t0_quotient, two_sided_commutation)
 from topact.invariants import monoids_isomorphic
@@ -31,6 +35,96 @@ def is_topological_monoid_by_preimages(monoid, topology):
         if not is_open_in_product(pre, topology, topology):
             return False
     return True
+
+
+def powerset_continuous_sets(monoid, topology):
+    """Oracle for the action topology: the continuous part of the 2^|M|-point
+    powerset action, and the topology it spans."""
+    masks = tuple(bits(continuous_part(power_of_m(monoid), topology)))
+    return masks, generate_topology(monoid.order, masks)
+
+
+def assert_boolean_algebra_closed_under_the_action(monoid, topology, masks):
+    power = power_of_m(monoid)
+    members = set(masks)
+    for a in masks:
+        assert topology.full & ~a in members
+        assert all(a & b in members for b in masks)
+        assert all(power.act[a][g] in members for g in range(monoid.order))
+
+
+def mult_core_by_opens(monoid, topology):
+    """Oracle for mult_continuous_core: repeatedly discard the opens whose
+    preimage under multiplication is not open in the current square."""
+    n = monoid.order
+    current = topology
+    while True:
+        kept = []
+        for u in current.opens:
+            pre = mask_of(a * n + b for a in range(n) for b in range(n)
+                          if u >> monoid.table[a][b] & 1)
+            if is_open_in_product(pre, current, current):
+                kept.append(u)
+        nxt = generate_topology(n, kept)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def assert_reflections_match_oracles(monoid, topology, closure_checks=True):
+    report = continuous_subsets(monoid, topology)
+    masks, tilde = powerset_continuous_sets(monoid, topology)
+    assert report.continuous_sets == masks
+    assert report.topology == tilde
+    assert report.is_action_topology == (tilde == topology)
+    if closure_checks:
+        assert_boolean_algebra_closed_under_the_action(monoid, topology, masks)
+    left_masks, left_tilde = powerset_continuous_sets(opposite(monoid), topology)
+    left = left_action_topology(monoid, topology)
+    assert left.continuous_sets == left_masks and left.topology == left_tilde
+    assert mult_continuous_core(monoid, topology) == mult_core_by_opens(monoid, topology)
+
+
+def test_reflections_match_their_oracles_through_order_four():
+    cells = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for topology in all_topologies(order):
+                assert_reflections_match_oracles(monoid, topology)
+                cells += 1
+    assert cells == 12637
+
+
+def test_least_open_congruence_is_the_least_open_member():
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for topology in all_topologies(order)[::5]:
+                assert least_open_congruence(monoid, topology) \
+                    == open_congruences(monoid, topology).least
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformation_monoids(orders=(5, 12)), st.data())
+def test_reflections_match_their_oracles_on_transformation_monoids(monoid, data):
+    topology = data.draw(preorder_topologies(monoid.order))
+    # the closure checks are quadratic in the 2^k continuous subsets
+    assert_reflections_match_oracles(monoid, topology, closure_checks=False)
+    r0 = least_open_congruence(monoid, topology)
+    assert is_continuous_mset(quotient_mset(monoid, r0), topology)[0]
+
+
+def test_atom_image_congruence_matches_the_powerset_orbit_congruence():
+    checked = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            power = power_of_m(monoid)
+            for r in enumerate_congruences(monoid):
+                for cls in r.classes():
+                    expected = orbit_congruence(power, mask_of(cls))
+                    for p in cls:
+                        assert atom_image_congruence(monoid, r, p) == expected
+                        checked += 1
+    assert checked > 0
 
 
 def test_continuous_subsets_discrete_indiscrete(m_lz):
