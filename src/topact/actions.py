@@ -205,18 +205,6 @@ def power_of_m(monoid: FiniteMonoid) -> MSet:
     return power_mset(monoid, monoid.table, monoid.elements)
 
 
-@lru_cache(maxsize=None)
-def power_of_m_squared(monoid: FiniteMonoid) -> MSet:
-    """Powerset of M x M (diagonal left action), hosting the relations."""
-    n = monoid.order
-    left = [[monoid.table[g][a] * n + monoid.table[g][b]
-             for a in range(n) for b in range(n)]
-            for g in range(n)]
-    names = [f"({monoid.elements[a]},{monoid.elements[b]})"
-             for a in range(n) for b in range(n)]
-    return power_mset(monoid, left, names)
-
-
 @dataclass(frozen=True)
 class SubobjectClassifier:
     """Right ideals of M with the inverse-image action, and the retraction

@@ -18,9 +18,9 @@ from .completion import (complete, dense_closed_factorization, is_complete,
 from .congruences import (CongruenceFilter, congruence_cap, enumerate_congruences,
                           filter_generated, full_filter, open_congruences)
 from .errors import TopactError
-from .invariants import (categories_equivalent, dense_units, is_atomic,
-                         joint_covering, morita_fingerprint, principal_site,
-                         strict_joint_covering, zero_fixed_point_check)
+from .invariants import (dense_units, is_atomic, joint_covering, morita_equivalent,
+                         principal_site, strict_joint_covering,
+                         zero_fixed_point_check)
 from .monoid import (FiniteMonoid, idempotents, unit_indices, zero_element)
 from .reflections import (continuous_subsets, is_topological_filter,
                           is_topological_monoid, mult_continuous_core,
@@ -32,7 +32,9 @@ from .util import render_subset
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()
@@ -46,62 +48,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, when command names one, of that
+    subcommand alone: a call parses one command line, so it builds only the
+    subparser it uses.  Usage, help and errors read the same either way."""
     parser = argparse.ArgumentParser(
         prog="topact",
         description="finite monoids with topologies: actions, reflections, "
                     "completions, sites")
-    sub = parser.add_subparsers(dest="command")
-
-    def add(name: str, func, *positional, filter_flag=False, out=True, dot=False):
+    only = command if command in SUBCOMMANDS else None
+    # one subparser shows the metavar that all of them derive from their names
+    sub = parser.add_subparsers(
+        dest="command",
+        metavar=None if only is None else "{" + ",".join(SUBCOMMANDS) + "}")
+    for name, (func, arguments) in SUBCOMMANDS.items():
+        if only is not None and name != only:
+            continue
         p = sub.add_parser(name)
-        for arg in positional:
-            p.add_argument(arg)
-        if filter_flag:
-            p.add_argument("--filter", default="all",
-                           help="filter spec: all | open@<topology> | <file>")
-        if out:
-            p.add_argument("--out", help="directory for emitted object files")
-        if dot:
-            p.add_argument("--dot", action="store_true", help="emit a DOT graph")
-        p.add_argument("--json", action="store_true", dest="as_json")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.set_defaults(func=func)
-        return p
-
-    p = sub.add_parser("validate")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--json", action="store_true", dest="as_json")
-    p.set_defaults(func=cmd_validate)
-
-    add("analyze", cmd_analyze, "monoid_arg")
-    sub.choices["analyze"].add_argument("topology_arg", nargs="?")
-    add("congruences", cmd_congruences, "monoid_arg")
-    add("act-topology", cmd_act_topology, "monoid_arg", "topology_arg")
-    add("powder", cmd_powder, "monoid_arg", "topology_arg")
-    add("t0", cmd_t0, "monoid_arg", "topology_arg")
-    add("mult-core", cmd_mult_core, "monoid_arg", "topology_arg")
-    add("complete", cmd_complete, "monoid_arg", filter_flag=True)
-    p = add("factor-hom", cmd_factor_hom, "hom_arg")
-    p.add_argument("--dense", nargs=2, metavar=("SRC_TOPOLOGY", "TGT_TOPOLOGY"),
-                   help="also compute the dense-closed factorization")
-    add("site", cmd_site, "monoid_arg", filter_flag=True, dot=True)
-    add("morita", cmd_morita, "monoid_arg", "topology_arg",
-        "monoid2_arg", "topology2_arg")
-
-    p = sub.add_parser("check")
-    p.add_argument("what", choices=["atomic", "jcp", "strict-jcp", "zero", "units",
-                                    "complete", "powder", "topological-filter"])
-    p.add_argument("monoid_arg")
-    p.add_argument("topology_arg", nargs="?")
-    p.add_argument("--filter", default="all")
-    p.add_argument("--json", action="store_true", dest="as_json")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("suite")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--topologies", type=int, default=3)
-    p.add_argument("--json", action="store_true", dest="as_json")
-    p.set_defaults(func=cmd_suite)
     return parser
 
 
@@ -390,17 +356,26 @@ def cmd_morita(args) -> int:
     _, t1 = _topology(ws, args.topology_arg, m1)
     name2, m2 = _monoid(ws, args.monoid2_arg)
     _, t2 = _topology(ws, args.topology2_arg, m2)
-    site1 = principal_site(m1, open_congruences(m1, t1))
-    site2 = principal_site(m2, open_congruences(m2, t2))
-    verdict = categories_equivalent(site1, site2)
-    lines = [
-        f"site of {name1}: {len(site1.objects)} objects; "
-        f"site of {name2}: {len(site2.objects)} objects",
-        f"fingerprints equal: {morita_fingerprint(site1) == morita_fingerprint(site2)}",
-        f"equivalent: {verdict.kind} ({verdict.reason})",
-    ]
-    _emit(args, {"verdict": verdict.kind, "reason": verdict.reason}, lines)
-    return 1 if verdict.kind == "no" else 0
+    witness = morita_equivalent(m1, t1, m2, t2)
+    if witness is None:
+        # only a "no" needs the powder monoids again, for their orders
+        q1, q2 = powder_reflection(m1, t1).monoid, powder_reflection(m2, t2).monoid
+        pairs = None
+        reason = ("powder monoids differ in order" if q1.order != q2.order
+                  else "powder monoids are not isomorphic")
+    else:
+        q1, q2 = witness.source, witness.target
+        pairs = {q1.elements[a]: q2.elements[v] for a, v in enumerate(witness.map)}
+        reason = "powder monoids are isomorphic"
+    verdict = "no" if pairs is None else "yes"
+    lines = [f"powder monoid of {name1}: order {q1.order}; "
+             f"powder monoid of {name2}: order {q2.order}"]
+    if pairs is not None:
+        lines.append(f"witness: {' '.join(f'{a}->{v}' for a, v in pairs.items())}")
+    lines.append(f"equivalent: {verdict} ({reason})")
+    _emit(args, {"verdict": verdict, "reason": reason,
+                 "powder_orders": [q1.order, q2.order], "witness": pairs}, lines)
+    return 0 if pairs is not None else 1
 
 
 def cmd_check(args) -> int:
@@ -450,6 +425,45 @@ def cmd_suite(args) -> int:
         print(files.dump({r.name: {"passed": r.passed, "failed": r.failed}
                           for r in summary.records.values()}), end="")
     return 0 if summary.all_passed else 1
+
+
+def _arg(*flags, **options) -> tuple[tuple, dict]:
+    return flags, options
+
+
+_MONOID, _TOPOLOGY = _arg("monoid_arg"), _arg("topology_arg")
+_OUT = _arg("--out", help="directory for emitted object files")
+_FILTER = _arg("--filter", default="all",
+               help="filter spec: all | open@<topology> | <file>")
+_JSON = _arg("--json", action="store_true", dest="as_json")
+
+# name -> (handler, arguments in the order --help lists them)
+SUBCOMMANDS = {
+    "validate": (cmd_validate, (_arg("files", nargs="+"), _JSON)),
+    "analyze": (cmd_analyze, (_MONOID, _OUT, _JSON, _arg("topology_arg", nargs="?"))),
+    "congruences": (cmd_congruences, (_MONOID, _OUT, _JSON)),
+    "act-topology": (cmd_act_topology, (_MONOID, _TOPOLOGY, _OUT, _JSON)),
+    "powder": (cmd_powder, (_MONOID, _TOPOLOGY, _OUT, _JSON)),
+    "t0": (cmd_t0, (_MONOID, _TOPOLOGY, _OUT, _JSON)),
+    "mult-core": (cmd_mult_core, (_MONOID, _TOPOLOGY, _OUT, _JSON)),
+    "complete": (cmd_complete, (_MONOID, _FILTER, _OUT, _JSON)),
+    "factor-hom": (cmd_factor_hom, (
+        _arg("hom_arg"), _OUT, _JSON,
+        _arg("--dense", nargs=2, metavar=("SRC_TOPOLOGY", "TGT_TOPOLOGY"),
+             help="also compute the dense-closed factorization"))),
+    "site": (cmd_site, (_MONOID, _FILTER, _OUT,
+                        _arg("--dot", action="store_true", help="emit a DOT graph"),
+                        _JSON)),
+    "morita": (cmd_morita, (_MONOID, _TOPOLOGY, _arg("monoid2_arg"),
+                            _arg("topology2_arg"), _OUT, _JSON)),
+    "check": (cmd_check, (
+        _arg("what", choices=("atomic", "jcp", "strict-jcp", "zero", "units",
+                              "complete", "powder", "topological-filter")),
+        _MONOID, _arg("topology_arg", nargs="?"), _arg("--filter", default="all"),
+        _JSON)),
+    "suite": (cmd_suite, (_arg("--order", type=int, default=3),
+                          _arg("--topologies", type=int, default=3), _JSON)),
+}
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 
 from .congruences import CongruenceFilter, RightCongruence, hom_classes
 from .errors import InternalCheckError, TopactError
-from .monoid import FiniteMonoid
+from .monoid import FiniteMonoid, SemigroupHom, validate_hom
+from .reflections import powder_reflection
 from .topology import Topology
 from .util import mask_of
 
@@ -592,16 +593,118 @@ def monogenic_homs_bruteforce(shape1: tuple[int, int], shape2: tuple[int, int]
 
 def monoids_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid
                        ) -> Optional[tuple[int, ...]]:
-    """Exhaustive isomorphism search; identity must map to identity."""
+    """An isomorphism m1 -> m2 as the tuple of images, or None.
+
+    The map is fixed by the images of a greedy generating set of m1.  Each
+    generator is tried against the elements of m2 with its invariants, and
+    each choice is propagated along products, phi(w·g) = phi(w)·phi(g): the
+    search backs up as soon as an image repeats, breaks an invariant, or
+    disagrees with the image found before.  A map that passes is
+    multiplicative, since every element is a product of generators; it is
+    checked against both tables all the same.
+    """
     n = m1.order
     if n != m2.order:
         return None
-    rest1 = [a for a in range(n) if a != m1.identity]
-    rest2 = [a for a in range(n) if a != m2.identity]
-    for images in itertools.permutations(rest2):
-        phi = {m1.identity: m2.identity}
-        phi.update(zip(rest1, images))
-        if all(phi[m1.table[a][b]] == m2.table[phi[a]][phi[b]]
-               for a in range(n) for b in range(n)):
-            return tuple(phi[a] for a in range(n))
-    return None
+    inv1, inv2 = _element_invariants(m1), _element_invariants(m2)
+    if sorted(inv1) != sorted(inv2):
+        return None
+    candidates: dict[tuple, list[int]] = {}
+    for b, key in enumerate(inv2):
+        candidates.setdefault(key, []).append(b)
+    generators = _greedy_generators(m1, [len(candidates[key]) for key in inv1])
+    t1, t2 = m1.table, m2.table
+
+    def propagate(images: list[int]) -> Optional[list[int]]:
+        # the map on the submonoid that the first len(images) generators
+        # generate: the identity's closure under right multiplication by them
+        phi, back = [-1] * n, [-1] * n
+        phi[m1.identity], back[m2.identity] = m2.identity, m1.identity
+        frontier = [m1.identity]
+        while frontier:
+            fresh = []
+            for w in frontier:
+                for g, b in zip(generators, images):
+                    p, q = t1[w][g], t2[phi[w]][b]
+                    if phi[p] < 0:
+                        if back[q] >= 0 or inv1[p] != inv2[q]:
+                            return None
+                        phi[p], back[q] = q, p
+                        fresh.append(p)
+                    elif phi[p] != q:
+                        return None
+            frontier = fresh
+        return phi
+
+    def search(images: list[int]) -> Optional[list[int]]:
+        phi = propagate(images)
+        if phi is None or len(images) == len(generators):
+            return phi
+        for b in candidates[inv1[generators[len(images)]]]:
+            found = search(images + [b])
+            if found is not None:
+                return found
+        return None
+
+    phi = search([])
+    if phi is None:
+        return None
+    if sorted(phi) != list(range(n)) or any(phi[t1[a][b]] != t2[phi[a]][phi[b]]
+                                            for a in range(n) for b in range(n)):
+        raise InternalCheckError("isomorphism search returned a map that is not one")
+    return tuple(phi)
+
+
+def _element_invariants(monoid: FiniteMonoid) -> list[tuple[bool, int, int, int, int]]:
+    """Per element a: idempotent, the index and period of its powers, |aM|
+    and |Ma|.  Isomorphisms preserve each; a is a unit iff |aM| = |M|."""
+    n, table = monoid.order, monoid.table
+    out = []
+    for a in range(n):
+        seen: dict[int, int] = {}
+        power, k = a, 1
+        while power not in seen:
+            seen[power] = k
+            power, k = table[power][a], k + 1
+        out.append((table[a][a] == a, seen[power], k - seen[power],
+                    len(set(table[a])), len({row[a] for row in table})))
+    return out
+
+
+def _greedy_generators(monoid: FiniteMonoid, weight: Sequence[int]) -> list[int]:
+    """A generating set of the monoid: in order of weight, then index, each
+    element that those before it do not generate."""
+    generators: list[int] = []
+    reached = {monoid.identity}
+    for g in sorted(range(monoid.order), key=lambda a: (weight[a], a)):
+        if g in reached:
+            continue
+        generators.append(g)
+        frontier = list(reached)
+        while frontier:
+            fresh = [monoid.table[w][h] for w in frontier for h in generators]
+            frontier = [p for p in dict.fromkeys(fresh) if p not in reached]
+            reached.update(frontier)
+    return generators
+
+
+def morita_equivalent(m1: FiniteMonoid, t1: Topology, m2: FiniteMonoid,
+                      t2: Topology) -> Optional[SemigroupHom]:
+    """An isomorphism M/r0 -> N/s0 of the powder monoids, or None; the
+    toposes Cont(M, t1) and Cont(N, t2) are equivalent exactly when it
+    exists.
+
+    An action is continuous iff every orbit congruence is open, that is,
+    contains r0.  Since r0 is two-sided, this holds iff the action factors
+    through M/r0, so Cont(M, t1) is the category of right M/r0-sets.
+    Monoids M and N have equivalent categories of right sets iff N is
+    isomorphic to eMe for an idempotent e with MeM = M (Banaschewski 1972;
+    Knauer 1972).  In a finite monoid, 1 = a·e·b makes a and a·e right
+    invertible, hence units, so e = a⁻¹·(a·e) is a unit and, being
+    idempotent, e = 1.  So the toposes are equivalent iff M/r0 and N/s0 are
+    isomorphic.
+    """
+    q1 = powder_reflection(m1, t1).monoid
+    q2 = powder_reflection(m2, t2).monoid
+    phi = monoids_isomorphic(q1, q2)
+    return None if phi is None else validate_hom(q1, q2, phi)

@@ -9,6 +9,7 @@ for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import TopactError
@@ -44,16 +45,34 @@ class MismatchedHoms(TopactError):
     """Conjugations need two homs with a common source and target."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMonoid:
     """Named elements, a total multiplication table and an identity index.
 
-    table[a][b] is the index of the product of elements a and b.
+    table[a][b] is the index of the product of elements a and b.  Equality
+    compares all three fields; the hash is computed once, on first use, from
+    the table and the identity, which equal monoids share.
     """
 
     elements: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     identity: int
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.identity == other.identity and self.elements == other.elements
+                and self.table == other.table)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # integers only, so the value does not depend on string hashing
+        return hash((self.table, self.identity))
 
     @property
     def order(self) -> int:

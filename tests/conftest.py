@@ -72,6 +72,17 @@ def transformation_monoid(elements):
     return validate_monoid(["".join(map(str, e)) for e in elements], table, 0)
 
 
+def relabeled_monoid(monoid, rng):
+    """The monoid with its elements in a shuffled index order, each keeping
+    its name."""
+    order = list(range(monoid.order))
+    rng.shuffle(order)
+    new = {old: i for i, old in enumerate(order)}
+    table = [[new[monoid.table[a][b]] for b in order] for a in order]
+    return validate_monoid([monoid.elements[a] for a in order], table,
+                           new[monoid.identity])
+
+
 @st.composite
 def transformation_monoids(draw, points=5, orders=(5, 20)):
     """A monoid whose order lies in orders: the closure of the identity and

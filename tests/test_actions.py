@@ -8,7 +8,7 @@ from topact.actions import (MSet, NotAnAction, NotContinuousInput, NotEquivarian
                             continuous_part, enumerate_mset_homs, epi_mono_factorize,
                             exponential_mset, is_continuous_mset, mset_product,
                             msets_isomorphic, necessary_clopen, orbit_congruence,
-                            power_of_m, power_of_m_squared, quotient_mset,
+                            power_mset, power_of_m, quotient_mset,
                             regular_mset, restrict_mset, subobject_classifier,
                             terminal_mset, validate_mset, validate_mset_hom)
 from topact.catalog import all_monoids, all_msets, all_topologies
@@ -172,6 +172,18 @@ def test_clopens_are_fixed_points_of_their_own_clopen_map(m_lz, c4, n2):
                         assert necessary_clopen(power, a, p2) == a
 
 
+def power_of_m_squared(monoid):
+    """The powerset of M x M under the diagonal left action, hosting the
+    relations: 2^(|M|^2) points, so only for the smallest monoids."""
+    n = monoid.order
+    left = [[monoid.table[g][a] * n + monoid.table[g][b]
+             for a in range(n) for b in range(n)]
+            for g in range(n)]
+    names = [f"({monoid.elements[a]},{monoid.elements[b]})"
+             for a in range(n) for b in range(n)]
+    return power_mset(monoid, left, names)
+
+
 def test_orbit_congruence_on_relations_is_increasing(m_lz, c4, m_rz):
     for monoid in (m_lz, c4, m_rz):
         squared = power_of_m_squared(monoid)
@@ -304,7 +316,6 @@ def test_exponential_carrier_cap(c2):
 def test_power_mset_rejects_non_action(c2):
     with pytest.raises(NotAnAction):
         # identity row must fix every point
-        from topact.actions import power_mset
         power_mset(c2, [[1, 0], [0, 1]], ("a", "b"))
 
 

@@ -1,14 +1,17 @@
+import contextlib
+import io
 import itertools
 import json
+import random
 import time
 
 import pytest
 
-from conftest import transformation_monoid
+from conftest import relabeled_monoid, transformation_closure, transformation_monoid
 from topact import files
 from topact.actions import power_of_m
 from topact.catalog import cyclic, left_zeros, truncated_addition
-from topact.cli import main
+from topact.cli import SUBCOMMANDS, build_parser, main
 from topact.congruences import enumerate_congruences, generated_congruence
 from topact.errors import CapExceeded
 
@@ -130,6 +133,22 @@ def test_morita_no(fixture_dir, capsys):
                  path(fixture_dir, "C2.json"), _disc2(fixture_dir)])
     assert code == 1
     assert "equivalent: no" in capsys.readouterr().out
+
+
+def test_morita_json_carries_the_witness(fixture_dir, capsys):
+    code = main(["morita", path(fixture_dir, "C4.json"), _disc4(fixture_dir),
+                 path(fixture_dir, "C4.json"), _disc4(fixture_dir), "--json"])
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert code == 0 and report["verdict"] == "yes"
+    assert report["powder_orders"] == [4, 4] and len(report["witness"]) == 4
+    assert "witness: " in out
+    code = main(["morita", path(fixture_dir, "C4.json"), _disc4(fixture_dir),
+                 path(fixture_dir, "C2.json"), _disc2(fixture_dir), "--json"])
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert code == 1 and report["verdict"] == "no" and report["witness"] is None
+    assert report["reason"] == "powder monoids differ in order"
 
 
 def _disc4(fixture_dir):
@@ -293,3 +312,97 @@ def test_suite_command(capsys):
     out = capsys.readouterr().out
     assert "PASS action-topology-idempotent" in out
     assert "FAIL" not in out
+
+
+def _relabeled_copy(directory, monoid, blocks, rng):
+    """Files for the monoid with the topology whose base is the given blocks
+    of element names, and for a relabelled copy of both."""
+    copy = relabeled_monoid(monoid, rng)
+    paths = []
+    for stem, m in (("M", monoid), ("R", copy)):
+        (directory / f"{stem}.json").write_text(json.dumps(files.monoid_to_obj(m)))
+        (directory / f"{stem}_top.json").write_text(json.dumps(
+            {"monoid": f"{stem}.json", "carrier": list(m.elements), "base": blocks}))
+        paths += [str(directory / f"{stem}.json"), str(directory / f"{stem}_top.json")]
+    return paths
+
+
+def _morita_witness(argv, capsys):
+    """Run morita, which must answer yes; its witness as a dict."""
+    assert main(["morita", *argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert report["verdict"] == "yes" and "unknown" not in out
+    witness = report["witness"]
+    assert report["powder_orders"] == [len(witness)] * 2
+    assert len(set(witness.values())) == len(witness)
+    return witness
+
+
+@pytest.mark.parametrize("topology, powder_order", [("coset", 1), ("disc", 27)])
+def test_morita_finds_a_relabelled_t3(t3_dir, tmp_path, capsys, topology, powder_order):
+    ws = files.Workspace()
+    t3 = ws.monoid(files.load_file(ws, t3_dir / "T3.json"))
+    blocks = json.loads((t3_dir / f"{topology}.json").read_text())["base"]
+    argv = _relabeled_copy(tmp_path, t3, blocks, random.Random(11))
+    assert len(_morita_witness(argv, capsys)) == powder_order
+
+
+def test_morita_finds_a_relabelled_discrete_submonoid_of_t4(tmp_path, capsys):
+    monoid = transformation_monoid(
+        transformation_closure([(0, 0, 2, 3), (3, 1, 2, 0)], 4, 100))
+    assert monoid.order == 6
+    argv = _relabeled_copy(tmp_path, monoid, [[e] for e in monoid.elements],
+                           random.Random(12))
+    assert len(_morita_witness(argv, capsys)) == 6
+
+
+SAMPLE_ARGV = {
+    "validate": ["a.json", "b.json", "--json"],
+    "analyze": ["M", "T", "--out", "d", "--json"],
+    "congruences": ["M", "--json"],
+    "act-topology": ["M", "T"],
+    "powder": ["M", "T", "--out", "d"],
+    "t0": ["M", "T", "--json"],
+    "mult-core": ["M", "T"],
+    "complete": ["M", "--filter", "open@T"],
+    "factor-hom": ["H", "--dense", "S", "T", "--json"],
+    "site": ["M", "--dot", "--json"],
+    "morita": ["M", "T", "N", "S", "--json"],
+    "check": ["atomic", "M", "--filter", "all"],
+    "suite": ["--order", "2", "--topologies", "1"],
+}
+
+
+def _help(parser, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_one_command_parser_parses_as_the_full_parser(command):
+    argv = [command, *SAMPLE_ARGV[command]]
+    assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+    assert (_help(build_parser(command), [command, "--help"])
+            == _help(build_parser(), [command, "--help"]))
+    assert build_parser(command).format_usage() == build_parser().format_usage()
+
+
+def test_parser_fallbacks_and_errors_match_the_full_parser(capsys):
+    assert len(SUBCOMMANDS) == 13 and set(SAMPLE_ARGV) == set(SUBCOMMANDS)
+    for argv in ([], ["-h"], ["bogus"], ["analyze", "M", "--bogus"],
+                 ["check", "bogus", "M"], ["morita", "M"]):
+        with pytest.raises(SystemExit) if argv else contextlib.nullcontext():
+            code = main(argv)
+        mine = capsys.readouterr()
+        with pytest.raises(SystemExit) if argv else contextlib.nullcontext():
+            parser = build_parser()
+            args = parser.parse_args(argv)
+            if not hasattr(args, "func"):
+                parser.print_help()
+        full = capsys.readouterr()
+        assert (mine.out, mine.err) == (full.out, full.err)
+        if not argv:
+            assert code == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topact.catalog import all_monoids, cyclic, left_zeros, two_idempotents
+from conftest import relabeled_monoid, transformation_monoid, transformation_monoids
+from topact.catalog import (all_monoids, all_topologies, cyclic, left_zeros,
+                            two_idempotents)
 from topact.congruences import (enumerate_filters, filter_generated,
                                 full_filter, open_congruences, total)
 from topact.invariants import (BadCategory, MonogenicHomFlags, NoZeroElement,
@@ -14,9 +17,12 @@ from topact.invariants import (BadCategory, MonogenicHomFlags, NoZeroElement,
                                classify_monogenic, dense_units, is_atomic,
                                joint_covering, make_category, monogenic_homs,
                                monogenic_homs_bruteforce, monogenic_orbit,
-                               monoids_isomorphic, morita_fingerprint, principal_site,
+                               monoids_isomorphic, morita_equivalent,
+                               morita_fingerprint, principal_site,
                                relabeled_category, strict_joint_covering,
                                zero_fixed_point_check)
+from topact.monoid import opposite, validate_hom, validate_monoid
+from topact.reflections import powder_reflection
 from topact.topology import discrete_topology
 
 
@@ -233,6 +239,121 @@ def test_monoids_isomorphic(b2, c2):
     assert monoids_isomorphic(b2, c2) is None
     relabeled = cyclic(4)
     assert monoids_isomorphic(cyclic(4), relabeled) == (0, 1, 2, 3)
+
+
+def brute_force_isomorphism(m1, m2):
+    """The oracle: try every bijection that fixes the identity, (n-1)! of
+    them, in lexicographic order."""
+    n = m1.order
+    if n != m2.order:
+        return None
+    rest1 = [a for a in range(n) if a != m1.identity]
+    rest2 = [a for a in range(n) if a != m2.identity]
+    for images in itertools.permutations(rest2):
+        phi = {m1.identity: m2.identity}
+        phi.update(zip(rest1, images))
+        if all(phi[m1.table[a][b]] == m2.table[phi[a]][phi[b]]
+               for a in range(n) for b in range(n)):
+            return tuple(phi[a] for a in range(n))
+    return None
+
+
+def assert_isomorphism(m1, m2, phi):
+    validate_hom(m1, m2, phi)
+    inverse = [0] * m1.order
+    for a, v in enumerate(phi):
+        inverse[v] = a
+    validate_hom(m2, m1, inverse)
+
+
+def test_isomorphism_search_matches_brute_force_through_order_four():
+    rng = random.Random(8)
+    for order in range(1, 5):
+        monoids = all_monoids(order)
+        for m1 in monoids:
+            for m2 in monoids:
+                copy = relabeled_monoid(m2, rng)
+                phi = monoids_isomorphic(m1, copy)
+                assert (phi is None) == (brute_force_isomorphism(m1, copy) is None)
+                assert (phi is None) == (m1 is not m2)
+                if phi is not None:
+                    assert_isomorphism(m1, copy, phi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(transformation_monoids(points=4, orders=(2, 7)),
+       transformation_monoids(points=4, orders=(2, 7)), st.integers(0, 10_000))
+def test_isomorphism_search_matches_brute_force_on_transformation_monoids(m1, m2, seed):
+    rng = random.Random(seed)
+    for other in (m1, m2, opposite(m1)):
+        copy = relabeled_monoid(other, rng)
+        phi = monoids_isomorphic(m1, copy)
+        assert (phi is None) == (brute_force_isomorphism(m1, copy) is None)
+        if phi is not None:
+            assert_isomorphism(m1, copy, phi)
+    assert monoids_isomorphic(m1, relabeled_monoid(m1, rng)) is not None
+
+
+@settings(max_examples=30, deadline=None)
+@given(transformation_monoids(orders=(8, 30)), st.integers(0, 10_000))
+def test_isomorphism_search_finds_relabeled_copies_past_order_seven(monoid, seed):
+    copy = relabeled_monoid(monoid, random.Random(seed))
+    assert_isomorphism(monoid, copy, monoids_isomorphic(monoid, copy))
+
+
+def test_isomorphism_search_on_t3():
+    t3 = transformation_monoid(sorted(itertools.product(range(3), repeat=3),
+                                      key=lambda e: e != (0, 1, 2)))
+    copy = relabeled_monoid(t3, random.Random(3))
+    assert_isomorphism(t3, copy, monoids_isomorphic(t3, copy))
+    assert monoids_isomorphic(t3, opposite(t3)) is None
+
+
+def small_cells():
+    return [(m, t) for order in range(1, 4) for m in all_monoids(order)
+            for t in all_topologies(order)]
+
+
+def test_morita_equivalent_agrees_with_site_equivalence_through_order_three():
+    # every cell against the first cell of each class: together with the
+    # verdicts, this decides every pair
+    firsts = []
+    for monoid, topology in small_cells():
+        site = principal_site(monoid, open_congruences(monoid, topology))
+        same = None
+        for first in firsts:
+            witness = morita_equivalent(monoid, topology, first[0], first[1])
+            verdict = categories_equivalent(site, first[2]).kind
+            assert verdict != "unknown"
+            assert (verdict == "yes") == (witness is not None)
+            if witness is not None:
+                assert_isomorphism(witness.source, witness.target, witness.map)
+                assert same is None
+                same = first
+        if same is None:
+            firsts.append((monoid, topology, site))
+    assert len(firsts) > 1
+
+
+def test_endomorphisms_of_r0_in_the_site_form_the_powder_monoid():
+    # the canonical point: hom(r0, r0) in the open-filter principal site is
+    # M/r0, up to the order of composition
+    cells = small_cells() + [(m, t) for m in all_monoids(4)
+                             for t in all_topologies(4)[::7]]
+    for monoid, topology in cells:
+        flt = open_congruences(monoid, topology)
+        site = principal_site(monoid, flt)
+        r0 = flt.members.index(flt.least)
+        arrows = site.hom(r0, r0)
+        pos = {f: k for k, f in enumerate(arrows)}
+        endo = validate_monoid(
+            [site.arrow_names[f] for f in arrows],
+            [[pos[site.compose_table[f][g]] for g in arrows] for f in arrows],
+            pos[site.identities[r0]])
+        powder = powder_reflection(monoid, topology).monoid
+        assert endo.order == powder.order
+        assert (monoids_isomorphic(endo, powder) is not None
+                or monoids_isomorphic(opposite(endo), powder) is not None)
 
 
 def test_bad_category_rejected():

@@ -180,3 +180,17 @@ def test_factorization_recomposes_everywhere():
 def test_opposite_involution(m_lz, m_rz):
     assert opposite(m_lz).table == m_rz.table
     assert opposite(opposite(m_lz)) == m_lz
+
+
+def test_equal_monoids_compare_and_hash_equal():
+    # truncated addition on {0, 1, 2}, built twice
+    table = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
+    first = validate_monoid(["0", "1", "2"], table, 0)
+    second = validate_monoid(["0", "1", "2"], [list(row) for row in table], 0)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    # the same monoid with 1 and 2 at swapped indices is a different value
+    relabeled = validate_monoid(["0", "2", "1"], [[0, 1, 2], [1, 1, 1], [2, 1, 1]], 0)
+    assert relabeled != first and first != relabeled
+    assert validate_monoid(["e", "a", "b"], table, 0) != first
+    assert first != table
