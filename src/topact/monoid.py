@@ -9,7 +9,6 @@ for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import TopactError
@@ -67,12 +66,15 @@ class FiniteMonoid:
                 and self.table == other.table)
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # integers only, so the value does not depend on string hashing
-        return hash((self.table, self.identity))
+        try:
+            return self._hash
+        except AttributeError:
+            # integers only, so the value does not depend on string hashing;
+            # set as an attribute, since writing to __dict__ (as
+            # functools.cached_property does) slows every later attribute read
+            value = hash((self.table, self.identity))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     @property
     def order(self) -> int:
