@@ -109,7 +109,11 @@ def _filter(ws: files.Workspace, spec: str, monoid: FiniteMonoid) -> CongruenceF
     raise files.UnknownName(f"filter spec {spec!r} names nothing loaded")
 
 
-def _emit(args, report: dict, text: list[str]) -> None:
+def _emit(args, report: dict, text: list[str], name: str | None = None) -> None:
+    """Print the report's lines and, under --json, its JSON copy; given the
+    object's name, --out DIR also gets the copy as DIR/<name>_<command>.json."""
+    if name is not None:
+        _write_out(args, f"{name}_{args.command}", report)
     for line in text:
         print(line)
     if getattr(args, "as_json", False):
@@ -174,7 +178,7 @@ def cmd_analyze(args) -> int:
                               "clopen_base": sep.clopen_base,
                               "discrete": sep.discrete,
                               "topological_monoid": is_topological_monoid(monoid, topo)}
-    _emit(args, report, lines)
+    _emit(args, report, lines, name)
     return 0
 
 
@@ -186,7 +190,7 @@ def cmd_congruences(args) -> int:
     lines += [f"  {r.label()}" for r in lattice]
     _emit(args, {"count": len(lattice),
                  "congruences": [[list(map(monoid.elements.__getitem__, cls))
-                                  for cls in r.classes()] for r in lattice]}, lines)
+                                  for cls in r.classes()] for r in lattice]}, lines, name)
     return 0
 
 
@@ -207,7 +211,7 @@ def cmd_act_topology(args) -> int:
         f"is action topology: {report.is_action_topology}",
     ]
     _emit(args, {"continuous_sets": sets,
-                 "is_action_topology": report.is_action_topology}, lines)
+                 "is_action_topology": report.is_action_topology}, lines, name)
     return 0
 
 
@@ -223,8 +227,7 @@ def cmd_powder(args) -> int:
         f"projection: {' '.join(f'{a}->{q.elements[v]}' for a, v in zip(monoid.elements, reflection.projection.map))}",
         "quotient topology: discrete",
     ]
-    _write_out(args, f"{name}_powder", files.monoid_to_obj(q))
-    _emit(args, files.monoid_to_obj(q), lines)
+    _emit(args, files.monoid_to_obj(q), lines, name)
     return 0
 
 
@@ -238,8 +241,7 @@ def cmd_t0(args) -> int:
         f"projection: {' '.join(f'{a}->{quotient.elements[v]}' for a, v in zip(monoid.elements, projection.map))}",
         f"quotient topology base: {_opens_text(q_top, quotient.elements)}",
     ]
-    _write_out(args, f"{name}_t0", files.monoid_to_obj(quotient))
-    _emit(args, files.monoid_to_obj(quotient), lines)
+    _emit(args, files.monoid_to_obj(quotient), lines, name)
     return 0
 
 
@@ -252,7 +254,7 @@ def cmd_mult_core(args) -> int:
         f"multiplication-continuous core of ({name}, {tname}): "
         f"{len(core.opens)} opens, base {_opens_text(core, monoid.elements)}",
     ]
-    _emit(args, {"opens": len(core.opens)}, lines)
+    _emit(args, {"opens": len(core.opens)}, lines, name)
     return 0
 
 
@@ -309,7 +311,7 @@ def cmd_factor_hom(args) -> int:
             f"  closure of image: {' '.join(dense.target.elements)}",
         ]
         report["closure"] = files.monoid_to_obj(dense.target)
-    _emit(args, report, lines)
+    _emit(args, report, lines, name)
     return 0
 
 
@@ -332,7 +334,7 @@ def cmd_site(args) -> int:
         lines.append(site_dot(site))
     _emit(args, {"objects": list(site.objects),
                  "arrows": [[site.arrow_names[f], site.arrow_src[f], site.arrow_tgt[f]]
-                            for f in range(site.arrow_count)]}, lines)
+                            for f in range(site.arrow_count)]}, lines, name)
     return 0
 
 
@@ -374,7 +376,7 @@ def cmd_morita(args) -> int:
         lines.append(f"witness: {' '.join(f'{a}->{v}' for a, v in pairs.items())}")
     lines.append(f"equivalent: {verdict} ({reason})")
     _emit(args, {"verdict": verdict, "reason": reason,
-                 "powder_orders": [q1.order, q2.order], "witness": pairs}, lines)
+                 "powder_orders": [q1.order, q2.order], "witness": pairs}, lines, name1)
     return 0 if pairs is not None else 1
 
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .congruences import CongruenceFilter, RightCongruence, hom_classes
+from .congruences import CongruenceFilter, RightCongruence
 from .errors import InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, validate_hom
 from .reflections import powder_reflection
@@ -75,8 +75,17 @@ def validate_category(cat: FiniteCategory) -> FiniteCategory:
 
     Arrows are indexed by source object: the arrows composable after f are
     out[tgt(f)], so a row of the table is checked by counting its -1
-    entries, and the associativity loop visits only composable pairs and
-    triples, comparing the entries for all h after g at once.
+    entries and gathering its composites' endpoints.
+
+    Associativity is Light's test (Clifford & Preston, The Algebraic Theory
+    of Semigroups I, §1.2), checked only for a generating set of arrows.
+    Once the unit laws hold, the arrows g with (f;g);h = f;(g;h) for every
+    composable f and h include the identities and are closed under
+    composition: for such g1 and g2,
+    (f;(g1;g2));h = ((f;g1);g2);h = (f;g1);(g2;h) = f;(g1;(g2;h))
+    = f;((g1;g2);h).  Every arrow is a product of generators, so every arrow
+    passes once the generators do.  When a generator fails, the full scan
+    names the first failing triple.
     """
     src, tgt, table = cat.arrow_src, cat.arrow_tgt, cat.compose_table
     for i, ident in enumerate(cat.identities):
@@ -84,17 +93,24 @@ def validate_category(cat: FiniteCategory) -> FiniteCategory:
             raise BadCategory(f"identity of object {i} has wrong endpoints")
     count = cat.arrow_count
     out: dict[int, list[int]] = {}
+    into: dict[int, list[int]] = {}
     for g in range(count):
         out.setdefault(src[g], []).append(g)
+        into.setdefault(tgt[g], []).append(g)
+    # row f's composites must have the endpoints (src f, tgt g) for g after f
+    key = list(zip(src, tgt))
+    ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for f in range(count):
         row, after = table[f], out.get(tgt[f], [])
+        composites = list(map(row.__getitem__, after))
         if (row.count(-1) != count - len(after)
-                or any(row[g] < 0 for g in after)):
+                or min(composites, default=0) < 0):
             _check_row_composability(cat, f)
-        for g in after:
-            h = row[g]
-            if src[h] != src[f] or tgt[h] != tgt[g]:
-                raise BadCategory("composite has wrong endpoints")
+        expected = ends.get((src[f], tgt[f]))
+        if expected is None:
+            expected = ends[src[f], tgt[f]] = [(src[f], tgt[g]) for g in after]
+        if list(map(key.__getitem__, composites)) != expected:
+            raise BadCategory("composite has wrong endpoints")
     for f in range(count):
         if table[cat.identities[src[f]]][f] != f:
             raise BadCategory(f"left unit law fails at arrow {f}")
@@ -103,17 +119,66 @@ def validate_category(cat: FiniteCategory) -> FiniteCategory:
     # f;(g;h) for every h after g is row f gathered at g's row segment, and
     # (f;g);h is row f;g taken at the same positions
     take = {o: operator.itemgetter(*hs) for o, hs in out.items()}
-    gather = [operator.itemgetter(*[table[g][h] for h in out[tgt[g]]])
-              for g in range(count)]
-    for f in range(count):
+    for g in _generating_arrows(cat, into):
+        row_g = table[g]
+        segment = take[tgt[g]]
+        gather = operator.itemgetter(*[row_g[h] for h in out[tgt[g]]])
+        for f in into.get(src[g], ()):
+            row_f = table[f]
+            if segment(table[row_f[g]]) != gather(row_f):
+                _raise_first_associativity_failure(cat, out)
+    return cat
+
+
+def _generating_arrows(cat: FiniteCategory, into: dict[int, list[int]]) -> list[int]:
+    """A generating set of arrows: in index order, each arrow that the
+    identities' closure under right composition by the arrows chosen
+    before it does not reach."""
+    src, tgt, table = cat.arrow_src, cat.arrow_tgt, cat.compose_table
+    reached = [False] * cat.arrow_count
+    for ident in cat.identities:
+        reached[ident] = True
+    generators: list[int] = []
+    starting: dict[int, list[int]] = {}  # generators by source object
+    for a in range(cat.arrow_count):
+        if reached[a]:
+            continue
+        generators.append(a)
+        starting.setdefault(src[a], []).append(a)
+        # the arrows reached before were closed under the earlier generators,
+        # so only their composites with a are new, and then whatever those
+        # newly reached arrows reach
+        fresh = []
+        for f in into.get(src[a], ()):
+            h = table[f][a]
+            if reached[f] and not reached[h]:
+                reached[h] = True
+                fresh.append(h)
+        while fresh:
+            frontier, fresh = fresh, []
+            for f in frontier:
+                row = table[f]
+                for g in starting.get(tgt[f], ()):
+                    h = row[g]
+                    if not reached[h]:
+                        reached[h] = True
+                        fresh.append(h)
+    return generators
+
+
+def _raise_first_associativity_failure(cat: FiniteCategory,
+                                       out: dict[int, list[int]]) -> None:
+    """The (f, g, h)-ordered associativity scan over every composable
+    triple, for a table that Light's test has found to fail."""
+    table, tgt = cat.compose_table, cat.arrow_tgt
+    for f in range(cat.arrow_count):
         row_f = table[f]
         for g in out.get(tgt[f], []):
-            if take[tgt[g]](table[row_f[g]]) != gather[g](row_f):
-                row_fg, row_g = table[row_f[g]], table[g]
-                for h in out[tgt[g]]:
-                    if row_fg[h] != row_f[row_g[h]]:
-                        raise BadCategory(f"associativity fails at ({f}, {g}, {h})")
-    return cat
+            row_fg, row_g = table[row_f[g]], table[g]
+            for h in out[tgt[g]]:
+                if row_fg[h] != row_f[row_g[h]]:
+                    raise BadCategory(f"associativity fails at ({f}, {g}, {h})")
+    raise InternalCheckError("a generator fails Light's test but no triple fails")
 
 
 def _check_row_composability(cat: FiniteCategory, f: int) -> None:
@@ -130,51 +195,82 @@ def _check_row_composability(cat: FiniteCategory, f: int) -> None:
 
 def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategory:
     """The category with the filter's congruences as objects and classes
-    [m] as arrows; epis/monos are marked from the underlying class maps."""
+    [m] as arrows; epis/monos are marked from the underlying class maps.
+
+    [m]: r_i → r_j composed with [n]: r_j → r_k is [n·m], whose r_k-class
+    is the class map of [n] at the r_j-class of m: the composites are read
+    from the class maps, through one list per (i, k) indexed by r_k-class.
+    """
     members = flt.members
-    arrows: list[tuple[int, int, int]] = []  # (src_obj, tgt_obj, representative)
-    for i, r1 in enumerate(members):
-        for j, r2 in enumerate(members):
-            for m in hom_classes(flt, r1, r2):
-                arrows.append((i, j, m))
-    lookup = {(i, j, members[j].class_of[m]): idx
-              for idx, (i, j, m) in enumerate(arrows)}
-
-    def class_map(i: int, j: int, m: int) -> tuple[int, ...]:
-        r1, r2 = members[i], members[j]
-        return tuple(r2.class_of[monoid.table[m][rep]] for rep in r1.representatives())
-
-    out: dict[int, list[int]] = {}
-    for g, (j, _, _) in enumerate(arrows):
-        out.setdefault(j, []).append(g)
-    compose = []
-    for f, (i, j, m) in enumerate(arrows):
-        row = [-1] * len(arrows)
-        for g in out[j]:
-            _, k, n2 = arrows[g]
-            row[g] = lookup[(i, k, members[k].class_of[monoid.table[n2][m]])]
-        compose.append(tuple(row))
-    identities = []
+    arrows = _site_arrows(monoid, members)
+    count = len(arrows)
+    lookup = [[[-1] * r.num_classes for r in members] for _ in members]
+    for f, (i, j, c, _) in enumerate(arrows):
+        lookup[i][j][c] = f
+    # the arrows out of r_j are start[j], ..., start[j + 1] - 1
+    start = [0] * (len(members) + 1)
+    for i, _, _, _ in arrows:
+        start[i + 1] += 1
     for i in range(len(members)):
-        identities.append(lookup[(i, i, members[i].class_of[monoid.identity])])
+        start[i + 1] += start[i]
+    compose = []
+    for f, (i, j, c, _) in enumerate(arrows):
+        lookup_i = lookup[i]
+        segment = [lookup_i[k][cmap[c]] for (_, k, _, cmap) in arrows[start[j]:start[j + 1]]]
+        compose.append((-1,) * start[j] + tuple(segment) + (-1,) * (count - start[j + 1]))
     epis, monos = set(), set()
-    for idx, (i, j, m) in enumerate(arrows):
-        cmap = class_map(i, j, m)
-        if len(set(cmap)) == members[j].num_classes:
-            epis.add(idx)
-        if len(set(cmap)) == len(cmap):
-            monos.add(idx)
+    for f, (_, j, _, cmap) in enumerate(arrows):
+        image = len(set(cmap))
+        if image == members[j].num_classes:
+            epis.add(f)
+        if image == len(cmap):
+            monos.add(f)
+    names = monoid.elements
+    reps = [r.representatives() for r in members]
     cat = FiniteCategory(
         objects=tuple(r.label() for r in members),
-        arrow_names=tuple(f"[{monoid.elements[m]}]" for (_, _, m) in arrows),
+        arrow_names=tuple(f"[{names[reps[j][c]]}]" for (_, j, c, _) in arrows),
         arrow_src=tuple(a[0] for a in arrows),
         arrow_tgt=tuple(a[1] for a in arrows),
         compose_table=tuple(compose),
-        identities=tuple(identities),
+        identities=tuple(lookup[i][i][r.class_of[monoid.identity]]
+                         for i, r in enumerate(members)),
         epis=frozenset(epis),
         monos=frozenset(monos),
     )
     return validate_category(cat)
+
+
+def _site_arrows(monoid: FiniteMonoid, members: Sequence[RightCongruence]
+                 ) -> list[tuple[int, int, int, list[int]]]:
+    """The arrows [m]: r_i → r_j of the principal site in its order (by i,
+    then j, then the r_j-class c of m), each as (i, j, c, class map).
+
+    m is the least element of its class, and [m] is an arrow when r_i ⊆
+    m*(r_j), that is, when x ↦ r_j-class of m·x is constant on r_i-classes.
+    One pass over the carrier decides this and builds the class map as it
+    goes, stopping at the first x whose r_i-class already has another
+    image.
+    """
+    table = monoid.table
+    reps = [r.representatives() for r in members]
+    arrows = []
+    for i, ri in enumerate(members):
+        cls_i, size = ri.class_of, ri.num_classes
+        for j, rj in enumerate(members):
+            cls_j = rj.class_of
+            for c, m in enumerate(reps[j]):
+                cmap = [-1] * size
+                for a, y in zip(cls_i, table[m]):
+                    v = cls_j[y]
+                    w = cmap[a]
+                    if w < 0:
+                        cmap[a] = v
+                    elif w != v:
+                        break
+                else:
+                    arrows.append((i, j, c, cmap))
+    return arrows
 
 
 def make_category(objects: Sequence[str],
@@ -480,22 +576,28 @@ def _jcp(cat: FiniteCategory, epis: frozenset[int]) -> bool:
 def is_atomic(monoid: FiniteMonoid, flt: CongruenceFilter
               ) -> tuple[bool, Optional[tuple[RightCongruence, int]]]:
     """Quantifier form: every m is right-invertible up to every filter
-    congruence.  Cross-checked against "all site arrows are epimorphisms"."""
-    verdict, witness = True, None
+    congruence.  Cross-checked against "all site arrows are epimorphisms",
+    read from the arrows' class maps without building the site's
+    composition table."""
+    witness = _not_right_invertible(monoid, flt)
+    all_epi = all(len(set(cmap)) == flt.members[j].num_classes
+                  for _, j, _, cmap in _site_arrows(monoid, flt.members))
+    if all_epi != (witness is None):
+        raise InternalCheckError("atomicity conditions 1 and 4 disagree")
+    return witness is None, witness
+
+
+def _not_right_invertible(monoid: FiniteMonoid, flt: CongruenceFilter
+                          ) -> Optional[tuple[RightCongruence, int]]:
+    """The first filter member r and element m with no m2 such that m·m2 is
+    r-related to the identity, or None."""
     for r in flt.members:
         one = r.class_of[monoid.identity]
         for m in range(monoid.order):
             if not any(r.class_of[monoid.table[m][m2]] == one
                        for m2 in range(monoid.order)):
-                verdict, witness = False, (r, m)
-                break
-        if not verdict:
-            break
-    site = principal_site(monoid, flt)
-    all_epi = len(site.epis) == site.arrow_count
-    if all_epi != verdict:
-        raise InternalCheckError("atomicity conditions 1 and 4 disagree")
-    return verdict, witness
+                return r, m
+    return None
 
 
 def dense_units(monoid: FiniteMonoid, topology: Topology) -> bool:

@@ -71,6 +71,35 @@ def test_powder_writes_quotient(fixture_dir, tmp_path, capsys):
     assert sorted(obj["elements"]) == ["[1]", "[x]"]
 
 
+OUT_ARGV = {
+    "analyze": ("M_LZ", ["M_LZ.json", "tau_A.json"]),
+    "congruences": ("C4", ["C4.json"]),
+    "act-topology": ("M_LZ", ["M_LZ.json", "tau_A.json"]),
+    "powder": ("M_LZ", ["M_LZ.json", "tau_A.json"]),
+    "t0": ("M_LZ", ["M_LZ.json", "tau_A.json"]),
+    "mult-core": ("M_LZ", ["M_LZ.json", "tau_A.json"]),
+    "factor-hom": ("red", ["red.json"]),
+    "site": ("M_LZ", ["M_LZ.json", "--filter", "all"]),
+    "morita": ("M_LZ", ["M_LZ.json", "tau_A.json", "M_LZ.json", "tau_A.json"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_ARGV))
+def test_out_writes_the_json_report(fixture_dir, tmp_path, capsys, command):
+    name, arguments = OUT_ARGV[command]
+    outdir = tmp_path / "out"
+    argv = [command, *(path(fixture_dir, a) if a.endswith(".json") else a
+                       for a in arguments)]
+    assert main([*argv, "--out", str(outdir), "--json"]) == 0
+    printed = capsys.readouterr().out
+    written = (outdir / f"{name}_{command}.json").read_text()
+    assert [p.name for p in outdir.iterdir()] == [f"{name}_{command}.json"]
+    assert printed.endswith(written) and json.loads(written)
+    # the report does not depend on --out
+    assert main([*argv, "--json"]) == 0
+    assert capsys.readouterr().out == printed
+
+
 def test_complete_with_congruence_filter(fixture_dir, capsys):
     assert main(["complete", path(fixture_dir, "C4.json"),
                  "--filter", path(fixture_dir, "mod2.json")]) == 0

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import relabeled_monoid, transformation_monoid, transformation_monoids
+from topact import files
 from topact.catalog import (all_monoids, all_topologies, cyclic, left_zeros,
-                            two_idempotents)
+                            truncated_addition, two_idempotents)
+from conftest import preorder_topologies
 from topact.congruences import (enumerate_filters, filter_generated,
-                                full_filter, open_congruences, total)
-from topact.invariants import (BadCategory, MonogenicHomFlags, NoZeroElement,
+                                full_filter, hom_classes, open_congruences, total)
+from topact.errors import InternalCheckError
+from topact.invariants import (BadCategory, FiniteCategory, MonogenicHomFlags,
+                               NoZeroElement, _generating_arrows, _site_arrows,
                                categories_equivalent, validate_category,
                                classify_monogenic, dense_units, is_atomic,
                                joint_covering, make_category, monogenic_homs,
@@ -63,6 +67,83 @@ def test_c4_full_site(c4):
 def test_left_zero_site_structure(m_lz, tau_a):
     site = principal_site(m_lz, open_congruences(m_lz, tau_a))
     assert len(site.objects) == 2 and site.arrow_count == 5
+
+
+def principal_site_by_hom_classes(monoid, flt):
+    """Oracle for principal_site: the arrows from hom_classes, one
+    inverse-image congruence and one containment test per candidate, the
+    composites looked up by (source, target, class) and the epis and monos
+    from class maps read at the representatives; validated by the triple
+    loop."""
+    members = flt.members
+    arrows = [(i, j, m) for i, r1 in enumerate(members)
+              for j, r2 in enumerate(members) for m in hom_classes(flt, r1, r2)]
+    lookup = {(i, j, members[j].class_of[m]): idx
+              for idx, (i, j, m) in enumerate(arrows)}
+    compose = []
+    for i, j, m in arrows:
+        compose.append(tuple(
+            lookup[(i, k, members[k].class_of[monoid.table[n][m]])] if j == j2 else -1
+            for j2, k, n in arrows))
+    epis, monos = set(), set()
+    for idx, (i, j, m) in enumerate(arrows):
+        cmap = [members[j].class_of[monoid.table[m][rep]]
+                for rep in members[i].representatives()]
+        if len(set(cmap)) == members[j].num_classes:
+            epis.add(idx)
+        if len(set(cmap)) == len(cmap):
+            monos.add(idx)
+    return validate_category_by_triples(FiniteCategory(
+        objects=tuple(r.label() for r in members),
+        arrow_names=tuple(f"[{monoid.elements[m]}]" for _, _, m in arrows),
+        arrow_src=tuple(a[0] for a in arrows),
+        arrow_tgt=tuple(a[1] for a in arrows),
+        compose_table=tuple(compose),
+        identities=tuple(lookup[(i, i, r.class_of[monoid.identity])]
+                         for i, r in enumerate(members)),
+        epis=frozenset(epis),
+        monos=frozenset(monos)))
+
+
+def test_principal_site_matches_oracle_on_every_filter_through_order_three():
+    for order in range(1, 4):
+        for monoid in all_monoids(order):
+            for flt in enumerate_filters(monoid):
+                assert principal_site(monoid, flt) == principal_site_by_hom_classes(monoid, flt)
+
+
+def test_principal_site_matches_oracle_on_order_four_open_filters():
+    cells = [(m, t) for m in all_monoids(4) for t in all_topologies(4)]
+    for monoid, topology in random.Random(9).sample(cells, 400):
+        flt = open_congruences(monoid, topology)
+        assert principal_site(monoid, flt) == principal_site_by_hom_classes(monoid, flt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_principal_site_matches_oracle_on_transformation_monoids(data):
+    monoid = data.draw(transformation_monoids(points=4, orders=(5, 10)))
+    topology = data.draw(preorder_topologies(monoid.order))
+    for flt in (open_congruences(monoid, topology), full_filter(monoid)):
+        # the composition table grows with the square of the arrows, which
+        # grow with the square of the members
+        if len(flt.members) <= 20:
+            assert principal_site(monoid, flt) == principal_site_by_hom_classes(monoid, flt)
+
+
+def test_site_command_prints_the_oracle_site(tmp_path, capsys, monkeypatch):
+    import topact.cli as cli
+    monoid = truncated_addition(8)
+    path = tmp_path / "N9.json"
+    path.write_text(files.dump(files.monoid_to_obj(monoid)))
+    outputs = []
+    for build in (principal_site, principal_site_by_hom_classes):
+        monkeypatch.setattr(cli, "principal_site", build)
+        for extra in (["--json"], ["--dot"]):
+            assert cli.main(["site", str(path), "--filter", "all", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    assert "285 arrows" in outputs[0]
 
 
 def test_identity_and_composition_laws_hold_on_all_small_sites():
@@ -415,8 +496,9 @@ def with_endpoint(cat, field, f, obj):
     return dataclasses.replace(cat, **{field: tuple(ends)})
 
 
-def corruptions(cat, rng):
-    """Copies of cat with one fault each: every composite changed (to an
+def faults(cat, rng):
+    """Edits of cat that make one fault each, as (edit, arguments), so that
+    a sample of them can be built alone: every composite changed (to an
     arrow with the same endpoints where there is one, so that the unit laws
     and associativity are reached), every arrow's source or target moved,
     and every composable entry, and one entry that does not compose,
@@ -431,18 +513,24 @@ def corruptions(cat, rng):
                     and cat.arrow_tgt[k] == cat.arrow_tgt[h]]
         others = parallel or [k for k in arrows if k != h]
         if others:
-            yield with_entry(cat, f, g, rng.choice(others))
+            yield with_entry, (cat, f, g, rng.choice(others))
     if len(cat.objects) > 1:
         for f in arrows:
             field = rng.choice(["arrow_src", "arrow_tgt"])
             old = getattr(cat, field)[f]
-            yield with_endpoint(cat, field, f,
-                                rng.choice([o for o in range(len(cat.objects)) if o != old]))
+            yield with_endpoint, (cat, field, f,
+                                  rng.choice([o for o in range(len(cat.objects)) if o != old]))
     for f, g in pairs:
-        yield with_entry(cat, f, g, -1)
+        yield with_entry, (cat, f, g, -1)
     if apart:
         f, g = rng.choice(apart)
-        yield with_entry(cat, f, g, rng.choice(arrows))
+        yield with_entry, (cat, f, g, rng.choice(arrows))
+
+
+def corruptions(cat, rng):
+    """The copies of cat that faults describes, one fault each."""
+    for edit, arguments in faults(cat, rng):
+        yield edit(*arguments)
 
 
 def test_validate_category_matches_triple_loop_on_corrupted_sites():
@@ -464,3 +552,59 @@ def test_validate_category_matches_triple_loop_on_corrupted_sites():
                     "composition table disagrees with composability",
                     "composite has wrong endpoints", "left unit law fails at arrow N",
                     "right unit law fails at arrow N", "associativity fails at (N, N, N)"}
+
+
+def test_validate_category_matches_triple_loop_on_a_large_site():
+    # the largest full-filter site through order 4, 147 arrows
+    monoid = max(all_monoids(4), key=lambda m: principal_site(m, full_filter(m)).arrow_count)
+    site = principal_site(monoid, full_filter(monoid))
+    assert site.arrow_count > 100
+    rng = random.Random(6)
+    seen = set()
+    for edit, arguments in rng.sample(list(faults(site, rng)), 300):
+        cat = edit(*arguments)
+        message = bad_category_message(validate_category, cat)
+        assert message == bad_category_message(validate_category_by_triples, cat)
+        seen.add(re.sub(r"\d+", "N", message) if message else None)
+    assert "associativity fails at (N, N, N)" in seen
+
+
+def test_first_associativity_failure_with_a_composite_middle_arrow():
+    # one object; e, a, b, c with a;a = e, b;b = c: the generators are a and
+    # b, and the first failing triple in (f, g, h) order has the middle c.
+    # By Light's theorem some triple with a generator in the middle fails as
+    # well; the message still names the first one
+    table = ((0, 1, 2, 3), (1, 0, 2, 3), (2, 2, 3, 2), (3, 0, 0, 0))
+    cat = FiniteCategory(("*",), ("e", "a", "b", "c"), (0,) * 4, (0,) * 4, table,
+                         (0,), frozenset(), frozenset())
+    assert _generating_arrows(cat, {0: [0, 1, 2, 3]}) == [1, 2]
+    message = bad_category_message(validate_category, cat)
+    assert message == "associativity fails at (1, 3, 1)"
+    assert message == bad_category_message(validate_category_by_triples, cat)
+
+
+def class_maps_all_onto(monoid, flt):
+    return all(len(set(cmap)) == flt.members[j].num_classes
+               for _, j, _, cmap in _site_arrows(monoid, flt.members))
+
+
+def test_class_map_epis_match_the_site_through_order_four():
+    for order in range(1, 5):
+        for monoid in all_monoids(order):
+            for flt in enumerate_filters(monoid):
+                site = principal_site(monoid, flt)
+                onto = class_maps_all_onto(monoid, flt)
+                assert onto == (len(site.epis) == site.arrow_count)
+                assert onto == is_atomic(monoid, flt)[0]
+
+
+def test_is_atomic_cross_check_catches_a_disagreement(monkeypatch, c4, n2):
+    import topact.invariants as invariants
+    flt = full_filter(n2)
+    r = flt.members[0]
+    monkeypatch.setattr(invariants, "_not_right_invertible", lambda monoid, flt: None)
+    with pytest.raises(InternalCheckError):
+        is_atomic(n2, flt)
+    monkeypatch.setattr(invariants, "_not_right_invertible", lambda monoid, flt: (r, 1))
+    with pytest.raises(InternalCheckError):
+        is_atomic(c4, full_filter(c4))
