@@ -3,9 +3,10 @@ filters of congruences.
 
 A right congruence is stored as its class map, canonicalized so class ids
 appear in order of least member.  The lattice is generated as the join
-closure of the principal congruences; filters are validated against the
-four axioms (non-empty, upward closed, downward directed, closed under the
-inverse-image action) and always carry a least element on finite monoids.
+closure of the principal congruences and indexes its members; a filter is a
+bitset over it, validated against the four axioms (non-empty, upward
+closed, downward directed, closed under the inverse-image action), and
+always carries a least element on finite monoids.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid
 from .topology import Topology, is_locally_constant
-from .util import mask_of
+from .util import bits, mask_of
 
 
 class NotStable(TopactError):
@@ -51,10 +52,6 @@ class NotEquivariant(InvalidFilter):
         super().__init__(f"inverse image at {q} of {member} escapes the filter")
         self.q = q
         self.member = member
-
-
-class NotInFilter(TopactError):
-    pass
 
 
 DEFAULT_CAP = 100_000
@@ -112,10 +109,12 @@ class RightCongruence:
         return tuple(seen[c] for c in range(self.num_classes))
 
     def relation_mask(self) -> int:
-        """The relation as a subset of M x M, row-major."""
-        n = self.monoid.order
-        return mask_of(a * n + b for a in range(n) for b in range(n)
-                       if self.class_of[a] == self.class_of[b])
+        """The relation as a subset of M x M, row-major: row a is a's class."""
+        n = len(self.class_of)
+        blocks = [0] * self.num_classes
+        for m, c in enumerate(self.class_of):
+            blocks[c] |= 1 << m
+        return sum(blocks[c] << a * n for a, c in enumerate(self.class_of))
 
     def label(self) -> str:
         names = self.monoid.elements
@@ -237,9 +236,56 @@ def is_two_sided(r: RightCongruence) -> bool:
     return True
 
 
+class CongruenceLattice(tuple):
+    """The right congruences of a monoid in (num_classes, class_of) order,
+    indexed: ``position`` maps a class map to its index, and the rows of
+    member i, ``up(i)`` and ``translates(i)``, are built the first time they
+    are asked for, so a filter costs only the rows of the members it reads.
+    """
+
+    def __new__(cls, monoid: FiniteMonoid, members: Iterable[RightCongruence]):
+        lattice = super().__new__(cls, members)
+        lattice.position = {r.class_of: i for i, r in enumerate(lattice)}
+        lattice._table = monoid.table
+        lattice._relations = []
+        lattice._up = [None] * len(lattice)
+        lattice._translates = [None] * len(lattice)
+        return lattice
+
+    def index_of(self, r: RightCongruence) -> int:
+        i = self.position.get(r.class_of)
+        s = None if i is None else self[i]
+        if s is not r and s != r:
+            raise TopactError(f"{r!r} is not in the right-congruence lattice")
+        return i
+
+    def up(self, i: int) -> int:
+        """The bitset of the members j with r_i ⊆ r_j.  A coarser member
+        has fewer classes and sorts first, so only j ≤ i are tested, each
+        as containment of the relation masks."""
+        row = self._up[i]
+        if row is None:
+            relations = self._relations
+            while len(relations) <= i:
+                relations.append(self[len(relations)].relation_mask())
+            ri = relations[i]
+            row = self._up[i] = int("".join("0" if ri & ~relations[j] else "1"
+                                            for j in range(i, -1, -1)), 2)
+        return row
+
+    def translates(self, i: int) -> tuple[int, ...]:
+        """The index of q*(r_i) for each q."""
+        row = self._translates[i]
+        if row is None:
+            cls = self[i].class_of
+            row = self._translates[i] = tuple(
+                self.position[_canonical([cls[t] for t in q_row])] for q_row in self._table)
+        return row
+
+
 @lru_cache(maxsize=None)
 def enumerate_congruences(monoid: FiniteMonoid,
-                          cap: Optional[int] = None) -> tuple[RightCongruence, ...]:
+                          cap: Optional[int] = None) -> CongruenceLattice:
     """The full lattice: join closure of the principal congruences plus the
     diagonal, in canonical order.
 
@@ -299,7 +345,7 @@ def enumerate_congruences(monoid: FiniteMonoid,
                 if len(found) > limit:
                     raise CapExceeded("right congruences", len(found))
     classes = sorted((_canonical(r) for r in lattice), key=lambda c: (max(c) + 1, c))
-    return tuple(RightCongruence(monoid, c) for c in classes)
+    return CongruenceLattice(monoid, (RightCongruence(monoid, c) for c in classes))
 
 
 def _least_members(class_of: Sequence[int]) -> tuple[int, ...]:
@@ -333,63 +379,59 @@ class CongruenceFilter:
         return f"CongruenceFilter({len(self.members)} members, base {self.least.label()})"
 
 
-def _sorted_members(members: Iterable[RightCongruence]) -> tuple[RightCongruence, ...]:
-    return tuple(sorted(set(members), key=lambda r: (r.num_classes, r.class_of)))
-
-
 def validate_filter(monoid: FiniteMonoid,
                     members: Iterable[RightCongruence]) -> CongruenceFilter:
-    """Check the four filter axioms and compute the base of minimal members."""
-    mem = _sorted_members(members)
-    if not mem:
+    """Check the four filter axioms and compute the base, the least member.
+
+    The members are a bitset F over the lattice and are listed in its
+    order: by number of classes, then class map.  A finite upward-closed
+    family is directed exactly when it has a least element, which has the
+    most classes and so comes last: F is upward closed and directed exactly
+    when F = up(last).  Then F is equivariant exactly when the translates
+    of last lie in F, since q*(s) ⊇ q*(last) for every member s.  When an
+    axiom fails, the scans below name the same first witness as the axioms
+    checked member by member.
+    """
+    members = tuple(members)
+    if not members:
         raise EmptyFilter("a congruence filter cannot be empty")
     lattice = enumerate_congruences(monoid)
-    member_set = set(mem)
-    for r in mem:
-        for s in lattice:
-            if leq(r, s) and s not in member_set:
-                raise NotUpwardClosed(r, s)
-    # with upward closure checked, some member lies below r1 and r2 iff
-    # their meet (a lattice element above that member) is a member
-    for i, r1 in enumerate(mem):
-        for r2 in mem[:i]:
-            if meet(r1, r2) not in member_set:
-                raise NotDirected(r1, r2)
-    for r in mem:
-        for q in range(monoid.order):
-            if inverse_image_congruence(monoid, q, r) not in member_set:
-                raise NotEquivariant(q, r)
-    minimal = tuple(r for r in mem
-                    if not any(s != r and leq(s, r) for s in mem))
-    if len(minimal) != 1:
+    index = sorted(set(map(lattice.index_of, members)))
+    mem = tuple(map(lattice.__getitem__, index))
+    flt = mask_of(index)
+    if lattice.up(index[-1]) != flt:
+        for i in index:
+            outside = lattice.up(i) & ~flt
+            if outside:
+                raise NotUpwardClosed(lattice[i], lattice[(outside & -outside).bit_length() - 1])
+        # with upward closure checked, some member lies below r1 and r2 iff
+        # their meet (a lattice element above that member) is a member
+        for k, r1 in enumerate(mem):
+            for r2 in mem[:k]:
+                if not flt >> lattice.position[meet(r1, r2).class_of] & 1:
+                    raise NotDirected(r1, r2)
         raise InternalCheckError("directed finite filter must have a unique minimum")
-    return CongruenceFilter(monoid, mem, minimal)
+    if not all(flt >> t & 1 for t in lattice.translates(index[-1])):
+        for i in index:
+            for q, t in enumerate(lattice.translates(i)):
+                if not flt >> t & 1:
+                    raise NotEquivariant(q, lattice[i])
+    return CongruenceFilter(monoid, mem, mem[-1:])
 
 
 def filter_generated(monoid: FiniteMonoid,
                      gens: Iterable[RightCongruence]) -> CongruenceFilter:
-    """Smallest equivariant filter containing the generators: close under
-    inverse images and meets, then close upward in the lattice."""
-    core = set(gens)
-    if not core:
+    """Smallest equivariant filter containing the generators: the up-set of
+    b = ⋂ q*(g) over the generators g and all q.  Any equivariant filter
+    containing the generators contains every q*(g), so their meet b, so
+    up(b); and up(b) is equivariant, since p*(b) = ⋂ (q·p)*(g) ⊇ b."""
+    gens = list(gens)
+    if not gens:
         raise EmptyFilter("need at least one generator")
-    frontier = list(core)
-    while frontier:
-        fresh = []
-        candidates = []
-        for r in frontier:
-            for q in range(monoid.order):
-                candidates.append(inverse_image_congruence(monoid, q, r))
-            for s in list(core):
-                candidates.append(meet(r, s))
-        for c in candidates:
-            if c not in core:
-                core.add(c)
-                fresh.append(c)
-        frontier = fresh
-    members = [s for s in enumerate_congruences(monoid)
-               if any(leq(r, s) for r in core)]
-    return validate_filter(monoid, members)
+    images = [[g.class_of[t] for t in row] for g in gens for row in monoid.table]
+    lattice = enumerate_congruences(monoid)
+    least = lattice.index_of(RightCongruence(monoid, _canonical(zip(*images))))
+    return validate_filter(monoid, [lattice[j] for j in bits(lattice.up(least))])
 
 
 def full_filter(monoid: FiniteMonoid) -> CongruenceFilter:
@@ -429,18 +471,4 @@ def enumerate_filters(monoid: FiniteMonoid) -> tuple[CongruenceFilter, ...]:
     for r in enumerate_congruences(monoid):
         if is_two_sided(r):
             out.append(filter_generated(monoid, [r]))
-    return tuple(out)
-
-
-def hom_classes(flt: CongruenceFilter, r1: RightCongruence,
-                r2: RightCongruence) -> tuple[int, ...]:
-    """Representatives of the r2-classes [m] with r1 ⊆ m*(r2); these are the
-    arrows r1 → r2 of the filter's category."""
-    if r1 not in flt or r2 not in flt:
-        raise NotInFilter("both congruences must belong to the filter")
-    mon = flt.monoid
-    out = []
-    for m in r2.representatives():
-        if leq(r1, inverse_image_congruence(mon, m, r2)):
-            out.append(m)
     return tuple(out)

@@ -15,10 +15,10 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .congruences import CongruenceFilter, RightCongruence
-from .errors import InternalCheckError, TopactError
+from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, validate_hom
 from .reflections import powder_reflection
 from .topology import Topology
@@ -193,6 +193,11 @@ def _check_row_composability(cat: FiniteCategory, f: int) -> None:
             raise BadCategory("composite has wrong endpoints")
 
 
+# The composition table is quadratic in the arrows; sites past this many
+# stop with CapExceeded before any table is built.
+MAX_SITE_ARROWS = 4096
+
+
 def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategory:
     """The category with the filter's congruences as objects and classes
     [m] as arrows; epis/monos are marked from the underlying class maps.
@@ -202,8 +207,10 @@ def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategor
     from the class maps, through one list per (i, k) indexed by r_k-class.
     """
     members = flt.members
-    arrows = _site_arrows(monoid, members)
+    arrows = list(itertools.islice(_site_arrows(monoid, members), MAX_SITE_ARROWS + 1))
     count = len(arrows)
+    if count > MAX_SITE_ARROWS:
+        raise CapExceeded("principal-site arrows", count)
     lookup = [[[-1] * r.num_classes for r in members] for _ in members]
     for f, (i, j, c, _) in enumerate(arrows):
         lookup[i][j][c] = f
@@ -242,7 +249,7 @@ def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategor
 
 
 def _site_arrows(monoid: FiniteMonoid, members: Sequence[RightCongruence]
-                 ) -> list[tuple[int, int, int, list[int]]]:
+                 ) -> Iterator[tuple[int, int, int, list[int]]]:
     """The arrows [m]: r_i → r_j of the principal site in its order (by i,
     then j, then the r_j-class c of m), each as (i, j, c, class map).
 
@@ -254,7 +261,6 @@ def _site_arrows(monoid: FiniteMonoid, members: Sequence[RightCongruence]
     """
     table = monoid.table
     reps = [r.representatives() for r in members]
-    arrows = []
     for i, ri in enumerate(members):
         cls_i, size = ri.class_of, ri.num_classes
         for j, rj in enumerate(members):
@@ -269,8 +275,7 @@ def _site_arrows(monoid: FiniteMonoid, members: Sequence[RightCongruence]
                     elif w != v:
                         break
                 else:
-                    arrows.append((i, j, c, cmap))
-    return arrows
+                    yield i, j, c, cmap
 
 
 def make_category(objects: Sequence[str],

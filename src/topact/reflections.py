@@ -25,7 +25,7 @@ from .actions import (MSet, continuous_part, is_continuous_mset, orbit_congruenc
                       power_of_m, quotient_mset)
 from .congruences import (CongruenceFilter, RightCongruence, congruence_from_class_map,
                           enumerate_congruences, generated_congruence,
-                          inverse_image_congruence, is_two_sided)
+                          is_two_sided)
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, opposite, validate_hom, validate_monoid
 from .topology import (Topology, connected_components, discrete_topology,
@@ -305,10 +305,7 @@ def is_topological_filter(monoid: FiniteMonoid, flt: CongruenceFilter
 def congruence_set(monoid: FiniteMonoid) -> MSet:
     """All right congruences as an M-set under the inverse-image action."""
     lattice = enumerate_congruences(monoid)
-    pos = {r: i for i, r in enumerate(lattice)}
-    act = tuple(tuple(pos[inverse_image_congruence(monoid, q, r)]
-                      for q in range(monoid.order))
-                for r in lattice)
+    act = tuple(map(lattice.translates, range(len(lattice))))
     return MSet(monoid, tuple(r.label() for r in lattice), act)
 
 

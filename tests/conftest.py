@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
                             right_zeros, truncated_addition, trivial_monoid,
                             two_idempotents)
+from topact.congruences import inverse_image_congruence, leq
+from topact.errors import TopactError
 from topact.monoid import validate_monoid
 from topact.topology import Topology
 
@@ -47,6 +49,23 @@ def one():
 @pytest.fixture
 def tau_a():
     return left_zero_split_topology()
+
+
+class NotInFilter(TopactError):
+    pass
+
+
+def hom_classes(flt, r1, r2):
+    """Representatives of the r2-classes [m] with r1 ⊆ m*(r2); these are the
+    arrows r1 → r2 of the filter's category, one inverse-image congruence
+    and one containment test per candidate."""
+    if r1 not in flt or r2 not in flt:
+        raise NotInFilter("both congruences must belong to the filter")
+    out = []
+    for m in r2.representatives():
+        if leq(r1, inverse_image_congruence(flt.monoid, m, r2)):
+            out.append(m)
+    return tuple(out)
 
 
 def transformation_closure(maps, points, limit):

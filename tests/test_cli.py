@@ -14,6 +14,7 @@ from topact.catalog import cyclic, left_zeros, truncated_addition
 from topact.cli import SUBCOMMANDS, build_parser, main
 from topact.congruences import enumerate_congruences, generated_congruence
 from topact.errors import CapExceeded
+from topact.invariants import MAX_SITE_ARROWS
 
 
 @pytest.fixture
@@ -295,6 +296,14 @@ def test_reflections_of_t3_answer_within_a_second(t3_dir, capsys, command):
     assert main([command, str(t3_dir / "T3.json"), str(t3_dir / "coset.json")]) == 0
     assert time.perf_counter() - start < 1.0
     capsys.readouterr()
+
+
+def test_site_cap_stops_site_on_the_full_filter_of_t3(t3_dir, capsys):
+    start = time.perf_counter()
+    assert main(["site", str(t3_dir / "T3.json"), "--filter", "all"]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert f"principal-site arrows: cap exceeded at {MAX_SITE_ARROWS + 1}" \
+        in capsys.readouterr().err
 
 
 def test_powder_on_discrete_t3_and_c32(t3_dir, tmp_path, capsys):

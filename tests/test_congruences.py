@@ -1,22 +1,27 @@
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topact.catalog import all_monoids, all_topologies, cyclic, truncated_addition
 from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, InvalidFilter,
-                                NotDirected, NotEquivariant, NotInFilter,
-                                NotStable, NotUpwardClosed, _sorted_members,
+                                NotDirected, NotEquivariant,
+                                NotStable, NotUpwardClosed, RightCongruence,
                                 congruence_from_class_map,
                                 diagonal, enumerate_congruences, enumerate_filters,
                                 filter_generated, full_filter, generated_congruence,
-                                hom_classes, inverse_image_congruence, is_two_sided,
+                                inverse_image_congruence, is_two_sided,
                                 join, leq, meet, open_congruences, total,
                                 validate_filter)
-from topact.errors import InternalCheckError
+from topact.errors import InternalCheckError, TopactError
 from topact.topology import discrete_topology, indiscrete_topology, is_open_in_product
+from topact.util import mask_of
 
-from conftest import transformation_closure, transformation_monoid, transformation_monoids
+from conftest import (NotInFilter, hom_classes, preorder_topologies, transformation_closure,
+                      transformation_monoid, transformation_monoids)
 
 
 def all_partitions(n):
@@ -317,6 +322,10 @@ def test_validate_filter_not_directed():
         validate_filter(klein, [ra, rb, total(klein)])
 
 
+def _sorted_members(members):
+    return tuple(sorted(set(members), key=lambda r: (r.num_classes, r.class_of)))
+
+
 def validate_filter_by_common_refinement(monoid, members):
     """Oracle: the filter axioms as first written, with directedness
     decided by searching the members for a common refinement."""
@@ -351,6 +360,23 @@ def _outcome(check, monoid, members):
         return type(exc), exc.args
 
 
+def _kind(outcome):
+    return outcome[0] if isinstance(outcome, tuple) else CongruenceFilter
+
+
+def sampled_member_sets(lattice, rng, count):
+    """Seeded member sets of a lattice: uniform subsets, the up-closures of
+    uniform subsets, and those up-closures with one lattice element
+    toggled."""
+    for _ in range(count):
+        picked = [r for r in lattice if rng.random() < 0.5]
+        yield picked
+        closed = [s for s in lattice if any(leq(r, s) for r in picked)]
+        yield closed
+        toggled = rng.choice(lattice)
+        yield [r for r in closed if r != toggled] + ([] if toggled in closed else [toggled])
+
+
 def test_validate_filter_matches_common_refinement_search():
     kinds = set()
     for monoid in all_monoids(1) + all_monoids(2) + all_monoids(3):
@@ -359,9 +385,94 @@ def test_validate_filter_matches_common_refinement_search():
             members = [r for r, on in zip(lattice, pick) if on]
             expected = _outcome(validate_filter_by_common_refinement, monoid, members)
             assert _outcome(validate_filter, monoid, members) == expected
-            kinds.add(expected[0] if isinstance(expected, tuple) else CongruenceFilter)
+            kinds.add(_kind(expected))
     assert kinds == {EmptyFilter, NotUpwardClosed, NotDirected, NotEquivariant,
                      CongruenceFilter}
+    kinds.clear()
+    rng = random.Random(10)
+    for monoid in all_monoids(4):
+        lattice = enumerate_congruences(monoid)
+        for members in sampled_member_sets(lattice, rng, 40):
+            expected = _outcome(validate_filter_by_common_refinement, monoid, members)
+            assert _outcome(validate_filter, monoid, members) == expected
+            kinds.add(_kind(expected))
+    assert kinds == {EmptyFilter, NotUpwardClosed, NotDirected, NotEquivariant,
+                     CongruenceFilter}
+
+
+@settings(max_examples=25, deadline=None)
+@given(transformation_monoids(points=4, orders=(5, 8)), st.data())
+def test_validate_filter_matches_common_refinement_search_on_transformation_monoids(
+        monoid, data):
+    # the oracle's directedness search is cubic in the members, so the
+    # lattices stay below about 80 members
+    lattice = enumerate_congruences(monoid)
+    topology = data.draw(preorder_topologies(monoid.order))
+    for members in (lattice, open_congruences(monoid, topology).members):
+        dropped = data.draw(st.sampled_from(members))
+        added = data.draw(st.sampled_from(lattice))
+        for case in (members, [r for r in members if r != dropped], members + (added,)):
+            assert _outcome(validate_filter, monoid, case) \
+                == _outcome(validate_filter_by_common_refinement, monoid, case)
+
+
+def test_validate_filter_rejects_members_outside_the_lattice(m_lz, m_rz):
+    unstable = RightCongruence(m_lz, (0, 0, 1))
+    unnormalized = RightCongruence(m_lz, (1, 0, 0))
+    foreign = RightCongruence(m_rz, (0, 1, 1))
+    assert foreign.class_of in enumerate_congruences(m_lz).position
+    for stranger in (unstable, unnormalized, foreign):
+        with pytest.raises(TopactError, match=re.escape(repr(stranger))) as caught:
+            validate_filter(m_lz, [stranger, total(m_lz)])
+        assert not isinstance(caught.value, InvalidFilter)
+
+
+def test_lattice_order_is_sorted_order_and_its_rows_match_leq():
+    monoids = [m for n in (1, 2, 3, 4) for m in all_monoids(n)]
+    monoids.append(full_transformation_monoid(3))
+    for monoid in monoids:
+        lattice = enumerate_congruences(monoid)
+        assert lattice == _sorted_members(lattice)
+        for i, r in enumerate(lattice):
+            assert lattice.position[r.class_of] == i
+            assert lattice.up(i) == mask_of(j for j, s in enumerate(lattice) if leq(r, s))
+
+
+def filter_generated_by_closure(monoid, gens):
+    """Oracle for filter_generated: close the generators under inverse
+    images and meets, then close upward in the lattice."""
+    core = set(gens)
+    if not core:
+        raise EmptyFilter("need at least one generator")
+    frontier = list(core)
+    while frontier:
+        fresh = []
+        candidates = []
+        for r in frontier:
+            for q in range(monoid.order):
+                candidates.append(inverse_image_congruence(monoid, q, r))
+            for s in list(core):
+                candidates.append(meet(r, s))
+        for c in candidates:
+            if c not in core:
+                core.add(c)
+                fresh.append(c)
+        frontier = fresh
+    members = [s for s in enumerate_congruences(monoid)
+               if any(leq(r, s) for r in core)]
+    return validate_filter(monoid, members)
+
+
+def test_filter_generated_matches_closure_through_order_three():
+    checked = 0
+    for monoid in all_monoids(1) + all_monoids(2) + all_monoids(3):
+        lattice = enumerate_congruences(monoid)
+        for k in (1, 2):
+            for gens in itertools.combinations(lattice, k):
+                assert filter_generated(monoid, gens) \
+                    == filter_generated_by_closure(monoid, gens)
+                checked += 1
+    assert checked > 50
 
 
 def test_filter_generated_examples(c4, m_lz):

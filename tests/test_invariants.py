@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (preorder_topologies, relabeled_monoid, transformation_monoid,
-                      transformation_monoids)
+from conftest import (hom_classes, preorder_topologies, relabeled_monoid,
+                      transformation_monoid, transformation_monoids)
 from topact import files
 from topact.catalog import (all_monoids, all_topologies, cyclic, left_zeros,
                             truncated_addition, two_idempotents)
 from topact.congruences import (enumerate_filters, filter_generated,
-                                full_filter, hom_classes, open_congruences, total)
+                                full_filter, open_congruences, total)
 from topact.errors import InternalCheckError
 from topact.invariants import (BadCategory, FiniteCategory, MonogenicHomFlags,
                                NoZeroElement, _generating_arrows, _site_arrows,

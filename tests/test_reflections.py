@@ -10,10 +10,11 @@ from topact.actions import (continuous_part, is_continuous_mset, necessary_clope
 from topact.catalog import all_monoids, all_topologies, cyclic
 from topact.congruences import (diagonal, enumerate_congruences, enumerate_filters,
                                 filter_generated, full_filter, generated_congruence,
-                                open_congruences, total)
+                                inverse_image_congruence, open_congruences, total)
 from topact.monoid import opposite
 from topact.reflections import (NotTopologicalMonoid, atom_image_congruence,
-                                congruence_hat_topology, continuous_subsets,
+                                congruence_hat_topology, congruence_set,
+                                continuous_subsets,
                                 induced_topology_from_filter, is_topological_filter,
                                 is_topological_monoid, least_open_congruence,
                                 left_action_topology, mult_continuous_core,
@@ -111,6 +112,7 @@ def test_reflections_match_their_oracles_on_transformation_monoids(monoid, data)
     assert_reflections_match_oracles(monoid, topology, closure_checks=False)
     r0 = least_open_congruence(monoid, topology)
     assert is_continuous_mset(quotient_mset(monoid, r0), topology)[0]
+    assert r0 == open_congruences(monoid, topology).least
 
 
 def test_atom_image_congruence_matches_the_powerset_orbit_congruence():
@@ -125,6 +127,18 @@ def test_atom_image_congruence_matches_the_powerset_orbit_congruence():
                         assert atom_image_congruence(monoid, r, p) == expected
                         checked += 1
     assert checked > 0
+
+
+def test_congruence_set_matches_inverse_images_through_order_four():
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            lattice = enumerate_congruences(monoid)
+            index = {r: i for i, r in enumerate(lattice)}
+            relations = congruence_set(monoid)
+            assert relations.carrier == tuple(r.label() for r in lattice)
+            assert relations.act == tuple(
+                tuple(index[inverse_image_congruence(monoid, q, r)] for q in range(order))
+                for r in lattice)
 
 
 def test_continuous_subsets_discrete_indiscrete(m_lz):
