@@ -136,7 +136,13 @@ def left_translations_continuous(monoid: FiniteMonoid, topology: Topology) -> bo
 
 
 def continuous_part(mset: MSet, topology: Topology) -> int:
-    """Bitmask of the largest continuous sub-M-set.
+    """Bitmask of the largest continuous sub-M-set."""
+    return continuous_points(mset.monoid, mset.act, topology)
+
+
+def continuous_points(monoid: FiniteMonoid, act: Sequence[Sequence[int]],
+                      topology: Topology) -> int:
+    """Bitmask of the largest continuous sub-M-set of the action table act.
 
     A point x is continuous when its orbit map m ↦ x·m is locally constant,
     i.e. all its necessary clopens are open: flags[x] =
@@ -145,9 +151,9 @@ def continuous_part(mset: MSet, topology: Topology) -> int:
     When the topology makes left translation continuous, the flag mask
     itself must agree; a mismatch is an engine bug.
     """
-    flags = [is_locally_constant(row, topology) for row in mset.act]
-    general = mask_of(x for x, row in enumerate(mset.act) if all(flags[y] for y in row))
-    if (left_translations_continuous(mset.monoid, topology)
+    flags = [is_locally_constant(row, topology) for row in act]
+    general = mask_of(x for x, row in enumerate(act) if all(flags[y] for y in row))
+    if (left_translations_continuous(monoid, topology)
             and mask_of(x for x, flag in enumerate(flags) if flag) != general):
         raise InternalCheckError(
             "simplified continuous-part formula disagrees with the general one")

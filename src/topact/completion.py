@@ -2,32 +2,27 @@
 and comparison homomorphism, completeness predicates, and homomorphism
 factorizations.
 
-The completion is computed twice on purpose: once as the limit of compatible
-class tuples over all filter members with componentwise projected
-multiplication, and once by projecting everything onto the least member.
-The two constructions must agree; a mismatch aborts, because the projected
-multiplication is the subtlest formula in the engine.
+The completion is the limit of the quotients M/r over the members r of the
+filter.  On a finite monoid the filter has a least member r0, which is
+two-sided, and the coordinate at r0 determines every other coordinate, so
+the limit is the monoid M/r0 with the discrete topology, and the
+comparison is the quotient map.  The limit of class tuples is kept in the
+tests as the oracle for this construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .congruences import (CongruenceFilter, RightCongruence, class_projection,
-                          congruence_from_class_map, inverse_image_congruence,
-                          leq, open_congruences)
+from .congruences import (CongruenceFilter, RightCongruence, congruence_from_class_map,
+                          least_open_congruence)
 from .errors import InternalCheckError, TopactError
 from .monoid import (FiniteMonoid, SemigroupHom, sub_monoid, unit_indices,
-                     validate_hom, validate_monoid)
-from .topology import (Topology, continuity_witness, generate_topology, separation_report,
-                       subspace_topology)
-from .reflections import continuous_subsets
+                     validate_hom)
+from .topology import (Topology, continuity_witness, discrete_topology,
+                       separation_report, subspace_topology)
+from .reflections import _quotient_monoid, continuous_subsets
 from .util import bits, mask_of
-
-
-class InternalMismatch(InternalCheckError):
-    """The tuple-limit and least-member constructions disagree."""
 
 
 class PullbackOutsideFilter(TopactError):
@@ -53,111 +48,24 @@ class ClosureNotMonoid(TopactError):
 
 @dataclass(frozen=True)
 class Completion:
-    """Completion monoid with tuple view: one class id per filter member for
-    each element, aligned with the filter's canonical member order."""
+    """Completion monoid, its topology and the comparison from the input;
+    element c of the completion is the class c of the filter's least member."""
 
     monoid: FiniteMonoid
     topology: Topology
     comparison: SemigroupHom
-    tuple_view: tuple[tuple[int, ...], ...]
     filter: CongruenceFilter
 
 
-def _limit_tuples(flt: CongruenceFilter) -> list[tuple[int, ...]]:
-    """All compatibility-respecting choices of one class per member."""
-    members = flt.members
-    constraints = []
-    for i, r in enumerate(members):
-        for j, s in enumerate(members):
-            if i != j and leq(r, s):
-                constraints.append((i, j, class_projection(r, s)))
-    tuples: list[tuple[int, ...]] = [()]
-    for k, r in enumerate(members):
-        grown = []
-        for partial in tuples:
-            for c in range(r.num_classes):
-                ok = True
-                for i, j, proj in constraints:
-                    if j == k and i < k and proj[partial[i]] != c:
-                        ok = False
-                        break
-                    if i == k and j < k and proj[c] != partial[j]:
-                        ok = False
-                        break
-                if ok:
-                    grown.append(partial + (c,))
-        tuples = grown
-    return tuples
-
-
-@lru_cache(maxsize=None)
 def complete(monoid: FiniteMonoid, flt: CongruenceFilter) -> Completion:
-    """Limit of the quotients over the filter, with projected multiplication,
-    prodiscrete topology, and the canonical dense comparison hom."""
-    members = flt.members
-    index_of = {r: i for i, r in enumerate(members)}
-    r0 = flt.least
-    k0 = index_of[r0]
-    reps = {i: members[i].representatives() for i in range(len(members))}
-
-    tuples = sorted(_limit_tuples(flt), key=lambda t: t[k0])
-    if sorted(t[k0] for t in tuples) != list(range(r0.num_classes)):
-        raise InternalMismatch(
-            "limit carrier does not biject with the least member's classes")
-    pos = {t: i for i, t in enumerate(tuples)}
-
-    def mul_tuple(ta: tuple[int, ...], tb: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for i, r in enumerate(members):
-            a = reps[i][ta[i]]
-            s = inverse_image_congruence(monoid, a, r)
-            js = index_of.get(s)
-            if js is None:
-                raise InternalMismatch("inverse image escaped the filter")
-            b = reps[js][tb[js]]
-            out.append(r.class_of[monoid.table[a][b]])
-        return tuple(out)
-
-    table = []
-    for ta in tuples:
-        row = []
-        for tb in tuples:
-            product = mul_tuple(ta, tb)
-            if product not in pos:
-                raise InternalMismatch("componentwise product left the limit")
-            row.append(pos[product])
-        table.append(tuple(row))
-
-    # independent construction: project everything onto the least member
-    reps0 = reps[k0]
-    for ca in range(r0.num_classes):
-        a = reps0[ca]
-        s = inverse_image_congruence(monoid, a, r0)
-        for cb in range(r0.num_classes):
-            b2 = next(m for m in range(monoid.order)
-                      if s.class_of[m] == s.class_of[reps0[cb]])
-            projected = r0.class_of[monoid.table[a][b2]]
-            if projected != table[ca][cb]:
-                raise InternalMismatch(
-                    f"projected multiplication disagrees at classes ({ca}, {cb})")
-
-    names = tuple(f"[{monoid.elements[reps0[t[k0]]]}]" for t in tuples)
-    u_tuple = {m: tuple(r.class_of[m] for r in members) for m in range(monoid.order)}
-    limit_monoid = validate_monoid(names, table, pos[u_tuple[monoid.identity]])
-
-    fibers = []
-    for i, r in enumerate(members):
-        for c in range(r.num_classes):
-            fibers.append(mask_of(j for j, t in enumerate(tuples) if t[i] == c))
-    rho = generate_topology(len(tuples), fibers)
-
-    u = validate_hom(monoid, limit_monoid,
-                     tuple(pos[u_tuple[m]] for m in range(monoid.order)))
-    if not u.preserves_identity:
-        raise InternalMismatch("comparison map must be a monoid homomorphism")
-    if not rho.is_dense(mask_of(u.map)):
-        raise InternalCheckError("comparison image is not dense")
-    return Completion(limit_monoid, rho, u, tuple(tuples), flt)
+    """Limit of the quotients over the filter, with its prodiscrete topology
+    and the canonical dense comparison hom: M/least, discrete, with the
+    quotient map.  An element of the limit picks one class of each member,
+    compatibly; since least refines every member, its class picks all the
+    others.  The product topology is spanned by the fibres of the
+    coordinates, and those of least are points."""
+    quotient, comparison = _quotient_monoid(monoid, flt.least)
+    return Completion(quotient, discrete_topology(quotient.order), comparison, flt)
 
 
 def is_complete(monoid: FiniteMonoid, topology: Topology) -> bool:
@@ -169,9 +77,9 @@ def is_complete(monoid: FiniteMonoid, topology: Topology) -> bool:
     and the action topology, hence the input topology, is discrete.  The
     coordinate of L at r0 is then all of M, and it determines every other
     coordinate, so the fibres of that projection are points and L is
-    discrete too: a bijective u is a homeomorphism."""
-    cpl = complete(monoid, open_congruences(monoid, topology))
-    return cpl.monoid.order == monoid.order == len(set(cpl.comparison.map))
+    discrete too: a bijective u is a homeomorphism.  u is the quotient map
+    by r0, so it is bijective exactly when r0 is the diagonal."""
+    return least_open_congruence(monoid, topology).num_classes == monoid.order
 
 
 @dataclass(frozen=True)
@@ -204,38 +112,25 @@ def pullback_congruence(phi: SemigroupHom, r: RightCongruence) -> RightCongruenc
 
 def extend_hom(phi: SemigroupHom, f_src: CongruenceFilter,
                f_tgt: CongruenceFilter) -> SemigroupHom:
-    """Extend a monoid hom to the completions, componentwise via pullbacks;
-    commutation with the comparison maps and continuity are verified."""
+    """Extend a monoid hom to the completions: the class [a] of the source's
+    least member goes to the class of phi(a) in the target's.  This is well
+    defined because every target member pulls back into the source filter,
+    so the target's least member pulls back above the source's; commutation
+    with the comparison maps is verified, and continuity is automatic, as
+    the source completion is discrete."""
     if not phi.preserves_identity:
         raise TopactError("extension requires a monoid homomorphism")
+    for r in f_tgt.members:
+        if pullback_congruence(phi, r) not in f_src:
+            raise PullbackOutsideFilter(r)
     src = complete(phi.source, f_src)
     tgt = complete(phi.target, f_tgt)
-    pulled = []
-    for r in f_tgt.members:
-        t = pullback_congruence(phi, r)
-        if t not in f_src:
-            raise PullbackOutsideFilter(r)
-        pulled.append(f_src.index(t))
-    src_members = f_src.members
-    tgt_pos = {t: i for i, t in enumerate(tgt.tuple_view)}
-    mapping = []
-    for alpha in src.tuple_view:
-        out = []
-        for j, r in enumerate(f_tgt.members):
-            t_idx = pulled[j]
-            a = src_members[t_idx].representatives()[alpha[t_idx]]
-            out.append(r.class_of[phi.map[a]])
-        target_tuple = tuple(out)
-        if target_tuple not in tgt_pos:
-            raise InternalCheckError("extended image escaped the target limit")
-        mapping.append(tgt_pos[target_tuple])
-    psi = validate_hom(src.monoid, tgt.monoid, mapping)
+    psi = validate_hom(src.monoid, tgt.monoid,
+                       tuple(tgt.comparison.map[phi.map[a]]
+                             for a in f_src.least.representatives()))
     for m in range(phi.source.order):
         if psi.map[src.comparison.map[m]] != tgt.comparison.map[phi.map[m]]:
             raise InternalCheckError("extension does not commute with comparisons")
-    from .topology import is_continuous
-    if not is_continuous(psi.map, src.topology, tgt.topology):
-        raise InternalCheckError("extension is not continuous")
     return psi
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid
-from .topology import Topology, is_locally_constant
+from .topology import Topology, connected_components
 from .util import bits, mask_of
 
 
@@ -156,7 +156,12 @@ def generated_congruence(monoid: FiniteMonoid,
     """Smallest right congruence containing the pairs: the equivalence
     closure, by union-find, of their right translates (a·m, b·m).  That
     relation is stable under right multiplication, and so is its
-    equivalence closure, whose chains translate link by link."""
+    equivalence closure, whose chains translate link by link.
+
+    The same holds after each pair: the union-find then holds the closure
+    of the translates of the pairs so far, a right congruence.  So when a
+    pair's ends are already related, so is each of its translates, and the
+    pair is skipped."""
     parent = list(range(monoid.order))
 
     def find(x: int) -> int:
@@ -166,6 +171,8 @@ def generated_congruence(monoid: FiniteMonoid,
         return x
 
     for a, b in pairs:
+        if find(a) == find(b):
+            continue
         for am, bm in zip(monoid.table[a], monoid.table[b]):
             ra, rb = find(am), find(bm)
             if ra != rb:
@@ -208,14 +215,6 @@ def leq(r1: RightCongruence, r2: RightCongruence) -> bool:
         if image.setdefault(c1, c2) != c2:
             return False
     return True
-
-
-def class_projection(fine: RightCongruence, coarse: RightCongruence) -> tuple[int, ...]:
-    """For fine ⊆ coarse, the induced map on class ids."""
-    out = [-1] * fine.num_classes
-    for m in range(len(fine.class_of)):
-        out[fine.class_of[m]] = coarse.class_of[m]
-    return tuple(out)
 
 
 def inverse_image_congruence(monoid: FiniteMonoid, q: int,
@@ -372,9 +371,6 @@ class CongruenceFilter:
     def __contains__(self, r: RightCongruence) -> bool:
         return r in self.members
 
-    def index(self, r: RightCongruence) -> int:
-        return self.members.index(r)
-
     def __repr__(self) -> str:
         return f"CongruenceFilter({len(self.members)} members, base {self.least.label()})"
 
@@ -419,6 +415,13 @@ def validate_filter(monoid: FiniteMonoid,
     return CongruenceFilter(monoid, mem, mem[-1:])
 
 
+def _up_set(monoid: FiniteMonoid, least: RightCongruence) -> CongruenceFilter:
+    """The filter of the congruences above a two-sided congruence."""
+    lattice = enumerate_congruences(monoid)
+    up = lattice.up(lattice.index_of(least))
+    return validate_filter(monoid, [lattice[j] for j in bits(up)])
+
+
 def filter_generated(monoid: FiniteMonoid,
                      gens: Iterable[RightCongruence]) -> CongruenceFilter:
     """Smallest equivariant filter containing the generators: the up-set of
@@ -429,13 +432,23 @@ def filter_generated(monoid: FiniteMonoid,
     if not gens:
         raise EmptyFilter("need at least one generator")
     images = [[g.class_of[t] for t in row] for g in gens for row in monoid.table]
-    lattice = enumerate_congruences(monoid)
-    least = lattice.index_of(RightCongruence(monoid, _canonical(zip(*images))))
-    return validate_filter(monoid, [lattice[j] for j in bits(lattice.up(least))])
+    return _up_set(monoid, RightCongruence(monoid, _canonical(zip(*images))))
 
 
 def full_filter(monoid: FiniteMonoid) -> CongruenceFilter:
     return validate_filter(monoid, enumerate_congruences(monoid))
+
+
+def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCongruence:
+    """r0: a right congruence r is open iff every q*(r) has open, hence
+    clopen, classes, i.e. iff r relates q·a and q·b whenever a and b lie in
+    one component; r0 is generated by those pairs, and is two-sided since
+    they are closed under left multiplication."""
+    pairs = set()
+    for comp in connected_components(topology):
+        for b in comp[1:]:
+            pairs.update((row[comp[0]], row[b]) for row in monoid.table)
+    return generated_congruence(monoid, pairs)
 
 
 def open_congruences(monoid: FiniteMonoid, topology: Topology) -> CongruenceFilter:
@@ -445,20 +458,15 @@ def open_congruences(monoid: FiniteMonoid, topology: Topology) -> CongruenceFilt
     An equivalence relation R is open in τ×τ exactly when each of its
     classes is τ-open.  If R is open, (a, a) ∈ R gives nb(a)×nb(a) ⊆ R, so
     nb(a) ⊆ [a]; conversely, open classes give nb(a)×nb(b) ⊆ [a]×[a] ⊆ R
-    for every (a, b) ∈ R.  So r is a member when m ↦ r.class_of[q·m] is
-    locally constant for every q, i.e. when M/r is a continuous action.
+    for every (a, b) ∈ R.  So r is a member when every q*(r) has open
+    classes, which is when r contains r0 (see least_open_congruence): the
+    filter is the up-set of the two-sided r0.
 
     Openness of r alone is weaker (a right-zero monoid with a suitable
     topology separates the two) and does not yield an equivariant filter;
     the translate-closed form always does, and validation re-checks it.
     """
-    table = monoid.table
-    members = []
-    for r in enumerate_congruences(monoid):
-        cls = r.class_of
-        if all(is_locally_constant([cls[t] for t in row], topology) for row in table):
-            members.append(r)
-    return validate_filter(monoid, members)
+    return _up_set(monoid, least_open_congruence(monoid, topology))
 
 
 def enumerate_filters(monoid: FiniteMonoid) -> tuple[CongruenceFilter, ...]:

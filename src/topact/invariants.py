@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -527,33 +526,6 @@ def _full_functor_check(c1: FiniteCategory, c2: FiniteCategory,
             if h >= 0 and c2.compose_table[assignment[f]][assignment[g]] != assignment[h]:
                 return False
     return True
-
-
-def relabeled_category(cat: FiniteCategory, rng: random.Random) -> FiniteCategory:
-    """Shuffle object and arrow indexing; the fingerprint must not move."""
-    k = len(cat.objects)
-    obj_perm = list(range(k))
-    rng.shuffle(obj_perm)
-    arrow_perm = list(range(cat.arrow_count))
-    rng.shuffle(arrow_perm)
-    inv = [0] * cat.arrow_count
-    for new, old in enumerate(arrow_perm):
-        inv[old] = new
-    table = [[-1] * cat.arrow_count for _ in range(cat.arrow_count)]
-    for f in range(cat.arrow_count):
-        for g in range(cat.arrow_count):
-            h = cat.compose_table[f][g]
-            table[inv[f]][inv[g]] = inv[h] if h >= 0 else -1
-    return FiniteCategory(
-        objects=tuple(cat.objects[obj_perm.index(i)] for i in range(k)),
-        arrow_names=tuple(cat.arrow_names[arrow_perm[i]] for i in range(cat.arrow_count)),
-        arrow_src=tuple(obj_perm[cat.arrow_src[arrow_perm[i]]] for i in range(cat.arrow_count)),
-        arrow_tgt=tuple(obj_perm[cat.arrow_tgt[arrow_perm[i]]] for i in range(cat.arrow_count)),
-        compose_table=tuple(tuple(row) for row in table),
-        identities=tuple(inv[cat.identities[obj_perm.index(i)]] for i in range(k)),
-        epis=frozenset(inv[f] for f in cat.epis),
-        monos=frozenset(inv[f] for f in cat.monos),
-    )
 
 
 def joint_covering(cat: FiniteCategory) -> bool:

@@ -21,15 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import (MSet, continuous_part, is_continuous_mset, orbit_congruence,
+from .actions import (MSet, continuous_points, is_continuous_mset, orbit_congruence,
                       power_of_m, quotient_mset)
 from .congruences import (CongruenceFilter, RightCongruence, congruence_from_class_map,
-                          enumerate_congruences, generated_congruence,
-                          is_two_sided)
+                          enumerate_congruences, is_two_sided, least_open_congruence)
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, opposite, validate_hom, validate_monoid
-from .topology import (Topology, connected_components, discrete_topology,
-                       generate_topology, separation_report)
+from .topology import Topology, discrete_topology, generate_topology, separation_report
 from .util import bits, mask_of
 
 
@@ -90,18 +88,6 @@ def _report(partition: RightCongruence, topology: Topology) -> ActionTopologyRep
     tau_tilde = Topology(topology.carrier_size,
                          tuple(masks[c] for c in partition.class_of))
     return ActionTopologyReport(partition, tau_tilde, tau_tilde == topology)
-
-
-def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCongruence:
-    """r0: a right congruence r is open iff every q*(r) has open, hence
-    clopen, classes, i.e. iff r relates q·a and q·b whenever a and b lie in
-    one component; r0 is generated by those pairs, and is two-sided since
-    they are closed under left multiplication."""
-    pairs = set()
-    for comp in connected_components(topology):
-        for b in comp[1:]:
-            pairs.update((row[comp[0]], row[b]) for row in monoid.table)
-    return generated_congruence(monoid, pairs)
 
 
 def continuous_subsets(monoid: FiniteMonoid, topology: Topology
@@ -311,14 +297,13 @@ def congruence_set(monoid: FiniteMonoid) -> MSet:
 
 def congruence_hat_topology(monoid: FiniteMonoid, topology: Topology) -> Topology:
     """Counterexample support, not a reflection: span a topology by the
-    classes of the continuous congruences.  Its category of continuous
-    actions can differ from the input's."""
+    classes of the continuous congruences, the continuous points of
+    congruence_set read from the lattice's translate rows.  Its category of
+    continuous actions can differ from the input's."""
     lattice = enumerate_congruences(monoid)
-    relations = congruence_set(monoid)
-    mask = continuous_part(relations, topology)
+    act = tuple(map(lattice.translates, range(len(lattice))))
     base = []
-    for i in bits(mask):
-        r = lattice[i]
-        for cls in r.classes():
+    for i in bits(continuous_points(monoid, act, topology)):
+        for cls in lattice[i].classes():
             base.append(mask_of(cls))
     return generate_topology(monoid.order, base)

@@ -125,7 +125,7 @@ def _topology_cell(summary: SuiteSummary, monoid: FiniteMonoid,
 
 def _filter_cell(summary: SuiteSummary, monoid: FiniteMonoid, flt) -> None:
     ctx = _context(monoid, f"filter@{flt.least.label()}")
-    cpl = complete(monoid, flt)  # raises InternalMismatch if constructions differ
+    cpl = complete(monoid, flt)
     summary.check("completion-comparison-is-monoid-hom",
                   cpl.comparison.preserves_identity, ctx)
     image = mask_of(cpl.comparison.map)

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
                             right_zeros, truncated_addition, trivial_monoid,
                             two_idempotents)
-from topact.congruences import inverse_image_congruence, leq
+from topact.completion import Completion
+from topact.congruences import (enumerate_congruences, inverse_image_congruence, leq,
+                                validate_filter)
 from topact.errors import TopactError
-from topact.monoid import validate_monoid
-from topact.topology import Topology
+from topact.monoid import validate_hom, validate_monoid
+from topact.topology import Topology, generate_topology, is_locally_constant
+from topact.util import mask_of
 
 
 @pytest.fixture
@@ -66,6 +69,96 @@ def hom_classes(flt, r1, r2):
         if leq(r1, inverse_image_congruence(flt.monoid, m, r2)):
             out.append(m)
     return tuple(out)
+
+
+def class_projection(fine, coarse):
+    """For fine ⊆ coarse, the induced map on class ids."""
+    out = [-1] * fine.num_classes
+    for m in range(len(fine.class_of)):
+        out[fine.class_of[m]] = coarse.class_of[m]
+    return tuple(out)
+
+
+def limit_tuples(flt):
+    """All compatibility-respecting choices of one class per member."""
+    members = flt.members
+    constraints = []
+    for i, r in enumerate(members):
+        for j, s in enumerate(members):
+            if i != j and leq(r, s):
+                constraints.append((i, j, class_projection(r, s)))
+    tuples = [()]
+    for k, r in enumerate(members):
+        grown = []
+        for partial in tuples:
+            for c in range(r.num_classes):
+                ok = True
+                for i, j, proj in constraints:
+                    if j == k and i < k and proj[partial[i]] != c:
+                        ok = False
+                        break
+                    if i == k and j < k and proj[c] != partial[j]:
+                        ok = False
+                        break
+                if ok:
+                    grown.append(partial + (c,))
+        tuples = grown
+    return tuples
+
+
+def tuple_limit_completion(monoid, flt):
+    """Oracle for complete: the limit of the quotients M/r over the members r
+    of the filter, carried by the compatible class tuples.  The product
+    (ta·tb) has coordinate [a·b] at r, for a in the class ta[r] and b in the
+    class tb[s] at s = a*(r), which equivariance keeps in the filter.  The
+    tuples are ordered by their coordinate at the least member, each named
+    after that class's least element, and the topology is spanned by the
+    fibres of all coordinates.  Returns the completion and its tuples."""
+    members = flt.members
+    index_of = {r: i for i, r in enumerate(members)}
+    k0 = index_of[flt.least]
+    reps = [r.representatives() for r in members]
+    tuples = sorted(limit_tuples(flt), key=lambda t: t[k0])
+    assert [t[k0] for t in tuples] == list(range(flt.least.num_classes))
+    pos = {t: i for i, t in enumerate(tuples)}
+
+    def mul_tuple(ta, tb):
+        out = []
+        for i, r in enumerate(members):
+            a = reps[i][ta[i]]
+            js = index_of[inverse_image_congruence(monoid, a, r)]
+            b = reps[js][tb[js]]
+            out.append(r.class_of[monoid.table[a][b]])
+        return pos[tuple(out)]
+
+    table = [[mul_tuple(ta, tb) for tb in tuples] for ta in tuples]
+    names = [f"[{monoid.elements[reps[k0][t[k0]]]}]" for t in tuples]
+    coords = [pos[tuple(r.class_of[m] for r in members)] for m in range(monoid.order)]
+    limit = validate_monoid(names, table, coords[monoid.identity])
+    fibres = [mask_of(j for j, t in enumerate(tuples) if t[i] == c)
+              for i, r in enumerate(members) for c in range(r.num_classes)]
+    rho = generate_topology(len(tuples), fibres)
+    return Completion(limit, rho, validate_hom(monoid, limit, coords), flt), tuples
+
+
+def assert_completion_matches_oracle(completion, monoid, flt):
+    """complete(monoid, flt) equals the tuple limit field by field."""
+    expected, _ = tuple_limit_completion(monoid, flt)
+    assert completion.monoid.elements == expected.monoid.elements
+    assert completion.monoid.table == expected.monoid.table
+    assert completion.monoid.identity == expected.monoid.identity
+    assert completion.comparison.map == expected.comparison.map
+    assert completion.topology == expected.topology
+    assert completion == expected
+
+
+def open_congruences_by_scan(monoid, topology):
+    """Oracle for open_congruences: the lattice members r for which
+    m ↦ r.class_of[q·m] is locally constant for every q."""
+    members = [r for r in enumerate_congruences(monoid)
+               if all(is_locally_constant([r.class_of[t] for t in row], topology)
+                      for row in monoid.table)]
+    return validate_filter(monoid, members)
 
 
 def transformation_closure(maps, points, limit):

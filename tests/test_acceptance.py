@@ -6,6 +6,7 @@ independent oracles computed in-line or frozen from exhaustive scans.
 
 import math
 
+from conftest import assert_completion_matches_oracle
 from topact.actions import (MSet, enumerate_mset_homs, exponential_mset,
                             is_continuous_mset, mset_product, msets_isomorphic,
                             quotient_mset, terminal_mset)
@@ -95,7 +96,8 @@ def test_criterion_4_completion_suite():
     for monoid in SMALL:
         for flt in enumerate_filters(monoid):
             filters += 1
-            cpl = complete(monoid, flt)  # limit vs projection cross-checked inside
+            cpl = complete(monoid, flt)
+            assert_completion_matches_oracle(cpl, monoid, flt)
             u = cpl.comparison
             assert u.preserves_identity
             image = mask_of(u.map)

@@ -298,6 +298,16 @@ def test_reflections_of_t3_answer_within_a_second(t3_dir, capsys, command):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["complete", "{}/T3.json", "--filter", "all"],
+                                  ["complete", "{}/T3.json", "--filter", "open@{}/disc.json"],
+                                  ["check", "complete", "{}/T3.json", "{}/disc.json"]])
+def test_completion_of_t3_answers_within_five_seconds(t3_dir, capsys, argv):
+    start = time.perf_counter()
+    assert main([a.format(t3_dir) for a in argv]) == 0
+    assert time.perf_counter() - start < 5.0
+    capsys.readouterr()
+
+
 def test_site_cap_stops_site_on_the_full_filter_of_t3(t3_dir, capsys):
     start = time.perf_counter()
     assert main(["site", str(t3_dir / "T3.json"), "--filter", "all"]) == 2

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
 
+from conftest import (assert_completion_matches_oracle, class_projection,
+                      transformation_monoids, tuple_limit_completion)
 from topact.catalog import all_monoids, all_monoid_homs, all_topologies, cyclic
 from topact.completion import (ClosureNotMonoid, NotContinuous, NotPowderInput,
-                               closedness_report, complete,
+                               PullbackOutsideFilter, closedness_report, complete,
                                dense_closed_factorization, extend_hom, is_complete,
                                prodiscrete_criteria, pullback_congruence)
 from topact.congruences import (diagonal, enumerate_congruences, enumerate_filters,
@@ -38,16 +41,43 @@ def test_completion_left_zero(m_lz, b2):
 
 
 def test_tuple_view_components_are_compatible():
-    from topact.congruences import class_projection, leq
+    # the oracle's tuples are compatible, and element c of the completion is
+    # the tuple of the classes of the least member's class c
+    from topact.congruences import leq
     for monoid in all_monoids(3):
         for flt in enumerate_filters(monoid):
             cpl = complete(monoid, flt)
+            _, tuples = tuple_limit_completion(monoid, flt)
             members = flt.members
-            for t in cpl.tuple_view:
+            for t in tuples:
                 for i, r in enumerate(members):
                     for j, s in enumerate(members):
                         if i != j and leq(r, s):
                             assert class_projection(r, s)[t[i]] == t[j]
+            reps = flt.least.representatives()
+            assert tuples == [tuple(r.class_of[a] for r in members) for a in reps]
+            assert cpl.comparison.map == flt.least.class_of
+
+
+def test_complete_matches_the_tuple_limit_through_order_four():
+    filters = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for flt in enumerate_filters(monoid):
+                assert_completion_matches_oracle(complete(monoid, flt), monoid, flt)
+                filters += 1
+    assert filters == 217
+
+
+@settings(max_examples=30, deadline=None)
+@given(transformation_monoids(orders=(5, 12)))
+def test_complete_matches_the_tuple_limit_on_transformation_monoids(monoid):
+    compared = 0
+    for flt in enumerate_filters(monoid):
+        if len(flt.members) <= 12:
+            assert_completion_matches_oracle(complete(monoid, flt), monoid, flt)
+            compared += 1
+    assert compared > 0
 
 
 def test_is_complete(m_lz, c4, tau_a):
@@ -90,6 +120,16 @@ def test_extend_hom_reduction(c4, c2):
     tgt = complete(c2, full_filter(c2))
     for m in range(4):
         assert psi.map[src.comparison.map[m]] == tgt.comparison.map[m % 2]
+
+
+def test_extend_hom_needs_pullbacks_inside_the_source_filter(c4, c2):
+    reduction = validate_hom(c4, c2, [k % 2 for k in range(4)])
+    with pytest.raises(PullbackOutsideFilter) as info:
+        extend_hom(reduction, filter_generated(c4, [total(c4)]), full_filter(c2))
+    assert info.value.congruence == diagonal(c2)
+    assert str(info.value) == "pullback of RightCongruence(0|1) is not in the source filter"
+    mod2 = filter_generated(c4, [generated_congruence(c4, [(0, 2)])])
+    assert extend_hom(reduction, mod2, full_filter(c2)).map == (0, 1)
 
 
 def test_extend_comparison_map_is_completion_isomorphism(m_lz, tau_a):

@@ -14,10 +14,11 @@ from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, Inva
                                 diagonal, enumerate_congruences, enumerate_filters,
                                 filter_generated, full_filter, generated_congruence,
                                 inverse_image_congruence, is_two_sided,
-                                join, leq, meet, open_congruences, total,
-                                validate_filter)
+                                join, least_open_congruence, leq, meet,
+                                open_congruences, total, validate_filter)
 from topact.errors import InternalCheckError, TopactError
-from topact.topology import discrete_topology, indiscrete_topology, is_open_in_product
+from topact.topology import (connected_components, discrete_topology, indiscrete_topology,
+                             is_open_in_product)
 from topact.util import mask_of
 
 from conftest import (NotInFilter, hom_classes, preorder_topologies, transformation_closure,
@@ -157,6 +158,22 @@ def test_generated_congruence_matches_queue_closure_through_order_three():
             for chosen in itertools.combinations(pairs, k):
                 assert generated_congruence(monoid, chosen) \
                     == generated_by_queue(monoid, chosen)
+
+
+def test_generated_congruence_matches_queue_closure_on_r0_pairs_through_order_four():
+    # r0's pairs, the left translates of pairs within a component, often
+    # relate ends that earlier pairs already relate
+    cells = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for topology in all_topologies(order):
+                pairs = [(row[comp[0]], row[b]) for comp in connected_components(topology)
+                         for b in comp[1:] for row in monoid.table]
+                expected = generated_by_queue(monoid, pairs)
+                assert generated_congruence(monoid, pairs) == expected
+                assert least_open_congruence(monoid, topology) == expected
+                cells += 1
+    assert cells == 12637
 
 
 def test_lattice_matches_pairwise_join_closure_through_order_four():

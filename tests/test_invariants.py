@@ -23,11 +23,37 @@ from topact.invariants import (BadCategory, FiniteCategory, MonogenicHomFlags,
                                monogenic_homs_bruteforce, monogenic_orbit,
                                monoids_isomorphic, morita_equivalent,
                                morita_fingerprint, principal_site,
-                               relabeled_category, strict_joint_covering,
-                               zero_fixed_point_check)
+                               strict_joint_covering, zero_fixed_point_check)
 from topact.monoid import opposite, validate_hom, validate_monoid
 from topact.reflections import powder_reflection
 from topact.topology import discrete_topology
+
+
+def relabeled_category(cat, rng):
+    """Shuffle object and arrow indexing; the fingerprint must not move."""
+    k = len(cat.objects)
+    obj_perm = list(range(k))
+    rng.shuffle(obj_perm)
+    arrow_perm = list(range(cat.arrow_count))
+    rng.shuffle(arrow_perm)
+    inv = [0] * cat.arrow_count
+    for new, old in enumerate(arrow_perm):
+        inv[old] = new
+    table = [[-1] * cat.arrow_count for _ in range(cat.arrow_count)]
+    for f in range(cat.arrow_count):
+        for g in range(cat.arrow_count):
+            h = cat.compose_table[f][g]
+            table[inv[f]][inv[g]] = inv[h] if h >= 0 else -1
+    return FiniteCategory(
+        objects=tuple(cat.objects[obj_perm.index(i)] for i in range(k)),
+        arrow_names=tuple(cat.arrow_names[arrow_perm[i]] for i in range(cat.arrow_count)),
+        arrow_src=tuple(obj_perm[cat.arrow_src[arrow_perm[i]]] for i in range(cat.arrow_count)),
+        arrow_tgt=tuple(obj_perm[cat.arrow_tgt[arrow_perm[i]]] for i in range(cat.arrow_count)),
+        compose_table=tuple(tuple(row) for row in table),
+        identities=tuple(inv[cat.identities[obj_perm.index(i)]] for i in range(k)),
+        epis=frozenset(inv[f] for f in cat.epis),
+        monos=frozenset(inv[f] for f in cat.monos),
+    )
 
 
 def terminal_category():
