@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .congruences import RightCongruence, _canonical, _check_right_stable
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import BadShape, FiniteMonoid
-from .topology import Topology, is_continuous, is_locally_constant
+from .topology import Topology, is_locally_constant
 from .util import bits, mask_of, render_subset
 
 
@@ -130,18 +130,12 @@ def is_continuous_mset(mset: MSet, topology: Topology
     return True, None
 
 
-def left_translations_continuous(monoid: FiniteMonoid, topology: Topology) -> bool:
-    return all(is_continuous(monoid.table[q], topology, topology)
-               for q in range(monoid.order))
-
-
 def continuous_part(mset: MSet, topology: Topology) -> int:
     """Bitmask of the largest continuous sub-M-set."""
-    return continuous_points(mset.monoid, mset.act, topology)
+    return continuous_points(mset.act, topology)
 
 
-def continuous_points(monoid: FiniteMonoid, act: Sequence[Sequence[int]],
-                      topology: Topology) -> int:
+def continuous_points(act: Sequence[Sequence[int]], topology: Topology) -> int:
     """Bitmask of the largest continuous sub-M-set of the action table act.
 
     A point x is continuous when its orbit map m ↦ x·m is locally constant,
@@ -149,15 +143,10 @@ def continuous_points(monoid: FiniteMonoid, act: Sequence[Sequence[int]],
     is_locally_constant(act[x], τ).  The continuous part keeps the points
     all of whose translates are flagged: x with flags[x·q] for every q.
     When the topology makes left translation continuous, the flag mask
-    itself must agree; a mismatch is an engine bug.
+    alone is the continuous part; the tests compare the two formulas.
     """
     flags = [is_locally_constant(row, topology) for row in act]
-    general = mask_of(x for x, row in enumerate(act) if all(flags[y] for y in row))
-    if (left_translations_continuous(monoid, topology)
-            and mask_of(x for x, flag in enumerate(flags) if flag) != general):
-        raise InternalCheckError(
-            "simplified continuous-part formula disagrees with the general one")
-    return general
+    return mask_of(x for x, row in enumerate(act) if all(flags[y] for y in row))
 
 
 def restrict_mset(mset: MSet, mask: int) -> MSet:
@@ -249,12 +238,6 @@ def quotient_mset(monoid: FiniteMonoid, r: RightCongruence) -> MSet:
     act = tuple(tuple(r.class_of[monoid.table[reps[c]][m]]
                       for m in range(monoid.order))
                 for c in range(r.num_classes))
-    for c, rep in enumerate(reps):
-        for other in range(monoid.order):
-            if r.class_of[other] == c:
-                for m in range(monoid.order):
-                    if r.class_of[monoid.table[other][m]] != act[c][m]:
-                        raise InternalCheckError("quotient action not well defined")
     return MSet(monoid, names, act)
 
 

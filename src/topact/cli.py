@@ -280,7 +280,7 @@ def cmd_complete(args) -> int:
                  "u": files.hom_to_obj(cpl.comparison, f"{name}.json",
                                        f"{name}_completion.json"),
                  "filter_base": [[list(map(monoid.elements.__getitem__, cls))
-                                  for cls in r.classes()] for r in flt.base],
+                                  for cls in flt.least.classes()]],
                  "criteria": {"discrete": crit.discrete,
                               "prodiscrete": crit.prodiscrete,
                               "group": crit.group}}, lines)

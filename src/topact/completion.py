@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 from .congruences import (CongruenceFilter, RightCongruence, congruence_from_class_map,
                           least_open_congruence)
-from .errors import InternalCheckError, TopactError
-from .monoid import (FiniteMonoid, SemigroupHom, sub_monoid, unit_indices,
-                     validate_hom)
-from .topology import (Topology, continuity_witness, discrete_topology,
-                       separation_report, subspace_topology)
+from .errors import TopactError
+from .monoid import FiniteMonoid, SemigroupHom, sub_monoid, unit_indices
+from .topology import Topology, continuity_witness, discrete_topology, separation_report
 from .reflections import _quotient_monoid, continuous_subsets
 from .util import bits, mask_of
 
@@ -87,20 +85,17 @@ class ProdiscreteCriteria:
     discrete: bool
     prodiscrete: bool
     group: bool
-    base: tuple[RightCongruence, ...]
 
 
 def prodiscrete_criteria(monoid: FiniteMonoid, flt: CongruenceFilter
                          ) -> ProdiscreteCriteria:
-    """Discreteness always holds at finite scale (the base is finite);
-    prodiscreteness is verified, not assumed, by checking the base
-    two-sided; the group flag checks the base quotient."""
+    """Discreteness always holds at finite scale (the base is the single
+    least member); prodiscreteness is verified, not assumed, by checking
+    the least member two-sided; the group flag checks its quotient."""
     from .congruences import is_two_sided
     cpl = complete(monoid, flt)
-    discrete = cpl.topology.is_discrete() and len(flt.base) == 1
-    prodiscrete = all(is_two_sided(r) for r in flt.base)
     group = len(unit_indices(cpl.monoid)) == cpl.monoid.order
-    return ProdiscreteCriteria(discrete, prodiscrete, group, flt.base)
+    return ProdiscreteCriteria(cpl.topology.is_discrete(), is_two_sided(flt.least), group)
 
 
 def pullback_congruence(phi: SemigroupHom, r: RightCongruence) -> RightCongruence:
@@ -115,8 +110,9 @@ def extend_hom(phi: SemigroupHom, f_src: CongruenceFilter,
     """Extend a monoid hom to the completions: the class [a] of the source's
     least member goes to the class of phi(a) in the target's.  This is well
     defined because every target member pulls back into the source filter,
-    so the target's least member pulls back above the source's; commutation
-    with the comparison maps is verified, and continuity is automatic, as
+    so the target's least member pulls back above the source's.  It is a
+    monoid hom, since phi is one and both comparison maps are quotient maps,
+    and it commutes with them by construction.  Continuity is automatic, as
     the source completion is discrete."""
     if not phi.preserves_identity:
         raise TopactError("extension requires a monoid homomorphism")
@@ -125,13 +121,9 @@ def extend_hom(phi: SemigroupHom, f_src: CongruenceFilter,
             raise PullbackOutsideFilter(r)
     src = complete(phi.source, f_src)
     tgt = complete(phi.target, f_tgt)
-    psi = validate_hom(src.monoid, tgt.monoid,
-                       tuple(tgt.comparison.map[phi.map[a]]
-                             for a in f_src.least.representatives()))
-    for m in range(phi.source.order):
-        if psi.map[src.comparison.map[m]] != tgt.comparison.map[phi.map[m]]:
-            raise InternalCheckError("extension does not commute with comparisons")
-    return psi
+    return SemigroupHom(src.monoid, tgt.monoid,
+                        tuple(tgt.comparison.map[phi.map[a]]
+                              for a in f_src.least.representatives()), True)
 
 
 def dense_closed_factorization(phi: SemigroupHom, tau_src: Topology,
@@ -139,7 +131,9 @@ def dense_closed_factorization(phi: SemigroupHom, tau_src: Topology,
                                ) -> tuple[SemigroupHom, SemigroupHom]:
     """Factor a continuous semigroup hom through the closure of its image in
     the target's action topology: a dense corestriction followed by a closed
-    inclusion."""
+    inclusion.  Multiplication is continuous for the action topology, so the
+    closure of the image, a subsemigroup, is again one, and the image is
+    dense in its own closure."""
     tgt_tilde = continuous_subsets(phi.target, tau_tgt).topology
     witness = continuity_witness(phi.map, tau_src, tgt_tilde)
     if witness is not None:
@@ -149,10 +143,6 @@ def dense_closed_factorization(phi: SemigroupHom, tau_src: Topology,
     members = list(bits(closure))
     pos = {m: i for i, m in enumerate(members)}
     tgt = phi.target
-    for a in members:
-        for b in members:
-            if tgt.table[a][b] not in pos:
-                raise InternalCheckError("closure of the image is not a subsemigroup")
     ident = None
     for z in members:
         if all(tgt.table[z][c] == c and tgt.table[c][z] == c for c in members):
@@ -162,10 +152,9 @@ def dense_closed_factorization(phi: SemigroupHom, tau_src: Topology,
         raise ClosureNotMonoid(
             "image closure has no neutral element; target is not powder here")
     mid = sub_monoid(tgt, members, ident)
-    first = validate_hom(phi.source, mid, tuple(pos[v] for v in phi.map))
+    first = SemigroupHom(phi.source, mid, tuple(pos[v] for v in phi.map),
+                         phi.map[phi.source.identity] == ident)
     second = SemigroupHom(mid, tgt, tuple(members), ident == tgt.identity)
-    if not subspace_topology(tgt_tilde, closure).is_dense(mask_of(first.map)):
-        raise InternalCheckError("first factor is not dense in the closure")
     return first, second
 
 

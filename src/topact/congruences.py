@@ -3,10 +3,12 @@ filters of congruences.
 
 A right congruence is stored as its class map, canonicalized so class ids
 appear in order of least member.  The lattice is generated as the join
-closure of the principal congruences and indexes its members; a filter is a
-bitset over it, validated against the four axioms (non-empty, upward
-closed, downward directed, closed under the inverse-image action), and
-always carries a least element on finite monoids.
+closure of the principal congruences and indexes its members.  A filter
+always carries a least element on finite monoids.  The filters built here
+are up-sets of two-sided congruences, which satisfy the four axioms
+(non-empty, upward closed, downward directed, closed under the
+inverse-image action) by construction; validate_filter checks a list of
+members against them, as a bitset over the lattice.
 """
 
 from __future__ import annotations
@@ -355,18 +357,12 @@ def _least_members(class_of: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CongruenceFilter:
-    """An equivariant filter of right congruences, with its computed base.
-
-    On a finite monoid the base is the single least member.
-    """
+    """An equivariant filter of right congruences, its members in lattice
+    order, and its least member, which on a finite monoid is its base."""
 
     monoid: FiniteMonoid
     members: tuple[RightCongruence, ...]
-    base: tuple[RightCongruence, ...]
-
-    @property
-    def least(self) -> RightCongruence:
-        return self.base[0]
+    least: RightCongruence
 
     def __contains__(self, r: RightCongruence) -> bool:
         return r in self.members
@@ -412,14 +408,17 @@ def validate_filter(monoid: FiniteMonoid,
             for q, t in enumerate(lattice.translates(i)):
                 if not flt >> t & 1:
                     raise NotEquivariant(q, lattice[i])
-    return CongruenceFilter(monoid, mem, mem[-1:])
+    return CongruenceFilter(monoid, mem, mem[-1])
 
 
 def _up_set(monoid: FiniteMonoid, least: RightCongruence) -> CongruenceFilter:
-    """The filter of the congruences above a two-sided congruence."""
+    """The filter of the congruences above a two-sided congruence, in
+    lattice order: upward closed and directed, with least member least,
+    and equivariant, since q*(s) ⊇ q*(least) ⊇ least for every member s."""
     lattice = enumerate_congruences(monoid)
-    up = lattice.up(lattice.index_of(least))
-    return validate_filter(monoid, [lattice[j] for j in bits(up)])
+    i = lattice.index_of(least)
+    return CongruenceFilter(monoid, tuple(map(lattice.__getitem__, bits(lattice.up(i)))),
+                            lattice[i])
 
 
 def filter_generated(monoid: FiniteMonoid,
@@ -436,7 +435,10 @@ def filter_generated(monoid: FiniteMonoid,
 
 
 def full_filter(monoid: FiniteMonoid) -> CongruenceFilter:
-    return validate_filter(monoid, enumerate_congruences(monoid))
+    """Every right congruence; the diagonal, with the most classes, is the
+    least and comes last."""
+    lattice = enumerate_congruences(monoid)
+    return CongruenceFilter(monoid, tuple(lattice), lattice[-1])
 
 
 def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCongruence:
@@ -464,7 +466,7 @@ def open_congruences(monoid: FiniteMonoid, topology: Topology) -> CongruenceFilt
 
     Openness of r alone is weaker (a right-zero monoid with a suitable
     topology separates the two) and does not yield an equivariant filter;
-    the translate-closed form always does, and validation re-checks it.
+    the translate-closed form always does.
     """
     return _up_set(monoid, least_open_congruence(monoid, topology))
 

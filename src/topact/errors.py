@@ -11,10 +11,14 @@ class TopactError(Exception):
 
 
 class InternalCheckError(TopactError):
-    """A cross-check that must always hold failed.
+    """A fact the engine relies on was found false.
 
-    Either the engine has a bug or an invalid object slipped past
-    validation; never catch this to continue.
+    It is raised where a function's answer is itself such a check, where a
+    lookup that must succeed fails, and at the end of a validator's failure
+    path.  Every construction runs once per call: the facts its docstring
+    proves are asserted by the tests, not re-checked here.  Either the
+    engine has a bug or an invalid object slipped past validation; never
+    catch this to continue.
     """
 
 

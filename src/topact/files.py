@@ -256,8 +256,7 @@ def filter_to_obj(flt: CongruenceFilter, monoid_ref: str) -> dict:
     names = flt.monoid.elements
     return {
         "monoid": monoid_ref,
-        "generators": [[[names[m] for m in cls] for cls in r.classes()]
-                       for r in flt.base],
+        "generators": [[[names[m] for m in cls] for cls in flt.least.classes()]],
     }
 
 

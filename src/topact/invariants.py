@@ -233,7 +233,7 @@ def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategor
             monos.add(f)
     names = monoid.elements
     reps = [r.representatives() for r in members]
-    cat = FiniteCategory(
+    return FiniteCategory(
         objects=tuple(r.label() for r in members),
         arrow_names=tuple(f"[{names[reps[j][c]]}]" for (_, j, c, _) in arrows),
         arrow_src=tuple(a[0] for a in arrows),
@@ -244,7 +244,6 @@ def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategor
         epis=frozenset(epis),
         monos=frozenset(monos),
     )
-    return validate_category(cat)
 
 
 def _site_arrows(monoid: FiniteMonoid, members: Sequence[RightCongruence]
@@ -552,15 +551,10 @@ def _jcp(cat: FiniteCategory, epis: frozenset[int]) -> bool:
 
 def is_atomic(monoid: FiniteMonoid, flt: CongruenceFilter
               ) -> tuple[bool, Optional[tuple[RightCongruence, int]]]:
-    """Quantifier form: every m is right-invertible up to every filter
-    congruence.  Cross-checked against "all site arrows are epimorphisms",
-    read from the arrows' class maps without building the site's
-    composition table."""
+    """Quantifier form (condition 4): every m is right-invertible up to every
+    filter congruence.  The tests compare it with condition 1, "all site
+    arrows are epimorphisms", and condition 3, dense units."""
     witness = _not_right_invertible(monoid, flt)
-    all_epi = all(len(set(cmap)) == flt.members[j].num_classes
-                  for _, j, _, cmap in _site_arrows(monoid, flt.members))
-    if all_epi != (witness is None):
-        raise InternalCheckError("atomicity conditions 1 and 4 disagree")
     return witness is None, witness
 
 
@@ -578,17 +572,15 @@ def _not_right_invertible(monoid: FiniteMonoid, flt: CongruenceFilter
 
 
 def dense_units(monoid: FiniteMonoid, topology: Topology) -> bool:
-    """Units of the completion meet every non-empty open; must agree with
-    the atomicity of the open-congruence filter."""
+    """Units of the completion meet every non-empty open (atomicity
+    condition 3), which the tests compare with is_atomic on the
+    open-congruence filter."""
     from .completion import complete
     from .congruences import open_congruences
     from .monoid import unit_indices
     flt = open_congruences(monoid, topology)
     cpl = complete(monoid, flt)
-    dense = cpl.topology.is_dense(mask_of(unit_indices(cpl.monoid)))
-    if dense != is_atomic(monoid, flt)[0]:
-        raise InternalCheckError("atomicity conditions 3 and 4 disagree")
-    return dense
+    return cpl.topology.is_dense(mask_of(unit_indices(cpl.monoid)))
 
 
 def zero_fixed_point_check(monoid: FiniteMonoid, flt: CongruenceFilter) -> bool:
@@ -633,41 +625,11 @@ class MonogenicHomFlags:
 
 def monogenic_homs(shape1: tuple[int, int], shape2: tuple[int, int]
                    ) -> MonogenicHomFlags:
-    """Epi/mono existence between monogenic orbits by tail/cycle arithmetic,
-    hard-checked against the explicit equivariant-map search."""
+    """Epi/mono existence between monogenic orbits by tail/cycle arithmetic;
+    the tests compare it with the explicit equivariant-map search."""
     (a, b), (a2, b2) = shape1, shape2
-    flags = MonogenicHomFlags(epi_exists=(a2 <= a and b % b2 == 0),
-                              mono_exists=(a <= a2 and b == b2))
-    brute = monogenic_homs_bruteforce(shape1, shape2)
-    if flags != brute:
-        raise InternalCheckError(
-            f"monogenic arithmetic disagrees with map search at {shape1}->{shape2}")
-    return flags
-
-
-def monogenic_homs_bruteforce(shape1: tuple[int, int], shape2: tuple[int, int]
-                              ) -> MonogenicHomFlags:
-    """Independent oracle: a map commuting with the successor is determined
-    by the image of 0; try them all."""
-    f1, f2 = monogenic_orbit(*shape1), monogenic_orbit(*shape2)
-    epi = mono = False
-    for y0 in range(len(f2)):
-        g: dict[int, int] = {}
-        p, q, ok = 0, y0, True
-        for _ in range(len(f1) + len(f2) + 2):
-            if p in g and g[p] != q:
-                ok = False
-                break
-            g[p] = q
-            p, q = f1[p], f2[q]
-        if not ok or len(g) != len(f1):
-            continue
-        values = set(g.values())
-        if len(values) == len(f2):
-            epi = True
-        if len(values) == len(f1):
-            mono = True
-    return MonogenicHomFlags(epi, mono)
+    return MonogenicHomFlags(epi_exists=(a2 <= a and b % b2 == 0),
+                             mono_exists=(a <= a2 and b == b2))
 
 
 def monoids_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid
@@ -678,9 +640,9 @@ def monoids_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid
     generator is tried against the elements of m2 with its invariants, and
     each choice is propagated along products, phi(w·g) = phi(w)·phi(g): the
     search backs up as soon as an image repeats, breaks an invariant, or
-    disagrees with the image found before.  A map that passes is
-    multiplicative, since every element is a product of generators; it is
-    checked against both tables all the same.
+    disagrees with the image found before.  A map that passes is a
+    bijection, since propagation never repeats an image, and it is
+    multiplicative, since every element is a product of generators.
     """
     n = m1.order
     if n != m2.order:
@@ -726,12 +688,7 @@ def monoids_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid
         return None
 
     phi = search([])
-    if phi is None:
-        return None
-    if sorted(phi) != list(range(n)) or any(phi[t1[a][b]] != t2[phi[a]][phi[b]]
-                                            for a in range(n) for b in range(n)):
-        raise InternalCheckError("isomorphism search returned a map that is not one")
-    return tuple(phi)
+    return None if phi is None else tuple(phi)
 
 
 def _element_invariants(monoid: FiniteMonoid) -> list[tuple[bool, int, int, int, int]]:

@@ -143,7 +143,7 @@ def _filter_cell(summary: SuiteSummary, monoid: FiniteMonoid, flt) -> None:
     summary.check("site-joint-covering", joint_covering(site), ctx)
     summary.check("site-strict-joint-covering", strict_joint_covering(site), ctx)
 
-    atomic, _ = is_atomic(monoid, flt)  # cross-checks conditions 1 and 4
+    atomic, _ = is_atomic(monoid, flt)
     units = set(unit_indices(monoid))
     if set(range(monoid.order)) == units:
         summary.check("groups-are-atomic", atomic, ctx)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -5,13 +7,15 @@ from hypothesis import strategies as st
 from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
                             right_zeros, truncated_addition, trivial_monoid,
                             two_idempotents)
-from topact.completion import Completion
+from topact.completion import Completion, dense_closed_factorization
 from topact.congruences import (enumerate_congruences, inverse_image_congruence, leq,
                                 validate_filter)
 from topact.errors import TopactError
+from topact.invariants import MonogenicHomFlags, monogenic_orbit
 from topact.monoid import validate_hom, validate_monoid
-from topact.topology import Topology, generate_topology, is_locally_constant
-from topact.util import mask_of
+from topact.reflections import continuous_subsets
+from topact.topology import Topology, generate_topology, is_locally_constant, subspace_topology
+from topact.util import bits, mask_of
 
 
 @pytest.fixture
@@ -152,6 +156,45 @@ def assert_completion_matches_oracle(completion, monoid, flt):
     assert completion == expected
 
 
+def assert_dense_closed_factorization(hom, tau_src, tau_tgt):
+    """dense_closed_factorization with the facts it does not check itself:
+    the closure of the image in the target's action topology is a
+    subsemigroup, and the first factor is a semigroup hom whose image is
+    dense in it."""
+    first, second = dense_closed_factorization(hom, tau_src, tau_tgt)
+    tgt = hom.target
+    tilde = continuous_subsets(tgt, tau_tgt).topology
+    closure = tilde.closure(mask_of(hom.map))
+    assert all(closure >> tgt.table[a][b] & 1 for a in bits(closure) for b in bits(closure))
+    assert validate_hom(hom.source, first.target, first.map) == first
+    assert subspace_topology(tilde, closure).is_dense(mask_of(first.map))
+    return first, second
+
+
+def monogenic_homs_bruteforce(shape1, shape2):
+    """Oracle for monogenic_homs: a map commuting with the successor is
+    determined by the image of 0; try them all."""
+    f1, f2 = monogenic_orbit(*shape1), monogenic_orbit(*shape2)
+    epi = mono = False
+    for y0 in range(len(f2)):
+        g = {}
+        p, q, ok = 0, y0, True
+        for _ in range(len(f1) + len(f2) + 2):
+            if p in g and g[p] != q:
+                ok = False
+                break
+            g[p] = q
+            p, q = f1[p], f2[q]
+        if not ok or len(g) != len(f1):
+            continue
+        values = set(g.values())
+        if len(values) == len(f2):
+            epi = True
+        if len(values) == len(f1):
+            mono = True
+    return MonogenicHomFlags(epi, mono)
+
+
 def open_congruences_by_scan(monoid, topology):
     """Oracle for open_congruences: the lattice members r for which
     m ↦ r.class_of[q·m] is locally constant for every q."""
@@ -182,6 +225,11 @@ def transformation_monoid(elements):
     index = {e: i for i, e in enumerate(elements)}
     table = [[index[tuple(b[v] for v in a)] for b in elements] for a in elements]
     return validate_monoid(["".join(map(str, e)) for e in elements], table, 0)
+
+
+def full_transformation_monoid(points):
+    maps = list(itertools.product(range(points), repeat=points))
+    return transformation_monoid(transformation_closure(maps, points, len(maps)))
 
 
 def relabeled_monoid(monoid, rng):

@@ -6,7 +6,8 @@ independent oracles computed in-line or frozen from exhaustive scans.
 
 import math
 
-from conftest import assert_completion_matches_oracle
+from conftest import (assert_completion_matches_oracle, assert_dense_closed_factorization,
+                      monogenic_homs_bruteforce)
 from topact.actions import (MSet, enumerate_mset_homs, exponential_mset,
                             is_continuous_mset, mset_product, msets_isomorphic,
                             quotient_mset, terminal_mset)
@@ -14,13 +15,12 @@ from topact.catalog import (action_topologies, all_monoids, all_semigroup_homs,
                             all_topologies, continuous_msets, cyclic, left_zeros,
                             left_zero_split_topology, trivial_monoid,
                             two_idempotents)
-from topact.completion import closedness_report, complete, dense_closed_factorization
+from topact.completion import closedness_report, complete
 from topact.congruences import (diagonal, enumerate_congruences, enumerate_filters,
                                 filter_generated, full_filter, generated_congruence,
                                 open_congruences)
 from topact.invariants import (categories_equivalent, is_atomic, monogenic_homs,
-                               monogenic_homs_bruteforce, monogenic_orbit,
-                               classify_monogenic, monoids_isomorphic,
+                               monogenic_orbit, classify_monogenic, monoids_isomorphic,
                                morita_fingerprint, principal_site)
 from topact.monoid import unit_indices, validate_hom, idempotents, zero_element
 from topact.reflections import (congruence_hat_topology, continuous_subsets,
@@ -186,12 +186,12 @@ def test_criterion_8_factorization_suite():
                 first, second = factor_surjection_inclusion(hom)
                 assert first.then(second).map == hom.map
                 assert first.preserves_identity
-                dense, closed = dense_closed_factorization(
+                dense, closed = assert_dense_closed_factorization(
                     hom, discrete_topology(src.order), discrete_topology(tgt.order))
                 assert dense.then(closed).map == hom.map
                 assert mask_of(closed.map) == mask_of(hom.map)  # closure = image
     unit = validate_hom(trivial_monoid(), left_zeros(), [0])
-    dense, closed = dense_closed_factorization(
+    dense, closed = assert_dense_closed_factorization(
         unit, discrete_topology(1), left_zero_split_topology())
     assert dense.target.elements == ("1",)
     corners = 0

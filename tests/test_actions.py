@@ -15,7 +15,7 @@ from topact.catalog import all_monoids, all_msets, all_topologies
 from topact.congruences import (diagonal, enumerate_congruences, generated_congruence,
                                 leq, meet, total)
 from topact.reflections import congruence_set, continuous_subsets
-from topact.topology import discrete_topology
+from topact.topology import discrete_topology, is_continuous
 from topact.util import bits, full_mask, mask_of
 
 from conftest import transformation_closure, transformation_monoid, transformation_monoids
@@ -234,6 +234,16 @@ def test_quotient_mset_shapes(c4, m_lz):
     assert q.act == ((0, 1, 1), (1, 1, 1))
 
 
+def test_quotient_mset_is_a_well_defined_action_through_order_four():
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for r in enumerate_congruences(monoid):
+                q = quotient_mset(monoid, r)
+                assert validate_mset(monoid, q.carrier, q.act) == q
+                assert all(q.act[r.class_of[a]][m] == r.class_of[monoid.table[a][m]]
+                           for a in range(order) for m in range(order))
+
+
 def test_epi_mono_factorize(m_lz):
     r1 = generated_congruence(m_lz, [(1, 2)])
     q = quotient_mset(m_lz, r1)
@@ -288,17 +298,31 @@ def _necessary_clopens(mset):
             for y in range(mset.size)]
 
 
+def left_translations_continuous(monoid, topology):
+    return all(is_continuous(monoid.table[q], topology, topology)
+               for q in range(monoid.order))
+
+
 def test_continuous_part_matches_necessary_clopens_of_translates():
-    # oracle: x is kept when every necessary clopen of every translate x·q is open
+    # oracle: x is kept when every necessary clopen of every translate x·q is
+    # open; when left translations are continuous, the points whose own
+    # necessary clopens are open (the simplified formula) are the same
+    simplified = 0
     for order in (1, 2, 3, 4):
         for monoid in all_monoids(order):
-            for mset in (power_of_m(monoid), congruence_set(monoid)):
-                clopens = _necessary_clopens(mset)
-                for topology in all_topologies(order):
+            msets = (regular_mset(monoid), power_of_m(monoid), congruence_set(monoid))
+            clopens = [_necessary_clopens(mset) for mset in msets]
+            for topology in all_topologies(order):
+                left_continuous = left_translations_continuous(monoid, topology)
+                for mset, own in zip(msets, clopens):
+                    flags = [sets <= topology.opens for sets in own]
                     expected = mask_of(x for x in range(mset.size)
-                                       if all(clopens[y] <= topology.opens
-                                              for y in mset.act[x]))
+                                       if all(flags[y] for y in mset.act[x]))
                     assert continuous_part(mset, topology) == expected
+                    if left_continuous:
+                        assert mask_of(x for x, flag in enumerate(flags) if flag) == expected
+                        simplified += 1
+    assert simplified > 0
 
 
 def test_exponential_requires_continuous_inputs(m_lz, tau_a):

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import (assert_completion_matches_oracle, class_projection,
-                      transformation_monoids, tuple_limit_completion)
+from conftest import (assert_completion_matches_oracle, assert_dense_closed_factorization,
+                      class_projection, transformation_monoids, tuple_limit_completion)
 from topact.catalog import all_monoids, all_monoid_homs, all_topologies, cyclic
 from topact.completion import (ClosureNotMonoid, NotContinuous, NotPowderInput,
                                PullbackOutsideFilter, closedness_report, complete,
@@ -163,6 +163,9 @@ def test_extend_hom_unique_for_all_small_monoid_homs():
                 f_src, f_tgt = full_filter(src), full_filter(tgt)
                 psi = extend_hom(hom, f_src, f_tgt)
                 s, t = complete(src, f_src), complete(tgt, f_tgt)
+                assert validate_hom(s.monoid, t.monoid, psi.map) == psi
+                assert all(psi.map[s.comparison.map[m]] == t.comparison.map[hom.map[m]]
+                           for m in range(src.order))
                 matches = [h.map for h in all_monoid_homs(s.monoid, t.monoid)
                            if all(h.map[s.comparison.map[m]]
                                   == t.comparison.map[hom.map[m]]
@@ -311,7 +314,7 @@ def test_dense_closed_continuity_witness_is_an_open_with_open_preimage_missing()
                                    if not tau_src.is_open(mask_of(
                                        m for m in range(src.order) if u >> hom.map[m] & 1))}
                         try:
-                            dense_closed_factorization(hom, tau_src, tau_tgt)
+                            assert_dense_closed_factorization(hom, tau_src, tau_tgt)
                         except NotContinuous as exc:
                             assert exc.witness in failing
                             raised += 1

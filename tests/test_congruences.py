@@ -21,8 +21,9 @@ from topact.topology import (connected_components, discrete_topology, indiscrete
                              is_open_in_product)
 from topact.util import mask_of
 
-from conftest import (NotInFilter, hom_classes, preorder_topologies, transformation_closure,
-                      transformation_monoid, transformation_monoids)
+from conftest import (NotInFilter, full_transformation_monoid, hom_classes,
+                      preorder_topologies, transformation_closure, transformation_monoid,
+                      transformation_monoids)
 
 
 def all_partitions(n):
@@ -104,11 +105,6 @@ def lattice_or_cap(build, monoid, cap):
         return build(monoid, cap)
     except CapExceeded as exc:
         return str(exc)
-
-
-def full_transformation_monoid(points):
-    maps = list(itertools.product(range(points), repeat=points))
-    return transformation_monoid(transformation_closure(maps, points, len(maps)))
 
 
 def test_generated_empty_is_diagonal(c4):
@@ -314,7 +310,9 @@ def test_open_congruences_match_product_openness_of_translates():
                           if is_open_in_product(rel, topology, topology)}
                 expected = tuple(r for r, masks in zip(lattice, translates)
                                  if masks <= opened)
-                assert open_congruences(monoid, topology).members == expected
+                flt = open_congruences(monoid, topology)
+                assert flt.members == expected
+                assert flt == validate_filter(monoid, flt.members)
 
 
 def test_validate_filter_errors(m_lz, c4):
@@ -367,7 +365,7 @@ def validate_filter_by_common_refinement(monoid, members):
                     if not any(s != r and leq(s, r) for s in mem))
     if len(minimal) != 1:
         raise InternalCheckError("directed finite filter must have a unique minimum")
-    return CongruenceFilter(monoid, mem, minimal)
+    return CongruenceFilter(monoid, mem, minimal[0])
 
 
 def _outcome(check, monoid, members):
@@ -509,6 +507,18 @@ def test_every_filter_least_is_two_sided():
         for flt in enumerate_filters(monoid):
             assert is_two_sided(flt.least)
             assert all(leq(flt.least, r) for r in flt.members)
+
+
+def test_built_filters_pass_validate_filter_through_order_four():
+    filters = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            lattice = enumerate_congruences(monoid)
+            assert full_filter(monoid) == validate_filter(monoid, lattice)
+            for flt in enumerate_filters(monoid):
+                assert flt == validate_filter(monoid, flt.members)
+                filters += 1
+    assert filters == 217
 
 
 def test_filters_are_upsets_of_two_sided_congruences():

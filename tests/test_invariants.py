@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (hom_classes, preorder_topologies, relabeled_monoid,
-                      transformation_monoid, transformation_monoids)
+from conftest import (hom_classes, monogenic_homs_bruteforce, preorder_topologies,
+                      relabeled_monoid, transformation_monoid, transformation_monoids)
 from topact import files
 from topact.catalog import (all_monoids, all_topologies, cyclic, left_zeros,
                             truncated_addition, two_idempotents)
 from topact.congruences import (enumerate_filters, filter_generated,
                                 full_filter, open_congruences, total)
-from topact.errors import InternalCheckError
 from topact.invariants import (BadCategory, FiniteCategory, MonogenicHomFlags,
                                NoZeroElement, _generating_arrows, _site_arrows,
                                categories_equivalent, validate_category,
                                classify_monogenic, dense_units, is_atomic,
                                joint_covering, make_category, monogenic_homs,
-                               monogenic_homs_bruteforce, monogenic_orbit,
+                               monogenic_orbit,
                                monoids_isomorphic, morita_equivalent,
                                morita_fingerprint, principal_site,
                                strict_joint_covering, zero_fixed_point_check)
@@ -173,9 +172,14 @@ def test_site_command_prints_the_oracle_site(tmp_path, capsys, monkeypatch):
 
 
 def test_identity_and_composition_laws_hold_on_all_small_sites():
-    for monoid in all_monoids(3):
-        for flt in enumerate_filters(monoid):
-            principal_site(monoid, flt)  # validate_category runs inside
+    sites = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for flt in enumerate_filters(monoid):
+                site = principal_site(monoid, flt)
+                assert validate_category(site) is site
+                sites += 1
+    assert sites == 217
 
 
 def test_fingerprint_terminal():
@@ -292,6 +296,19 @@ def test_dense_units(c4, n2, m_lz, tau_a):
     assert dense_units(c4, discrete_topology(4))
     assert not dense_units(n2, discrete_topology(3))
     assert not dense_units(m_lz, tau_a)
+
+
+def test_dense_units_match_atomicity_of_the_open_filter():
+    # atomicity condition 3 against condition 4
+    cells = 0
+    for order in (1, 2, 3, 4):
+        topologies = all_topologies(order)
+        for monoid in all_monoids(order):
+            for topology in topologies if order < 4 else topologies[::5]:
+                assert dense_units(monoid, topology) \
+                    == is_atomic(monoid, open_congruences(monoid, topology))[0]
+                cells += 1
+    assert cells == 2697
 
 
 def test_zero_fixed_point(n2, c2, one):
@@ -623,14 +640,3 @@ def test_class_map_epis_match_the_site_through_order_four():
                 assert onto == (len(site.epis) == site.arrow_count)
                 assert onto == is_atomic(monoid, flt)[0]
 
-
-def test_is_atomic_cross_check_catches_a_disagreement(monkeypatch, c4, n2):
-    import topact.invariants as invariants
-    flt = full_filter(n2)
-    r = flt.members[0]
-    monkeypatch.setattr(invariants, "_not_right_invertible", lambda monoid, flt: None)
-    with pytest.raises(InternalCheckError):
-        is_atomic(n2, flt)
-    monkeypatch.setattr(invariants, "_not_right_invertible", lambda monoid, flt: (r, 1))
-    with pytest.raises(InternalCheckError):
-        is_atomic(c4, full_filter(c4))

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import open_congruences_by_scan, preorder_topologies, transformation_monoids
+from conftest import (full_transformation_monoid, open_congruences_by_scan,
+                      preorder_topologies, transformation_monoids)
 from topact.actions import (continuous_part, is_continuous_mset, necessary_clopen,
                             orbit_congruence, power_of_m, quotient_mset)
 from topact.catalog import all_monoids, all_topologies, cyclic
-from topact.congruences import (diagonal, enumerate_congruences, enumerate_filters,
-                                filter_generated, full_filter, generated_congruence,
-                                inverse_image_congruence, open_congruences, total)
-from topact.monoid import opposite
-from topact.reflections import (NotTopologicalMonoid, atom_image_congruence,
+from topact.congruences import (RightCongruence, diagonal, enumerate_congruences,
+                                enumerate_filters, filter_generated, full_filter,
+                                generated_congruence, inverse_image_congruence,
+                                is_two_sided, open_congruences, total)
+from topact.monoid import opposite, validate_hom, validate_monoid
+from topact.reflections import (NotTopologicalMonoid, _quotient_monoid, atom_image_congruence,
                                 congruence_hat_topology, congruence_set,
                                 continuous_subsets,
                                 induced_topology_from_filter, is_topological_filter,
@@ -22,7 +24,7 @@ from topact.reflections import (NotTopologicalMonoid, atom_image_congruence,
 from topact.invariants import monoids_isomorphic
 from topact.topology import (discrete_topology, generate_topology,
                              indiscrete_topology, is_open_in_product,
-                             partition_topology)
+                             partition_topology, separation_report)
 from topact.util import bits, mask_of
 
 
@@ -72,18 +74,35 @@ def mult_core_by_opens(monoid, topology):
         current = nxt
 
 
+def assert_two_sided_with_open_classes(report, topology):
+    """The action-topology partition is a two-sided congruence whose
+    classes are open in the input topology."""
+    assert is_two_sided(report.partition)
+    assert all(topology.is_open(mask_of(c)) for c in report.partition.classes())
+
+
 def assert_reflections_match_oracles(monoid, topology, closure_checks=True):
     report = continuous_subsets(monoid, topology)
     masks, tilde = powerset_continuous_sets(monoid, topology)
     assert report.continuous_sets == masks
     assert report.topology == tilde
     assert report.is_action_topology == (tilde == topology)
+    assert_two_sided_with_open_classes(report, topology)
     if closure_checks:
         assert_boolean_algebra_closed_under_the_action(monoid, topology, masks)
     left_masks, left_tilde = powerset_continuous_sets(opposite(monoid), topology)
     left = left_action_topology(monoid, topology)
     assert left.continuous_sets == left_masks and left.topology == left_tilde
-    assert mult_continuous_core(monoid, topology) == mult_core_by_opens(monoid, topology)
+    assert_two_sided_with_open_classes(left, topology)
+    core = mult_continuous_core(monoid, topology)
+    assert core == mult_core_by_opens(monoid, topology)
+    assert is_topological_monoid(monoid, core)
+    try:
+        _, q_top, projection = t0_quotient(monoid, topology)
+    except NotTopologicalMonoid:
+        return
+    assert is_two_sided(RightCongruence(monoid, projection.map))
+    assert separation_report(q_top).t0
 
 
 def test_reflections_match_their_oracles_through_order_four():
@@ -319,12 +338,37 @@ def test_induced_topology_surjection_fixture(c4):
 
 
 def test_induced_topology_quotients_continuous():
-    for monoid in all_monoids(3):
-        for flt in enumerate_filters(monoid):
-            report = induced_topology_from_filter(monoid, flt)
-            for r in flt.members:
-                assert is_continuous_mset(quotient_mset(monoid, r),
-                                          report.topology)[0]
+    filters = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            power = power_of_m(monoid)
+            for flt in enumerate_filters(monoid):
+                report = induced_topology_from_filter(monoid, flt)
+                kept = tuple(a for a in range(1 << order)
+                             if all(orbit_congruence(power, power.act[a][q]) in flt
+                                    for q in range(order)))
+                assert report.continuous_sets == kept
+                assert_two_sided_with_open_classes(report, report.topology)
+                for r in flt.members:
+                    assert is_continuous_mset(quotient_mset(monoid, r),
+                                              report.topology)[0]
+                filters += 1
+    assert filters == 217
+
+
+def test_quotient_monoid_passes_validation_on_two_sided_congruences():
+    quotients = 0
+    monoids = [m for order in (1, 2, 3, 4) for m in all_monoids(order)]
+    for monoid in monoids + [full_transformation_monoid(3)]:
+        for r in enumerate_congruences(monoid):
+            if not is_two_sided(r):
+                continue
+            quotient, projection = _quotient_monoid(monoid, r)
+            assert validate_monoid(quotient.elements, quotient.table,
+                                   quotient.identity) == quotient
+            assert validate_hom(monoid, quotient, projection.map) == projection
+            quotients += 1
+    assert quotients == 217 + 7
 
 
 def test_topological_filter_agrees_with_open_congruence_roundtrip():
