@@ -168,16 +168,17 @@ def cmd_analyze(args) -> int:
         tname, topo = _topology(ws, args.topology_arg, monoid)
         sep = separation_report(topo)
         comps = connected_components(topo)
+        topological = is_topological_monoid(monoid, topo)
         lines += [
             f"topology {tname}: {len(topo.opens)} opens, base {_opens_text(topo, names)}",
             f"T0: {sep.t0}  clopen base: {sep.clopen_base}  discrete: {sep.discrete}",
             f"components: {' '.join('{' + ','.join(names[i] for i in c) + '}' for c in comps)}",
-            f"topological monoid: {is_topological_monoid(monoid, topo)}",
+            f"topological monoid: {topological}",
         ]
         report["topology"] = {"opens": len(topo.opens), "t0": sep.t0,
                               "clopen_base": sep.clopen_base,
                               "discrete": sep.discrete,
-                              "topological_monoid": is_topological_monoid(monoid, topo)}
+                              "topological_monoid": topological}
     _emit(args, report, lines, name)
     return 0
 

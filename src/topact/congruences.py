@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid
-from .topology import Topology, connected_components
+from .topology import Topology
 from .util import bits, mask_of
 
 
@@ -203,10 +203,9 @@ def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
 
 def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
     """Common refinement."""
+    width = r2.num_classes
     return RightCongruence(
-        r1.monoid,
-        _canonical([r1.class_of[m] * (max(r2.class_of) + 1) + r2.class_of[m]
-                    for m in range(len(r1.class_of))]))
+        r1.monoid, _canonical([c1 * width + c2 for c1, c2 in zip(r1.class_of, r2.class_of)]))
 
 
 def leq(r1: RightCongruence, r2: RightCongruence) -> bool:
@@ -442,15 +441,61 @@ def full_filter(monoid: FiniteMonoid) -> CongruenceFilter:
 
 
 def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCongruence:
-    """r0: a right congruence r is open iff every q*(r) has open, hence
-    clopen, classes, i.e. iff r relates q·a and q·b whenever a and b lie in
-    one component; r0 is generated by those pairs, and is two-sided since
-    they are closed under left multiplication."""
-    pairs = set()
-    for comp in connected_components(topology):
-        for b in comp[1:]:
-            pairs.update((row[comp[0]], row[b]) for row in monoid.table)
-    return generated_congruence(monoid, pairs)
+    """r0, the least open right congruence, in one union-find pass.
+
+    A right congruence r is open iff every q*(r) has open, hence clopen,
+    classes, i.e. iff r relates q·a and q·b whenever a and b lie in one
+    component.  So r0 is the equivalence closure of the pairs (q·a·m, q·b·m):
+    the two-sided congruence generated by the component partition.
+
+    Each point carries a block label.  First x is merged with each y in
+    nb[x], which leaves the components; then, for every merging edge (a, b)
+    in turn, (q·a, q·b) and (a·q, b·q) are merged for every q, and each new
+    merge is an edge in its own turn.  A merge relabels the smaller block.
+    The labels are the equivalence closure of the edges.  Both translates of
+    every edge are merged, and a translated chain of edges is again a chain,
+    so the result is closed under left and right multiplication; and every
+    merge is forced by the definition, so it is the least such congruence.
+    There are at most n - 1 merges of 2n lookups each, and a topology with
+    no merge (the discrete one) returns the diagonal without reading the
+    table's columns.
+    """
+    n = monoid.order
+    table = monoid.table
+    label = list(range(n))
+    blocks = [[x] for x in range(n)]
+    edges: list[tuple[int, int]] = []
+
+    def merge(x: int, y: int) -> None:
+        keep, gone = label[x], label[y]
+        if len(blocks[keep]) < len(blocks[gone]):
+            keep, gone = gone, keep
+        for z in blocks[gone]:
+            label[z] = keep
+        blocks[keep] += blocks[gone]
+        edges.append((x, y))
+
+    # x ∈ nb[x], so merging each distinct neighbourhood into one block
+    # merges x with each y in nb[x]
+    for v in dict.fromkeys(topology.nbhd):
+        x = (v & -v).bit_length() - 1
+        for y in bits(v):
+            if label[x] != label[y]:
+                merge(x, y)
+    if edges:
+        columns = tuple(zip(*table))
+        # the loop also visits the edges appended while it runs; after
+        # n - 1 merges every point shares one label
+        for a, b in edges:
+            if len(edges) == n - 1:
+                break
+            for x, y in zip(table[a], table[b]):
+                if label[x] != label[y]:
+                    merge(x, y)
+            for x, y in zip(columns[a], columns[b]):
+                if label[x] != label[y]:
+                    merge(x, y)
+    return RightCongruence(monoid, _canonical(label))
 
 
 def open_congruences(monoid: FiniteMonoid, topology: Topology) -> CongruenceFilter:

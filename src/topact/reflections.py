@@ -4,13 +4,14 @@ reflection), left/right duality, and topologies induced by congruence
 filters.
 
 The action topology is the partition topology on the classes of r0, the
-least open right congruence, which is generated by the left translates
-(q·a, q·b) of the pairs a, b in one connected component.  r0 is two-sided,
-so the powder reflection is M/r0 with the discrete topology.  Neither
-builds the 2^|M|-point powerset action: the continuous subsets are the
-unions of the r0 classes, listed only where a caller reads them and capped
-at 2^16 of them.  The multiplication-continuous core is likewise computed
-on minimal neighbourhoods.
+least open right congruence, which is the two-sided congruence generated by
+the partition into connected components (see least_open_congruence).  So the
+powder reflection is M/r0 with the discrete topology, and the left and right
+action topologies coincide.  Neither reflection builds the 2^|M|-point
+powerset action: the continuous subsets are the unions of the r0 classes,
+listed only where a caller reads them and capped at 2^16 of them.  The
+multiplication-continuous core is likewise computed on minimal
+neighbourhoods.
 
 The hat topology built from continuous congruences is provided only to
 reproduce a known counterexample; it is not a reflection and its category of
@@ -79,7 +80,9 @@ class ActionTopologyReport:
 def _report(partition: RightCongruence, topology: Topology) -> ActionTopologyReport:
     """The report on the partition topology of an action-topology partition,
     which is two-sided with every class open in the topology."""
-    masks = [mask_of(c) for c in partition.classes()]
+    masks = [0] * partition.num_classes
+    for m, c in enumerate(partition.class_of):
+        masks[c] |= 1 << m
     tau_tilde = Topology(topology.carrier_size,
                          tuple(masks[c] for c in partition.class_of))
     return ActionTopologyReport(partition, tau_tilde, tau_tilde == topology)
@@ -96,7 +99,10 @@ def continuous_subsets(monoid: FiniteMonoid, topology: Topology
 
 def left_action_topology(monoid: FiniteMonoid, topology: Topology
                          ) -> ActionTopologyReport:
-    """Same construction run on the opposite multiplication table."""
+    """Same construction run on the opposite multiplication table.  On a
+    finite monoid it has the same partition as continuous_subsets: r0 is the
+    two-sided congruence generated by the components, and a two-sided
+    congruence of M is one of its opposite."""
     return continuous_subsets(opposite(monoid), topology)
 
 

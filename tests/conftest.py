@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
@@ -16,6 +16,12 @@ from topact.monoid import validate_hom, validate_monoid
 from topact.reflections import continuous_subsets
 from topact.topology import Topology, generate_topology, is_locally_constant, subspace_topology
 from topact.util import bits, mask_of
+
+# every run draws the same examples (each test's own max_examples still
+# applies), so the suite's wall time does not swing with fresh draws or
+# with what a checkout's example database holds
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture
@@ -266,10 +272,16 @@ def transformation_monoids(draw, points=5, orders=(5, 20)):
 @st.composite
 def preorder_topologies(draw, n):
     """The topology of a random preorder on {0..n-1}: each point gets up to
-    width drawn points above it, for a drawn width of 0 (discrete) to 2, and
-    nb[x] is everything reachable from x."""
+    width drawn points above it, for a drawn width of 0 (discrete) to 2."""
     width = draw(st.integers(0, 2))
-    above = [draw(st.lists(st.integers(0, n - 1), max_size=width)) for _ in range(n)]
+    return preorder_topology([draw(st.lists(st.integers(0, n - 1), max_size=width))
+                              for _ in range(n)])
+
+
+def preorder_topology(above):
+    """The topology of the preorder generated by x ≤ y for y in above[x]:
+    nb[x] is everything reachable from x."""
+    n = len(above)
     nbhd = []
     for x in range(n):
         reach, frontier = {x}, [x]

@@ -17,13 +17,13 @@ from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, Inva
                                 join, least_open_congruence, leq, meet,
                                 open_congruences, total, validate_filter)
 from topact.errors import InternalCheckError, TopactError
-from topact.topology import (connected_components, discrete_topology, indiscrete_topology,
-                             is_open_in_product)
+from topact.topology import (Topology, connected_components, discrete_topology,
+                             indiscrete_topology, is_open_in_product, partition_topology)
 from topact.util import mask_of
 
 from conftest import (NotInFilter, full_transformation_monoid, hom_classes,
-                      preorder_topologies, transformation_closure, transformation_monoid,
-                      transformation_monoids)
+                      preorder_topologies, preorder_topology, relabeled_monoid,
+                      transformation_closure, transformation_monoid, transformation_monoids)
 
 
 def all_partitions(n):
@@ -170,6 +170,75 @@ def test_generated_congruence_matches_queue_closure_on_r0_pairs_through_order_fo
                 assert least_open_congruence(monoid, topology) == expected
                 cells += 1
     assert cells == 12637
+
+
+def r0_pairs(monoid, topology):
+    """The pairs whose right congruence is r0: (q·a, q·b) for a and b in one
+    component."""
+    return [(row[comp[0]], row[b]) for comp in connected_components(topology)
+            for b in comp[1:] for row in monoid.table]
+
+
+def assert_least_open_congruence_matches_oracle(monoid, topology, rng):
+    """r0 equals the queue closure of r0's pairs and is two-sided, and on a
+    copy with shuffled element indices it is r0 moved along."""
+    r0 = least_open_congruence(monoid, topology)
+    assert r0 == generated_by_queue(monoid, r0_pairs(monoid, topology))
+    assert is_two_sided(r0)
+    copy = relabeled_monoid(monoid, rng)
+    old = [monoid.elements.index(name) for name in copy.elements]
+    nb = topology.nbhd
+    moved = Topology(monoid.order, tuple(
+        sum(1 << j for j, y in enumerate(old) if nb[x] >> y & 1) for x in old))
+    assert least_open_congruence(copy, moved) \
+        == congruence_from_class_map(copy, [r0.class_of[x] for x in old])
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformation_monoids(), st.data())
+def test_least_open_congruence_matches_queue_closure_on_transformation_monoids(monoid, data):
+    # a drawn preorder makes r0 total or the diagonal on most examples; a
+    # topology relating one drawn pair more often leaves r0 in between
+    n = monoid.order
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rng = data.draw(st.randoms(use_true_random=False))
+    for topology in (data.draw(preorder_topologies(n)),
+                     preorder_topology([[b] if x == a else [] for x in range(n)])):
+        assert_least_open_congruence_matches_oracle(monoid, topology, rng)
+
+
+def seeded_t3_topologies(t3, rng, count):
+    """Discrete, indiscrete, then count topologies on T3's 27 points, each
+    relating one or two random pairs of maps of one rank, alternately as a
+    preorder and as the topology spanned by the pairs and the other points:
+    pairs of mixed ranks, or many pairs, would make nearly every r0 total."""
+    by_rank = [[x for x, name in enumerate(t3.elements) if len(set(name)) == k]
+               for k in (1, 2, 3)]
+    out = [discrete_topology(27), indiscrete_topology(27)]
+    for k in range(count):
+        maps = rng.choice(by_rank)
+        pairs = [rng.sample(maps, 2) for _ in range(rng.randint(1, 2))]
+        if k % 2:
+            above = [[] for _ in range(27)]
+            for x, y in pairs:
+                above[x].append(y)
+            out.append(preorder_topology(above))
+        else:
+            covered = {x for pair in pairs for x in pair}
+            out.append(partition_topology(
+                27, pairs + [[x] for x in range(27) if x not in covered]))
+    return out
+
+
+def test_least_open_congruence_matches_queue_closure_on_t3():
+    t3 = full_transformation_monoid(3)
+    rng = random.Random(13)
+    topologies = seeded_t3_topologies(t3, rng, 40)
+    for topology in topologies:
+        assert_least_open_congruence_matches_oracle(t3, topology, rng)
+    assert least_open_congruence(t3, topologies[0]) == diagonal(t3)
+    assert least_open_congruence(t3, topologies[1]) == total(t3)
+    assert len({least_open_congruence(t3, t).num_classes for t in topologies}) > 2
 
 
 def test_lattice_matches_pairwise_join_closure_through_order_four():

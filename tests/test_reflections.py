@@ -94,6 +94,9 @@ def assert_reflections_match_oracles(monoid, topology, closure_checks=True):
     left = left_action_topology(monoid, topology)
     assert left.continuous_sets == left_masks and left.topology == left_tilde
     assert_two_sided_with_open_classes(left, topology)
+    # r0 is the two-sided congruence generated by the components, so it is
+    # the same on M and on its opposite
+    assert left.partition.class_of == report.partition.class_of
     core = mult_continuous_core(monoid, topology)
     assert core == mult_core_by_opens(monoid, topology)
     assert is_topological_monoid(monoid, core)
