@@ -448,14 +448,15 @@ def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCong
     component.  So r0 is the equivalence closure of the pairs (q·a·m, q·b·m):
     the two-sided congruence generated by the component partition.
 
-    Each point carries a block label.  First x is merged with each y in
-    nb[x], which leaves the components; then, for every merging edge (a, b)
-    in turn, (q·a, q·b) and (a·q, b·q) are merged for every q, and each new
-    merge is an edge in its own turn.  A merge relabels the smaller block.
-    The labels are the equivalence closure of the edges.  Both translates of
-    every edge are merged, and a translated chain of edges is again a chain,
-    so the result is closed under left and right multiplication; and every
-    merge is forced by the definition, so it is the least such congruence.
+    Each point carries a block label.  First x is merged with y along each
+    edge (x, y) of the topology (Topology.edges), which leaves the
+    components; then, for every merge (a, b) in turn, (q·a, q·b) and
+    (a·q, b·q) are merged for every q, and each new merge is visited in its
+    own turn.  A merge relabels the smaller block.  The labels are the
+    equivalence closure of the merges.  Both translates of every merge are
+    merged, and a translated chain of merges is again a chain, so the
+    result is closed under left and right multiplication; and every merge
+    is forced by the definition, so it is the least such congruence.
     There are at most n - 1 merges of 2n lookups each, and a topology with
     no merge (the discrete one) returns the diagonal without reading the
     table's columns.
@@ -464,7 +465,7 @@ def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCong
     table = monoid.table
     label = list(range(n))
     blocks = [[x] for x in range(n)]
-    edges: list[tuple[int, int]] = []
+    merges: list[tuple[int, int]] = []
 
     def merge(x: int, y: int) -> None:
         keep, gone = label[x], label[y]
@@ -473,21 +474,17 @@ def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCong
         for z in blocks[gone]:
             label[z] = keep
         blocks[keep] += blocks[gone]
-        edges.append((x, y))
+        merges.append((x, y))
 
-    # x ∈ nb[x], so merging each distinct neighbourhood into one block
-    # merges x with each y in nb[x]
-    for v in dict.fromkeys(topology.nbhd):
-        x = (v & -v).bit_length() - 1
-        for y in bits(v):
-            if label[x] != label[y]:
-                merge(x, y)
-    if edges:
+    for x, y in topology.edges:
+        if label[x] != label[y]:
+            merge(x, y)
+    if merges:
         columns = tuple(zip(*table))
-        # the loop also visits the edges appended while it runs; after
+        # the loop also visits the merges appended while it runs; after
         # n - 1 merges every point shares one label
-        for a, b in edges:
-            if len(edges) == n - 1:
+        for a, b in merges:
+            if len(merges) == n - 1:
                 break
             for x, y in zip(table[a], table[b]):
                 if label[x] != label[y]:

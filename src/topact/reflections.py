@@ -9,9 +9,11 @@ the partition into connected components (see least_open_congruence).  So the
 powder reflection is M/r0 with the discrete topology, and the left and right
 action topologies coincide.  Neither reflection builds the 2^|M|-point
 powerset action: the continuous subsets are the unions of the r0 classes,
-listed only where a caller reads them and capped at 2^16 of them.  The
-multiplication-continuous core is likewise computed on minimal
-neighbourhoods.
+listed only where a caller reads them and capped at 2^16 of them.
+Continuity of multiplication and the multiplication-continuous core are
+decided on the edges of the specialization preorder (`Topology.edges`),
+translated on either side by every element: on a finite space
+multiplication is continuous iff every translation is monotone.
 
 The hat topology built from continuous congruences is provided only to
 reproduce a known counterexample; it is not a reflection and its category of
@@ -21,6 +23,7 @@ actions genuinely differs from the input's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .actions import MSet, continuous_points, orbit_congruence, power_of_m
 from .congruences import (CongruenceFilter, RightCongruence, congruence_from_class_map,
@@ -106,38 +109,29 @@ def left_action_topology(monoid: FiniteMonoid, topology: Topology
     return continuous_subsets(opposite(monoid), topology)
 
 
-class _NeighbourhoodProducts(dict):
-    """(u, v) ↦ u·v for neighbourhoods u and v, formed on first lookup:
-    times[v][x] is the mask of x·v."""
-
-    def __init__(self, monoid: FiniteMonoid, nb: tuple[int, ...]):
-        super().__init__()
-        self.times = {v: [mask_of(row[y] for y in bits(v)) for row in monoid.table]
-                      for v in set(nb)}
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        u, v = key
-        right = self.times[v]
-        image = 0
-        for x in bits(u):
-            image |= right[x]
-        self[key] = image
-        return image
+def _translated_edges(monoid: FiniteMonoid, topology: Topology
+                      ) -> Iterator[tuple[int, int]]:
+    """(x·q, y·q) and (q·x, q·y) for every edge (x, y) of the topology and
+    every q: the translations are all continuous iff each pair (a, b) has
+    b ∈ nb[a].  The table is transposed only when there are edges."""
+    edges = topology.edges
+    if not edges:
+        return
+    table = monoid.table
+    columns = tuple(zip(*table))
+    for x, y in edges:
+        yield from zip(table[x], table[y])
+        yield from zip(columns[x], columns[y])
 
 
 def is_topological_monoid(monoid: FiniteMonoid, topology: Topology) -> bool:
-    """Multiplication is continuous exactly when nb[a]·nb[b] ⊆ nb[a·b] for
-    every a, b, since nb[a] × nb[b] is the minimal neighbourhood of (a, b)
-    in the product.  Each distinct product is formed once, so a coarse
-    topology costs no more than a fine one."""
+    """Multiplication is continuous exactly when every translation is: if
+    x ∈ nb[a] and y ∈ nb[b], then x·b ∈ nb[a·b] and x·y ∈ nb[x·b], which
+    lies inside nb[a·b].  A translation is continuous iff it is monotone
+    along each edge, so this checks y·q ∈ nb[x·q] and q·y ∈ nb[q·x] for
+    every edge (x, y) and every q."""
     nb = topology.nbhd
-    products = _NeighbourhoodProducts(monoid, nb)
-    for a, row in enumerate(monoid.table):
-        left = nb[a]
-        for b, ab in enumerate(row):
-            if products[left, nb[b]] & ~nb[ab]:
-                return False
-    return True
+    return all(nb[a] >> b & 1 for a, b in _translated_edges(monoid, topology))
 
 
 def mult_continuous_core(monoid: FiniteMonoid, topology: Topology) -> Topology:
@@ -145,17 +139,16 @@ def mult_continuous_core(monoid: FiniteMonoid, topology: Topology) -> Topology:
     An open u keeps an open preimage under multiplication iff
     nb[a]·nb[b] ⊆ u whenever a·b ∈ u; these kept opens form a topology, in
     which the neighbourhood of x is the closure of {x} under
-    z ↦ ⋃_{a·b=z} nb[a]·nb[b] (it contains nb[z], as 1·z = z).  Repeat on
-    the new neighbourhoods until they stop changing."""
+    z ↦ ⋃_{a·b=z} nb[a]·nb[b].  That closure is the closure of {x} under
+    the translated edges x·q → y·q and q·x → q·y: a chain of edges from a
+    to a' and one from b to b' translate to a chain from a·b through a'·b
+    to a'·b'.  Repeat on the new neighbourhoods until they stop changing."""
     n = monoid.order
     current = topology
     while True:
-        nb = current.nbhd
-        products = _NeighbourhoodProducts(monoid, nb)
         reach = [0] * n
-        for a, row in enumerate(monoid.table):
-            for b, ab in enumerate(row):
-                reach[ab] |= products[nb[a], nb[b]]
+        for a, b in _translated_edges(monoid, current):
+            reach[a] |= 1 << b
         nbhd = []
         for x in range(n):
             closed = frontier = 1 << x

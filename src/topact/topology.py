@@ -4,12 +4,14 @@ Every finite space is Alexandrov: each point x has a minimal open
 neighbourhood nb[x], and a set is open iff it contains nb[x] around each of
 its points x.  So a topology is the tuple of these bitmasks (its
 specialization preorder), generated by intersecting, for each point, the
-base sets that contain it; openness, closure, subspaces, components,
-products, continuity and local constancy are all decided point by point on
-the neighbourhoods.  Carriers are capped at 32 points.  The open-set family
-`Topology.opens` is enumerated only on demand and capped at 2^16 members;
-the open counts printed by `analyze`, `act-topology` and `mult-core` and
-the suite read it.
+base sets that contain it; openness, closure, subspaces and products are
+decided point by point on the neighbourhoods.  Components, continuity and
+local constancy are decided along `Topology.edges`, a short list of pairs
+whose reflexive-transitive closure is the preorder: a map is continuous iff
+it is monotone, which it is iff it is monotone along each edge.  Carriers
+are capped at 32 points.  The open-set family `Topology.opens` is
+enumerated only on demand and capped at 2^16 members; the open counts
+printed by `analyze`, `act-topology` and `mult-core` and the suite read it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,24 @@ class Topology:
             if len(family) > _MAX_FAMILY:
                 raise TopactError(f"open-set family exceeds {_MAX_FAMILY} members")
         return frozenset(family)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (x, y) with y ∈ nb[x], ascending in x, whose
+        reflexive-transitive closure is the relation y ∈ nb[x].  The first
+        point p with a given neighbourhood v gets an edge to every other
+        point of v, and each later point with neighbourhood v one edge, to p;
+        so a partition topology with k blocks has 2(n - k) edges and the
+        discrete one none."""
+        first: dict[int, int] = {}
+        out = []
+        for x, v in enumerate(self.nbhd):
+            p = first.setdefault(v, x)
+            if p == x:
+                out += ((x, y) for y in bits(v ^ (1 << x)))
+            else:
+                out.append((x, p))
+        return tuple(out)
 
     def is_open(self, mask: int) -> bool:
         if mask & ~self.full:
@@ -123,16 +143,9 @@ def is_locally_constant(values: Sequence, topology: Topology) -> bool:
     """True when values[y] == values[x] for every y in the minimal
     neighbourhood nb[x] of every point x, i.e. when every fibre of the map
     x ↦ values[x] is open (a set is open iff it contains nb[x] around each
-    of its points x)."""
-    nb = topology.nbhd
-    for x, v in enumerate(values):
-        rest = nb[x] ^ (1 << x)
-        while rest:
-            low = rest & -rest
-            if values[low.bit_length() - 1] != v:
-                return False
-            rest ^= low
-    return True
+    of its points x).  Equality is an equivalence, so it suffices to check
+    each edge."""
+    return all(values[x] == values[y] for x, y in topology.edges)
 
 
 def _rectangle(u: int, v: int, n2: int) -> int:
@@ -181,24 +194,17 @@ class SeparationReport:
 
 def separation_report(topology: Topology) -> SeparationReport:
     nb = topology.nbhd
-    # x and y are indistinguishable iff they share the minimal open neighbourhood
-    classes: list[list[int]] = []
-    assigned = [-1] * topology.carrier_size
-    for x in range(topology.carrier_size):
-        if assigned[x] >= 0:
-            continue
-        cls = [y for y in range(x, topology.carrier_size)
-               if nb[y] == nb[x]]
-        for y in cls:
-            assigned[y] = len(classes)
-        classes.append(cls)
-    t0 = all(len(c) == 1 for c in classes)
+    # x and y are indistinguishable iff they share the minimal open
+    # neighbourhood; the dict keeps its classes in order of least member
+    classes: dict[int, list[int]] = {}
+    for x, v in enumerate(nb):
+        classes.setdefault(v, []).append(x)
     # every open is a union of clopens iff every minimal neighbourhood is closed
     clopen_base = all(topology.is_closed(v) for v in nb)
     return SeparationReport(
         preorder=nb,
-        partition=tuple(tuple(c) for c in classes),
-        t0=t0,
+        partition=tuple(map(tuple, classes.values())),
+        t0=len(classes) == topology.carrier_size,
         clopen_base=clopen_base,
         discrete=topology.is_discrete(),
     )
@@ -207,7 +213,8 @@ def separation_report(topology: Topology) -> SeparationReport:
 def connected_components(topology: Topology) -> tuple[tuple[int, ...], ...]:
     """Classes of the equivalence generated by "y ∈ nb[x]", ordered by
     least member: on a finite carrier these are the components, and no
-    clopen separates two points of one class."""
+    clopen separates two points of one class.  The edges generate the same
+    equivalence."""
     parent = list(range(topology.carrier_size))
 
     def find(x: int) -> int:
@@ -216,11 +223,10 @@ def connected_components(topology: Topology) -> tuple[tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    for x, v in enumerate(topology.nbhd):
-        for y in bits(v):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
+    for x, y in topology.edges:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
     classes: dict[int, list[int]] = {}
     for x in range(topology.carrier_size):
         classes.setdefault(find(x), []).append(x)
@@ -237,22 +243,23 @@ def continuity_witness(f: Sequence[int], t_src: Topology, t_tgt: Topology
                        ) -> int | None:
     """None when f is continuous; otherwise nb_tgt[f(x)] for the first x
     whose neighbourhood f does not map into it, an open set whose preimage
-    contains x but not nb_src[x], so is not open."""
+    contains x but not nb_src[x], so is not open.
+
+    f is continuous iff it is monotone along every source edge (x, y).
+    The first x with a failing edge is that first x: a first point p of its
+    neighbourhood has an edge to each other point of nb_src[p], and a later
+    point x has one edge, to an earlier p with nb_src[p] = nb_src[x], which
+    maps into nb_tgt[f(p)] and so into nb_tgt[f(x)] once f(p) lies there."""
     if len(f) != t_src.carrier_size:
         raise SizeMismatch(f"map has {len(f)} entries for carrier {t_src.carrier_size}")
     for v in f:
         if not (0 <= v < t_tgt.carrier_size):
             raise SizeMismatch(f"map value {v} outside target carrier")
-    nb_src = t_src.nbhd
     nb_tgt = t_tgt.nbhd
-    for x, fx in enumerate(f):
-        target = nb_tgt[fx]
-        rest = nb_src[x] ^ (1 << x)
-        while rest:
-            low = rest & -rest
-            if not target >> f[low.bit_length() - 1] & 1:
-                return target
-            rest ^= low
+    for x, y in t_src.edges:
+        target = nb_tgt[f[x]]
+        if not target >> f[y] & 1:
+            return target
     return None
 
 

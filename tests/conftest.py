@@ -249,6 +249,15 @@ def relabeled_monoid(monoid, rng):
                            new[monoid.identity])
 
 
+def relabeled_topology(monoid, copy, topology):
+    """The topology carried to copy, a relabelled monoid: the point with a
+    given name keeps the neighbours with the same names."""
+    old = [monoid.elements.index(name) for name in copy.elements]
+    nb = topology.nbhd
+    return Topology(monoid.order, tuple(
+        sum(1 << j for j, y in enumerate(old) if nb[x] >> y & 1) for x in old))
+
+
 @st.composite
 def transformation_monoids(draw, points=5, orders=(5, 20)):
     """A monoid whose order lies in orders: the closure of the identity and

@@ -17,13 +17,14 @@ from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, Inva
                                 join, least_open_congruence, leq, meet,
                                 open_congruences, total, validate_filter)
 from topact.errors import InternalCheckError, TopactError
-from topact.topology import (Topology, connected_components, discrete_topology,
-                             indiscrete_topology, is_open_in_product, partition_topology)
+from topact.topology import (connected_components, discrete_topology, indiscrete_topology,
+                             is_open_in_product, partition_topology)
 from topact.util import mask_of
 
 from conftest import (NotInFilter, full_transformation_monoid, hom_classes,
                       preorder_topologies, preorder_topology, relabeled_monoid,
-                      transformation_closure, transformation_monoid, transformation_monoids)
+                      relabeled_topology, transformation_closure, transformation_monoid,
+                      transformation_monoids)
 
 
 def all_partitions(n):
@@ -187,9 +188,7 @@ def assert_least_open_congruence_matches_oracle(monoid, topology, rng):
     assert is_two_sided(r0)
     copy = relabeled_monoid(monoid, rng)
     old = [monoid.elements.index(name) for name in copy.elements]
-    nb = topology.nbhd
-    moved = Topology(monoid.order, tuple(
-        sum(1 << j for j, y in enumerate(old) if nb[x] >> y & 1) for x in old))
+    moved = relabeled_topology(monoid, copy, topology)
     assert least_open_congruence(copy, moved) \
         == congruence_from_class_map(copy, [r0.class_of[x] for x in old])
 

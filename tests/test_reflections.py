@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (full_transformation_monoid, open_congruences_by_scan,
-                      preorder_topologies, transformation_monoids)
+                      preorder_topologies, relabeled_monoid, relabeled_topology,
+                      transformation_monoids)
 from topact.actions import (continuous_part, is_continuous_mset, necessary_clopen,
                             orbit_congruence, power_of_m, quotient_mset)
 from topact.catalog import all_monoids, all_topologies, cyclic
@@ -132,6 +134,8 @@ def test_reflections_match_their_oracles_on_transformation_monoids(monoid, data)
     topology = data.draw(preorder_topologies(monoid.order))
     # the closure checks are quadratic in the 2^k continuous subsets
     assert_reflections_match_oracles(monoid, topology, closure_checks=False)
+    assert_multiplication_checks_are_metamorphic(
+        monoid, topology, data.draw(st.randoms(use_true_random=False)))
     r0 = least_open_congruence(monoid, topology)
     assert is_continuous_mset(quotient_mset(monoid, r0), topology)[0]
     assert open_congruences(monoid, topology).members \
@@ -442,13 +446,29 @@ def test_action_topology_generated_by_components():
             assert tilde.opens == components.opens
 
 
+def assert_multiplication_checks_are_metamorphic(monoid, topology, rng):
+    """is_topological_monoid and mult_continuous_core answer the same on the
+    opposite monoid, and move along a relabelling of the elements."""
+    verdict = is_topological_monoid(monoid, topology)
+    core = mult_continuous_core(monoid, topology)
+    op = opposite(monoid)
+    assert is_topological_monoid(op, topology) == verdict
+    assert mult_continuous_core(op, topology) == core
+    copy = relabeled_monoid(monoid, rng)
+    moved = relabeled_topology(monoid, copy, topology)
+    assert is_topological_monoid(copy, moved) == verdict
+    assert mult_continuous_core(copy, moved) == relabeled_topology(monoid, copy, core)
+
+
 def test_topological_monoid_matches_preimages_through_order_four():
+    rng = random.Random(14)
     cells = continuous = 0
     for order in (1, 2, 3, 4):
         for monoid in all_monoids(order):
             for topology in all_topologies(order):
                 verdict = is_topological_monoid(monoid, topology)
                 assert verdict == is_topological_monoid_by_preimages(monoid, topology)
+                assert_multiplication_checks_are_metamorphic(monoid, topology, rng)
                 cells += 1
                 continuous += verdict
     assert cells == 12637
@@ -463,6 +483,26 @@ def test_topological_monoid_on_large_discrete_and_coarse_carriers():
     split = partition_topology(13, [[0], range(1, 13)])
     assert not is_topological_monoid(c13, split)
     assert not is_topological_monoid_by_preimages(c13, split)
+
+
+def test_multiplication_checks_match_their_oracles_on_t3():
+    t3 = full_transformation_monoid(3)
+    rng = random.Random(14)
+    by_rank = {}
+    by_kernel = {}
+    for x, name in enumerate(t3.elements):
+        by_rank.setdefault(len(set(name)), []).append(x)
+        by_kernel.setdefault(tuple(name.index(c) for c in name), []).append(x)
+    verdicts = []
+    for topology in (indiscrete_topology(27),
+                     partition_topology(27, list(by_rank.values())),
+                     partition_topology(27, list(by_kernel.values()))):
+        verdict = is_topological_monoid(t3, topology)
+        assert verdict == is_topological_monoid_by_preimages(t3, topology)
+        assert mult_continuous_core(t3, topology) == mult_core_by_opens(t3, topology)
+        assert_multiplication_checks_are_metamorphic(t3, topology, rng)
+        verdicts.append(verdict)
+    assert verdicts == [True, False, False]
 
 
 def test_t0_quotient_topology_is_the_image_of_the_opens():

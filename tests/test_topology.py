@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import preorder_topologies
 from topact.catalog import all_topologies
 from topact.errors import TopactError
 from topact.topology import (OutOfRange, SizeMismatch, connected_components,
-                             discrete_topology, generate_topology, indiscrete_topology,
-                             is_continuous, is_locally_constant, is_open_in_product,
-                             minimal_base, minimal_neighborhoods, partition_topology,
-                             separation_report, subspace_topology)
+                             continuity_witness, discrete_topology, generate_topology,
+                             indiscrete_topology, is_continuous, is_locally_constant,
+                             is_open_in_product, minimal_base, minimal_neighborhoods,
+                             partition_topology, separation_report, subspace_topology)
 from topact.util import bits, mask_of
 
 
@@ -223,8 +224,19 @@ def test_locally_constant_means_open_fibres():
                 assert is_locally_constant(values, t) == all(t.is_open(u) for u in fibres)
 
 
+def continuity_witness_by_points(f, t_src, t_tgt):
+    """Oracle for continuity_witness: nb_tgt[f(x)] for the first x whose
+    whole neighbourhood f does not map into it, checked point by point."""
+    for x, fx in enumerate(f):
+        target = t_tgt.nbhd[fx]
+        if any(not target >> f[y] & 1 for y in bits(t_src.nbhd[x])):
+            return target
+    return None
+
+
 def test_is_continuous_matches_preimages_of_opens():
-    for n_src, n_tgt in ((2, 3), (3, 2), (3, 3)):
+    # the witness is the open printed by factor-hom's NotContinuous message
+    for n_src, n_tgt in itertools.product((1, 2, 3), repeat=2):
         for t_src in all_topologies(n_src):
             for t_tgt in all_topologies(n_tgt):
                 for f in itertools.product(range(n_tgt), repeat=n_src):
@@ -232,6 +244,8 @@ def test_is_continuous_matches_preimages_of_opens():
                         mask_of(x for x in range(n_src) if u >> f[x] & 1) in t_src.opens
                         for u in t_tgt.opens)
                     assert is_continuous(f, t_src, t_tgt) == expected
+                    assert continuity_witness(f, t_src, t_tgt) \
+                        == continuity_witness_by_points(f, t_src, t_tgt)
 
 
 def test_connected_components(tau_a):
@@ -301,6 +315,38 @@ def _every_topology_through_4():
     for carrier in (1, 2, 3, 4):
         for t in all_topologies(carrier):
             yield carrier, t
+
+
+def assert_edges_generate_the_preorder(t):
+    """Every edge (x, y) has y ∈ nb[x], the first coordinates ascend, and
+    the reflexive-transitive closure of the edges is y ∈ nb[x]."""
+    edges = t.edges
+    assert all(t.nbhd[x] >> y & 1 for x, y in edges)
+    assert [x for x, _ in edges] == sorted(x for x, _ in edges)
+    reach = [1 << x for x in range(t.carrier_size)]
+    for x, y in edges:
+        reach[x] |= 1 << y
+    for _ in range(t.carrier_size):
+        reach = [mask_of(z for y in bits(r) for z in bits(reach[y])) for r in reach]
+    assert tuple(reach) == t.nbhd
+
+
+def test_edges_generate_the_preorder_through_4():
+    partitions = 0
+    for carrier, t in _every_topology_through_4():
+        assert_edges_generate_the_preorder(t)
+        assert (len(t.edges) == 0) == t.is_discrete()
+        # a partition topology is one whose neighbourhoods are all closed
+        if separation_report(t).clopen_base:
+            assert len(t.edges) == 2 * (carrier - len(set(t.nbhd)))
+            partitions += 1
+    assert partitions == 1 + 2 + 5 + 15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(preorder_topologies))
+def test_edges_generate_the_preorder_of_drawn_topologies(t):
+    assert_edges_generate_the_preorder(t)
 
 
 def test_opens_are_the_up_sets_of_the_neighbourhoods():
