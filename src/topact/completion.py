@@ -3,11 +3,12 @@ and comparison homomorphism, completeness predicates, and homomorphism
 factorizations.
 
 The completion is the limit of the quotients M/r over the members r of the
-filter.  On a finite monoid the filter has a least member r0, which is
-two-sided, and the coordinate at r0 determines every other coordinate, so
-the limit is the monoid M/r0 with the discrete topology, and the
-comparison is the quotient map.  The limit of class tuples is kept in the
-tests as the oracle for this construction.
+filter.  On a finite monoid the filter has a least member, its base, which
+is two-sided, and the coordinate at the base determines every other
+coordinate, so the limit is the monoid M/base with the discrete topology,
+and the comparison is the quotient map.  Only the base is read: the
+filter's members are never listed.  The limit of class tuples is kept in
+the tests as the oracle for this construction.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class Completion:
     monoid: FiniteMonoid
     topology: Topology
     comparison: SemigroupHom
-    filter: CongruenceFilter
 
 
 def complete(monoid: FiniteMonoid, flt: CongruenceFilter) -> Completion:
@@ -63,7 +63,7 @@ def complete(monoid: FiniteMonoid, flt: CongruenceFilter) -> Completion:
     others.  The product topology is spanned by the fibres of the
     coordinates, and those of least are points."""
     quotient, comparison = _quotient_monoid(monoid, flt.least)
-    return Completion(quotient, discrete_topology(quotient.order), comparison, flt)
+    return Completion(quotient, discrete_topology(quotient.order), comparison)
 
 
 def is_complete(monoid: FiniteMonoid, topology: Topology) -> bool:
@@ -109,16 +109,17 @@ def extend_hom(phi: SemigroupHom, f_src: CongruenceFilter,
                f_tgt: CongruenceFilter) -> SemigroupHom:
     """Extend a monoid hom to the completions: the class [a] of the source's
     least member goes to the class of phi(a) in the target's.  This is well
-    defined because every target member pulls back into the source filter,
-    so the target's least member pulls back above the source's.  It is a
-    monoid hom, since phi is one and both comparison maps are quotient maps,
-    and it commutes with them by construction.  Continuity is automatic, as
-    the source completion is discrete."""
+    defined when every target member pulls back into the source filter, so
+    that the target's least member pulls back above the source's.  Pullback
+    is monotone and the source filter is upward closed, so the pullback of
+    the target's least member decides it for every member.  The extension
+    is a monoid hom, since phi is one and both comparison maps are quotient
+    maps, and it commutes with them by construction.  Continuity is
+    automatic, as the source completion is discrete."""
     if not phi.preserves_identity:
         raise TopactError("extension requires a monoid homomorphism")
-    for r in f_tgt.members:
-        if pullback_congruence(phi, r) not in f_src:
-            raise PullbackOutsideFilter(r)
+    if pullback_congruence(phi, f_tgt.least) not in f_src:
+        raise PullbackOutsideFilter(f_tgt.least)
     src = complete(phi.source, f_src)
     tgt = complete(phi.target, f_tgt)
     return SemigroupHom(src.monoid, tgt.monoid,

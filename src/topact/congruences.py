@@ -3,19 +3,20 @@ filters of congruences.
 
 A right congruence is stored as its class map, canonicalized so class ids
 appear in order of least member.  The lattice is generated as the join
-closure of the principal congruences and indexes its members.  A filter
-always carries a least element on finite monoids.  The filters built here
-are up-sets of two-sided congruences, which satisfy the four axioms
-(non-empty, upward closed, downward directed, closed under the
-inverse-image action) by construction; validate_filter checks a list of
-members against them, as a bitset over the lattice.
+closure of the principal congruences and indexes its members.  On a finite
+monoid an equivariant filter is the up-set of its least member, which is
+two-sided, and every up-set of a two-sided congruence satisfies the four
+axioms (non-empty, upward closed, downward directed, closed under the
+inverse-image action).  So a filter is stored as its least member; the
+lattice is built only when its members are listed.  validate_filter checks
+a list of members against the axioms, as a bitset over the lattice.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError, TopactError
@@ -356,18 +357,27 @@ def _least_members(class_of: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CongruenceFilter:
-    """An equivariant filter of right congruences, its members in lattice
-    order, and its least member, which on a finite monoid is its base."""
+    """An equivariant filter of right congruences, stored as its least
+    member, its base: the filter is the congruences above least.  For a
+    two-sided least that up-set is upward closed and directed, with least
+    member least, and equivariant, since q*(s) ⊇ q*(least) ⊇ least for every
+    member s."""
 
     monoid: FiniteMonoid
-    members: tuple[RightCongruence, ...]
     least: RightCongruence
 
+    @cached_property
+    def members(self) -> tuple[RightCongruence, ...]:
+        """The members in lattice order: by number of classes, then class
+        map."""
+        lattice = enumerate_congruences(self.monoid)
+        return tuple(map(lattice.__getitem__, bits(lattice.up(lattice.index_of(self.least)))))
+
     def __contains__(self, r: RightCongruence) -> bool:
-        return r in self.members
+        return r.monoid == self.monoid and leq(self.least, r)
 
     def __repr__(self) -> str:
-        return f"CongruenceFilter({len(self.members)} members, base {self.least.label()})"
+        return f"CongruenceFilter(base {self.least.label()})"
 
 
 def validate_filter(monoid: FiniteMonoid,
@@ -388,7 +398,6 @@ def validate_filter(monoid: FiniteMonoid,
         raise EmptyFilter("a congruence filter cannot be empty")
     lattice = enumerate_congruences(monoid)
     index = sorted(set(map(lattice.index_of, members)))
-    mem = tuple(map(lattice.__getitem__, index))
     flt = mask_of(index)
     if lattice.up(index[-1]) != flt:
         for i in index:
@@ -397,6 +406,7 @@ def validate_filter(monoid: FiniteMonoid,
                 raise NotUpwardClosed(lattice[i], lattice[(outside & -outside).bit_length() - 1])
         # with upward closure checked, some member lies below r1 and r2 iff
         # their meet (a lattice element above that member) is a member
+        mem = tuple(map(lattice.__getitem__, index))
         for k, r1 in enumerate(mem):
             for r2 in mem[:k]:
                 if not flt >> lattice.position[meet(r1, r2).class_of] & 1:
@@ -407,17 +417,7 @@ def validate_filter(monoid: FiniteMonoid,
             for q, t in enumerate(lattice.translates(i)):
                 if not flt >> t & 1:
                     raise NotEquivariant(q, lattice[i])
-    return CongruenceFilter(monoid, mem, mem[-1])
-
-
-def _up_set(monoid: FiniteMonoid, least: RightCongruence) -> CongruenceFilter:
-    """The filter of the congruences above a two-sided congruence, in
-    lattice order: upward closed and directed, with least member least,
-    and equivariant, since q*(s) ⊇ q*(least) ⊇ least for every member s."""
-    lattice = enumerate_congruences(monoid)
-    i = lattice.index_of(least)
-    return CongruenceFilter(monoid, tuple(map(lattice.__getitem__, bits(lattice.up(i)))),
-                            lattice[i])
+    return CongruenceFilter(monoid, lattice[index[-1]])
 
 
 def filter_generated(monoid: FiniteMonoid,
@@ -430,14 +430,12 @@ def filter_generated(monoid: FiniteMonoid,
     if not gens:
         raise EmptyFilter("need at least one generator")
     images = [[g.class_of[t] for t in row] for g in gens for row in monoid.table]
-    return _up_set(monoid, RightCongruence(monoid, _canonical(zip(*images))))
+    return CongruenceFilter(monoid, RightCongruence(monoid, _canonical(zip(*images))))
 
 
 def full_filter(monoid: FiniteMonoid) -> CongruenceFilter:
-    """Every right congruence; the diagonal, with the most classes, is the
-    least and comes last."""
-    lattice = enumerate_congruences(monoid)
-    return CongruenceFilter(monoid, tuple(lattice), lattice[-1])
+    """Every right congruence: the up-set of the diagonal."""
+    return CongruenceFilter(monoid, diagonal(monoid))
 
 
 def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCongruence:
@@ -510,7 +508,7 @@ def open_congruences(monoid: FiniteMonoid, topology: Topology) -> CongruenceFilt
     topology separates the two) and does not yield an equivariant filter;
     the translate-closed form always does.
     """
-    return _up_set(monoid, least_open_congruence(monoid, topology))
+    return CongruenceFilter(monoid, least_open_congruence(monoid, topology))
 
 
 def enumerate_filters(monoid: FiniteMonoid) -> tuple[CongruenceFilter, ...]:
@@ -519,8 +517,5 @@ def enumerate_filters(monoid: FiniteMonoid) -> tuple[CongruenceFilter, ...]:
     Each is the up-set of its least element, and a principal up-set is
     equivariant exactly when that least element is two-sided.
     """
-    out = []
-    for r in enumerate_congruences(monoid):
-        if is_two_sided(r):
-            out.append(filter_generated(monoid, [r]))
-    return tuple(out)
+    return tuple(CongruenceFilter(monoid, r)
+                 for r in enumerate_congruences(monoid) if is_two_sided(r))

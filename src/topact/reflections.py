@@ -1,7 +1,7 @@
 """Reflections of a monoid-with-topology: the action topology, the
 multiplication-continuous core, the T0 quotient, their composite (the powder
 reflection), left/right duality, and topologies induced by congruence
-filters.
+filters: the partition topology on the classes of the filter's least member.
 
 The action topology is the partition topology on the classes of r0, the
 least open right congruence, which is the two-sided congruence generated by
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .actions import MSet, continuous_points, orbit_congruence, power_of_m
+from .actions import MSet, continuous_points
 from .congruences import (CongruenceFilter, RightCongruence, congruence_from_class_map,
                           enumerate_congruences, least_open_congruence)
 from .errors import CapExceeded, InternalCheckError, TopactError
@@ -80,14 +80,18 @@ class ActionTopologyReport:
     continuous_sets: tuple[int, ...] = _Unions()
 
 
-def _report(partition: RightCongruence, topology: Topology) -> ActionTopologyReport:
-    """The report on the partition topology of an action-topology partition,
-    which is two-sided with every class open in the topology."""
+def _partition_topology(partition: RightCongruence) -> Topology:
+    """The topology whose opens are the unions of the partition's classes."""
     masks = [0] * partition.num_classes
     for m, c in enumerate(partition.class_of):
         masks[c] |= 1 << m
-    tau_tilde = Topology(topology.carrier_size,
-                         tuple(masks[c] for c in partition.class_of))
+    return Topology(len(partition.class_of), tuple(masks[c] for c in partition.class_of))
+
+
+def _report(partition: RightCongruence, topology: Topology) -> ActionTopologyReport:
+    """The report on the partition topology of an action-topology partition,
+    which is two-sided with every class open in the topology."""
+    tau_tilde = _partition_topology(partition)
     return ActionTopologyReport(partition, tau_tilde, tau_tilde == topology)
 
 
@@ -229,46 +233,30 @@ def two_sided_commutation(monoid: FiniteMonoid, topology: Topology) -> bool:
 
 def induced_topology_from_filter(monoid: FiniteMonoid, flt: CongruenceFilter
                                  ) -> ActionTopologyReport:
-    """Coarsest topology whose continuous quotients include the filter:
-    keep the subsets all of whose translated orbit congruences lie in the
-    filter.  The kept subsets are the unions of the atoms, and every filter
-    quotient is continuous for the result; the tests check both."""
-    power = power_of_m(monoid)
-    member_set = set(flt.members)
-    masks = []
-    for a in range(1 << monoid.order):
-        if all(orbit_congruence(power, power.act[a][q]) in member_set
-               for q in range(monoid.order)):
-            masks.append(a)
-    induced = generate_topology(monoid.order, masks)
-    # its points' neighbourhoods are the atoms of the masks, the classes of
-    # the meet of the masks' orbit congruences
-    return _report(congruence_from_class_map(monoid, induced.nbhd), induced)
-
-
-def atom_image_congruence(monoid: FiniteMonoid, r: RightCongruence,
-                          p: int) -> RightCongruence:
-    """Kernel of the atom map [q] ↦ q*(class of p) out of M/r into the
-    powerset, i.e. the orbit congruence of p's class A: m and m' are related
-    when {x : m·x ∈ A} = {x : m'·x ∈ A}.  Right stability is re-verified."""
-    cls = r.class_of[p]
-    return congruence_from_class_map(
-        monoid, [mask_of(x for x, y in enumerate(row) if r.class_of[y] == cls)
-                 for row in monoid.table])
+    """Coarsest topology whose continuous quotients include the filter: the
+    subsets A all of whose translates q*(A) have orbit congruences in the
+    filter.  These are the unions of classes of the filter's least member
+    b.  The orbit congruence of a union of b-classes contains b, since b is
+    a right congruence, and its translates are again unions of b-classes,
+    since b is two-sided; conversely A is a union of classes of its own
+    orbit congruence (m·1 ∈ A decides m), which contains b when it lies in
+    the filter.  So the result is the partition topology on b's classes,
+    its own action topology; the tests check it against the scan of every
+    subset."""
+    return ActionTopologyReport(flt.least, _partition_topology(flt.least), True)
 
 
 def is_topological_filter(monoid: FiniteMonoid, flt: CongruenceFilter
                           ) -> tuple[bool, RightCongruence | None]:
     """True when the filter equals the open congruences of its induced
-    topology: no missing congruence has all its atom images inside."""
-    member_set = set(flt.members)
-    for r in enumerate_congruences(monoid):
-        if r in member_set:
-            continue
-        if all(atom_image_congruence(monoid, r, p) in member_set
-               for p in r.representatives()):
-            return False, r
-    return True, None
+    topology.  Both are up-sets, so they are equal exactly when the least
+    open congruence of the induced topology is the filter's least member;
+    when it is not, it is returned as the witness.  The tests check this
+    against a scan of the lattice for a missing congruence whose atom
+    images all lie in the filter."""
+    induced = induced_topology_from_filter(monoid, flt).topology
+    r0 = least_open_congruence(monoid, induced)
+    return (True, None) if r0 == flt.least else (False, r0)
 
 
 def congruence_set(monoid: FiniteMonoid) -> MSet:

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
                             right_zeros, truncated_addition, trivial_monoid,
                             two_idempotents)
-from topact.completion import Completion, dense_closed_factorization
-from topact.congruences import (enumerate_congruences, inverse_image_congruence, leq,
-                                validate_filter)
+from topact.actions import orbit_congruence, power_of_m
+from topact.completion import (Completion, PullbackOutsideFilter, complete,
+                               dense_closed_factorization, pullback_congruence)
+from topact.congruences import (congruence_from_class_map, enumerate_congruences,
+                                inverse_image_congruence, leq, validate_filter)
 from topact.errors import TopactError
 from topact.invariants import MonogenicHomFlags, monogenic_orbit
 from topact.monoid import validate_hom, validate_monoid
@@ -148,7 +150,7 @@ def tuple_limit_completion(monoid, flt):
     fibres = [mask_of(j for j, t in enumerate(tuples) if t[i] == c)
               for i, r in enumerate(members) for c in range(r.num_classes)]
     rho = generate_topology(len(tuples), fibres)
-    return Completion(limit, rho, validate_hom(monoid, limit, coords), flt), tuples
+    return Completion(limit, rho, validate_hom(monoid, limit, coords)), tuples
 
 
 def assert_completion_matches_oracle(completion, monoid, flt):
@@ -208,6 +210,55 @@ def open_congruences_by_scan(monoid, topology):
                if all(is_locally_constant([r.class_of[t] for t in row], topology)
                       for row in monoid.table)]
     return validate_filter(monoid, members)
+
+
+def extend_hom_by_members(phi, f_src, f_tgt):
+    """Oracle for extend_hom: pull back every member of the target filter,
+    raising PullbackOutsideFilter at the first that leaves the source
+    filter's members, then send the class [a] of the source's least member
+    to the class of phi(a) in the target's."""
+    src_members = set(f_src.members)
+    for r in f_tgt.members:
+        if pullback_congruence(phi, r) not in src_members:
+            raise PullbackOutsideFilter(r)
+    tgt = complete(phi.target, f_tgt)
+    return tuple(tgt.comparison.map[phi.map[a]] for a in f_src.least.representatives())
+
+
+def induced_topology_by_powerset(monoid, flt):
+    """Oracle for induced_topology_from_filter: the topology generated by the
+    subsets of the carrier all of whose translated orbit congruences in the
+    powerset action are members of the filter."""
+    power = power_of_m(monoid)
+    members = set(flt.members)
+    kept = [a for a in range(1 << monoid.order)
+            if all(orbit_congruence(power, power.act[a][q]) in members
+                   for q in range(monoid.order))]
+    return generate_topology(monoid.order, kept)
+
+
+def atom_image_congruence(monoid, r, p):
+    """Kernel of the atom map [q] ↦ q*(class of p) out of M/r into the
+    powerset, i.e. the orbit congruence of p's class A: m and m' are related
+    when {x : m·x ∈ A} = {x : m'·x ∈ A}.  Right stability is re-verified."""
+    cls = r.class_of[p]
+    return congruence_from_class_map(
+        monoid, [mask_of(x for x, y in enumerate(row) if r.class_of[y] == cls)
+                 for row in monoid.table])
+
+
+def is_topological_filter_by_scan(monoid, flt):
+    """Oracle for is_topological_filter: scan the lattice for a congruence
+    outside the filter all of whose atom images lie in the filter, and
+    return the first as the witness."""
+    members = set(flt.members)
+    for r in enumerate_congruences(monoid):
+        if r in members:
+            continue
+        if all(atom_image_congruence(monoid, r, p) in members
+               for p in r.representatives()):
+            return False, r
+    return True, None
 
 
 def transformation_closure(maps, points, limit):

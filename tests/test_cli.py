@@ -316,6 +316,26 @@ def test_site_cap_stops_site_on_the_full_filter_of_t3(t3_dir, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["complete", "{}/T3.json", "--filter", "all"],
+                                  ["complete", "{}/T3.json", "--filter", "open@{}/disc.json"],
+                                  ["check", "topological-filter", "{}/T3.json"]])
+def test_filter_commands_reading_only_the_base_need_no_lattice(t3_dir, capsys, monkeypatch,
+                                                               argv):
+    # a lattice of one member is exceeded by every monoid past order 1
+    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "1")
+    enumerate_congruences.cache_clear()
+    assert main([a.format(t3_dir) for a in argv]) == 0
+    assert enumerate_congruences.cache_info().misses == 0
+    capsys.readouterr()
+
+
+def test_congruence_cap_still_stops_site_on_t3(t3_dir, capsys, monkeypatch):
+    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "1")
+    enumerate_congruences.cache_clear()
+    assert main(["site", str(t3_dir / "T3.json"), "--filter", "all"]) == 2
+    assert "right congruences: cap exceeded at 2" in capsys.readouterr().err
+
+
 def test_powder_on_discrete_t3_and_c32(t3_dir, tmp_path, capsys):
     assert main(["powder", str(t3_dir / "T3.json"), str(t3_dir / "disc.json")]) == 0
     assert "order 27" in capsys.readouterr().out

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (assert_completion_matches_oracle, assert_dense_closed_factorization,
-                      class_projection, transformation_monoids, tuple_limit_completion)
+                      class_projection, extend_hom_by_members, transformation_monoids,
+                      tuple_limit_completion)
 from topact.catalog import all_monoids, all_monoid_homs, all_topologies, cyclic
 from topact.completion import (ClosureNotMonoid, NotContinuous, NotPowderInput,
                                PullbackOutsideFilter, closedness_report, complete,
@@ -171,6 +172,29 @@ def test_extend_hom_unique_for_all_small_monoid_homs():
                                   == t.comparison.map[hom.map[m]]
                                   for m in range(src.order))]
                 assert matches == [psi.map]
+
+
+def test_extend_hom_matches_the_member_pullback_scan():
+    # every filter pair, so pairs whose pullbacks leave the source filter
+    # are tried too; the witness is the target's least member
+    small = [m for n in (1, 2, 3) for m in all_monoids(n)]
+    outcomes = {True: 0, False: 0}
+    for src in small:
+        for tgt in small:
+            for hom in all_monoid_homs(src, tgt):
+                for f_src in enumerate_filters(src):
+                    for f_tgt in enumerate_filters(tgt):
+                        try:
+                            expected = extend_hom_by_members(hom, f_src, f_tgt)
+                        except PullbackOutsideFilter:
+                            with pytest.raises(PullbackOutsideFilter) as info:
+                                extend_hom(hom, f_src, f_tgt)
+                            assert info.value.congruence == f_tgt.least
+                            outcomes[False] += 1
+                        else:
+                            assert extend_hom(hom, f_src, f_tgt).map == expected
+                            outcomes[True] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 def test_dense_closed_surjective(c4, c2):

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topact import files
 from topact.catalog import all_monoids, all_topologies, cyclic, truncated_addition
 from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, InvalidFilter,
                                 NotDirected, NotEquivariant,
@@ -17,6 +20,7 @@ from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, Inva
                                 join, least_open_congruence, leq, meet,
                                 open_congruences, total, validate_filter)
 from topact.errors import InternalCheckError, TopactError
+from topact.reflections import _quotient_monoid
 from topact.topology import (connected_components, discrete_topology, indiscrete_topology,
                              is_open_in_product, partition_topology)
 from topact.util import mask_of
@@ -411,7 +415,8 @@ def _sorted_members(members):
 
 def validate_filter_by_common_refinement(monoid, members):
     """Oracle: the filter axioms as first written, with directedness
-    decided by searching the members for a common refinement."""
+    decided by searching the members for a common refinement.  Returns the
+    filter of the least member and the members as checked."""
     mem = _sorted_members(members)
     if not mem:
         raise EmptyFilter("a congruence filter cannot be empty")
@@ -433,7 +438,13 @@ def validate_filter_by_common_refinement(monoid, members):
                     if not any(s != r and leq(s, r) for s in mem))
     if len(minimal) != 1:
         raise InternalCheckError("directed finite filter must have a unique minimum")
-    return CongruenceFilter(monoid, mem, minimal[0])
+    return CongruenceFilter(monoid, minimal[0]), mem
+
+
+def _validated(monoid, members):
+    """validate_filter's filter with the members it lists."""
+    flt = validate_filter(monoid, members)
+    return flt, flt.members
 
 
 def _outcome(check, monoid, members):
@@ -444,7 +455,7 @@ def _outcome(check, monoid, members):
 
 
 def _kind(outcome):
-    return outcome[0] if isinstance(outcome, tuple) else CongruenceFilter
+    return outcome[0] if isinstance(outcome[0], type) else type(outcome[0])
 
 
 def sampled_member_sets(lattice, rng, count):
@@ -467,7 +478,7 @@ def test_validate_filter_matches_common_refinement_search():
         for pick in itertools.product((False, True), repeat=len(lattice)):
             members = [r for r, on in zip(lattice, pick) if on]
             expected = _outcome(validate_filter_by_common_refinement, monoid, members)
-            assert _outcome(validate_filter, monoid, members) == expected
+            assert _outcome(_validated, monoid, members) == expected
             kinds.add(_kind(expected))
     assert kinds == {EmptyFilter, NotUpwardClosed, NotDirected, NotEquivariant,
                      CongruenceFilter}
@@ -477,7 +488,7 @@ def test_validate_filter_matches_common_refinement_search():
         lattice = enumerate_congruences(monoid)
         for members in sampled_member_sets(lattice, rng, 40):
             expected = _outcome(validate_filter_by_common_refinement, monoid, members)
-            assert _outcome(validate_filter, monoid, members) == expected
+            assert _outcome(_validated, monoid, members) == expected
             kinds.add(_kind(expected))
     assert kinds == {EmptyFilter, NotUpwardClosed, NotDirected, NotEquivariant,
                      CongruenceFilter}
@@ -495,7 +506,7 @@ def test_validate_filter_matches_common_refinement_search_on_transformation_mono
         dropped = data.draw(st.sampled_from(members))
         added = data.draw(st.sampled_from(lattice))
         for case in (members, [r for r in members if r != dropped], members + (added,)):
-            assert _outcome(validate_filter, monoid, case) \
+            assert _outcome(_validated, monoid, case) \
                 == _outcome(validate_filter_by_common_refinement, monoid, case)
 
 
@@ -593,6 +604,104 @@ def test_filters_are_upsets_of_two_sided_congruences():
     for monoid in all_monoids(3):
         expected = sum(1 for r in enumerate_congruences(monoid) if is_two_sided(r))
         assert len(enumerate_filters(monoid)) == expected
+
+
+def pulled_back_lattice(monoid, least):
+    """The right congruences of M/least pulled back along the quotient map,
+    sorted by (classes, class map): the right congruences of M above the
+    two-sided least, built without M's lattice."""
+    _, projection = _quotient_monoid(monoid, least)
+    quotient = projection.target
+    pulled = (congruence_from_class_map(monoid, [s.class_of[c] for c in projection.map])
+              for s in enumerate_congruences(quotient))
+    return tuple(sorted(pulled, key=lambda r: (r.num_classes, r.class_of)))
+
+
+def parsed_filter(monoid, generators):
+    """The filter a filter file naming the generators loads as."""
+    ws = files.Workspace()
+    ws.register(ws.monoids, "M", monoid, "M.json")
+    names = monoid.elements
+    obj = {"monoid": "M.json",
+           "generators": [[[names[m] for m in cls] for cls in g.classes()]
+                          for g in generators]}
+    return files.parse_filter(obj, ws, Path("M.json"))
+
+
+def built_filters(monoid, topologies, rng):
+    """A filter from each constructor: the full filter, every enumerated
+    filter and, from each, the filter validate_filter returns for its
+    members, the one its least member generates and the one a filter file
+    naming it loads as; the open filters of the topologies; and filters
+    generated by two lattice members drawn by rng, directly and from a
+    file."""
+    yield full_filter(monoid)
+    for flt in enumerate_filters(monoid):
+        yield flt
+        yield validate_filter(monoid, flt.members)
+        yield filter_generated(monoid, [flt.least])
+        yield parsed_filter(monoid, [flt.least])
+    for topology in topologies:
+        yield open_congruences(monoid, topology)
+    lattice = enumerate_congruences(monoid)
+    gens = [rng.choice(lattice), rng.choice(lattice)]
+    yield filter_generated(monoid, gens)
+    yield parsed_filter(monoid, gens)
+
+
+def assert_filter_invariants(flt):
+    """The least member is two-sided; the members are its up-set in lattice
+    order and the pulled-back lattice of M/least; membership agrees with
+    the member list on every lattice member."""
+    monoid = flt.monoid
+    lattice = enumerate_congruences(monoid)
+    assert is_two_sided(flt.least)
+    assert flt.members == tuple(r for r in lattice if leq(flt.least, r))
+    assert flt.members == pulled_back_lattice(monoid, flt.least)
+    members = set(flt.members)
+    assert all((r in flt) == (r in members) for r in lattice)
+
+
+def test_a_filter_is_stored_as_its_least_member(c4):
+    assert [f.name for f in dataclasses.fields(CongruenceFilter)] == ["monoid", "least"]
+    flt = full_filter(c4)
+    assert "members" not in vars(flt)
+    assert repr(flt) == "CongruenceFilter(base 0|1|2|3)"
+    assert flt.members == enumerate_congruences(c4)
+    assert total(cyclic(2)) not in flt
+
+
+def test_built_filters_keep_their_invariants_through_order_four():
+    rng = random.Random(15)
+    enumerated = 0
+    for order in (1, 2, 3, 4):
+        topologies = all_topologies(order)[::1 if order < 4 else 40]
+        for monoid in all_monoids(order):
+            for flt in built_filters(monoid, topologies, rng):
+                assert_filter_invariants(flt)
+            enumerated += len(enumerate_filters(monoid))
+    assert enumerated == 217
+
+
+def test_built_filters_keep_their_invariants_on_t3():
+    t3 = full_transformation_monoid(3)
+    image_size = [[m for m, e in enumerate(t3.elements) if len(set(e)) == k]
+                  for k in (1, 2, 3)]
+    topologies = (discrete_topology(27), indiscrete_topology(27),
+                  partition_topology(27, image_size))
+    filters = list(built_filters(t3, topologies, random.Random(3)))
+    assert len(enumerate_filters(t3)) == 7
+    for flt in filters:
+        assert_filter_invariants(flt)
+
+
+@settings(max_examples=20, deadline=None)
+@given(transformation_monoids(orders=(5, 12)), st.data())
+def test_built_filters_keep_their_invariants_on_transformation_monoids(monoid, data):
+    topology = data.draw(preorder_topologies(monoid.order))
+    rng = data.draw(st.randoms(use_true_random=False))
+    for flt in built_filters(monoid, [topology], rng):
+        assert_filter_invariants(flt)
 
 
 def test_hom_classes_identity_and_full(c4, m_lz):

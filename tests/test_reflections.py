@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (full_transformation_monoid, open_congruences_by_scan,
-                      preorder_topologies, relabeled_monoid, relabeled_topology,
-                      transformation_monoids)
+from conftest import (atom_image_congruence, full_transformation_monoid,
+                      induced_topology_by_powerset, is_topological_filter_by_scan,
+                      open_congruences_by_scan, preorder_topologies, relabeled_monoid,
+                      relabeled_topology, transformation_monoids)
 from topact.actions import (continuous_part, is_continuous_mset, necessary_clopen,
                             orbit_congruence, power_of_m, quotient_mset)
 from topact.catalog import all_monoids, all_topologies, cyclic
@@ -16,7 +17,7 @@ from topact.congruences import (RightCongruence, diagonal, enumerate_congruences
                                 generated_congruence, inverse_image_congruence,
                                 is_two_sided, open_congruences, total)
 from topact.monoid import opposite, validate_hom, validate_monoid
-from topact.reflections import (NotTopologicalMonoid, _quotient_monoid, atom_image_congruence,
+from topact.reflections import (NotTopologicalMonoid, _quotient_monoid,
                                 congruence_hat_topology, congruence_set,
                                 continuous_subsets,
                                 induced_topology_from_filter, is_topological_filter,
@@ -344,13 +345,23 @@ def test_induced_topology_surjection_fixture(c4):
     assert report.is_action_topology
 
 
+def assert_induced_topology_matches_powerset_scan(monoid, flt):
+    report = induced_topology_from_filter(monoid, flt)
+    expected = induced_topology_by_powerset(monoid, flt)
+    assert report.topology == expected
+    assert report.partition == flt.least
+    assert report.is_action_topology
+    assert set(report.continuous_sets) == set(expected.opens)
+    return report
+
+
 def test_induced_topology_quotients_continuous():
     filters = 0
     for order in (1, 2, 3, 4):
         for monoid in all_monoids(order):
             power = power_of_m(monoid)
             for flt in enumerate_filters(monoid):
-                report = induced_topology_from_filter(monoid, flt)
+                report = assert_induced_topology_matches_powerset_scan(monoid, flt)
                 kept = tuple(a for a in range(1 << order)
                              if all(orbit_congruence(power, power.act[a][q]) in flt
                                     for q in range(order)))
@@ -361,6 +372,13 @@ def test_induced_topology_quotients_continuous():
                                               report.topology)[0]
                 filters += 1
     assert filters == 217
+
+
+@settings(max_examples=10, deadline=None)
+@given(transformation_monoids(orders=(5, 10)))
+def test_induced_topology_matches_powerset_scan_on_transformation_monoids(monoid):
+    for flt in enumerate_filters(monoid):
+        assert_induced_topology_matches_powerset_scan(monoid, flt)
 
 
 def test_quotient_monoid_passes_validation_on_two_sided_congruences():
@@ -379,14 +397,17 @@ def test_quotient_monoid_passes_validation_on_two_sided_congruences():
 
 
 def test_topological_filter_agrees_with_open_congruence_roundtrip():
-    for monoid in all_monoids(3):
+    filters = 0
+    monoids = [m for order in (1, 2, 3, 4) for m in all_monoids(order)]
+    for monoid in monoids + [full_transformation_monoid(3)]:
         for flt in enumerate_filters(monoid):
-            verdict, witness = is_topological_filter(monoid, flt)
+            outcome = is_topological_filter(monoid, flt)
+            assert outcome == is_topological_filter_by_scan(monoid, flt)
             induced = induced_topology_from_filter(monoid, flt).topology
             roundtrip = open_congruences(monoid, induced)
-            assert verdict == (roundtrip.members == flt.members)
-            if verdict:
-                assert witness is None
+            assert outcome[0] == (roundtrip.members == flt.members)
+            filters += 1
+    assert filters == 217 + 7
 
 
 def test_every_small_filter_is_topological():
