@@ -2,14 +2,15 @@
 filters of congruences.
 
 A right congruence is stored as its class map, canonicalized so class ids
-appear in order of least member.  The lattice is generated as the join
-closure of the principal congruences and indexes its members.  On a finite
-monoid an equivariant filter is the up-set of its least member, which is
-two-sided, and every up-set of a two-sided congruence satisfies the four
-axioms (non-empty, upward closed, downward directed, closed under the
-inverse-image action).  So a filter is stored as its least member; the
-lattice is built only when its members are listed.  validate_filter checks
-a list of members against the axioms, as a bitset over the lattice.
+appear in order of least member.  The lattice above a right congruence
+(above the diagonal, the whole lattice) is generated as the join closure of
+it and the principal congruences above it, and indexes its members.  On a
+finite monoid an equivariant filter is the up-set of its least member,
+which is two-sided, and every up-set of a two-sided congruence satisfies
+the four axioms (non-empty, upward closed, downward directed, closed under
+the inverse-image action).  So a filter is stored as its least member, and
+its members are the lattice above it.  validate_filter checks a list of
+members against the axioms, as a bitset over the lattice.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid
 from .topology import Topology
-from .util import bits, mask_of
+from .util import mask_of
 
 
 class NotStable(TopactError):
@@ -111,14 +112,6 @@ class RightCongruence:
             seen.setdefault(c, m)
         return tuple(seen[c] for c in range(self.num_classes))
 
-    def relation_mask(self) -> int:
-        """The relation as a subset of M x M, row-major: row a is a's class."""
-        n = len(self.class_of)
-        blocks = [0] * self.num_classes
-        for m, c in enumerate(self.class_of):
-            blocks[c] |= 1 << m
-        return sum(blocks[c] << a * n for a, c in enumerate(self.class_of))
-
     def label(self) -> str:
         names = self.monoid.elements
         return "|".join(",".join(names[m] for m in cls) for cls in self.classes())
@@ -154,18 +147,19 @@ def total(monoid: FiniteMonoid) -> RightCongruence:
     return RightCongruence(monoid, (0,) * monoid.order)
 
 
-def generated_congruence(monoid: FiniteMonoid,
-                         pairs: Iterable[tuple[int, int]]) -> RightCongruence:
-    """Smallest right congruence containing the pairs: the equivalence
-    closure, by union-find, of their right translates (a·m, b·m).  That
-    relation is stable under right multiplication, and so is its
+def generated_congruence(monoid: FiniteMonoid, pairs: Iterable[tuple[int, int]],
+                         base: Optional[RightCongruence] = None) -> RightCongruence:
+    """Smallest right congruence containing base (the diagonal unless given)
+    and the pairs: the equivalence closure, by union-find started from
+    base's classes, of base and the pairs' right translates (a·m, b·m).
+    That relation is stable under right multiplication, and so is its
     equivalence closure, whose chains translate link by link.
 
     The same holds after each pair: the union-find then holds the closure
-    of the translates of the pairs so far, a right congruence.  So when a
-    pair's ends are already related, so is each of its translates, and the
-    pair is skipped."""
-    parent = list(range(monoid.order))
+    of base and the translates of the pairs so far, a right congruence.  So
+    when a pair's ends are already related, so is each of its translates,
+    and the pair is skipped."""
+    parent = list(range(monoid.order) if base is None else _least_members(base.class_of))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -238,18 +232,17 @@ def is_two_sided(r: RightCongruence) -> bool:
 
 
 class CongruenceLattice(tuple):
-    """The right congruences of a monoid in (num_classes, class_of) order,
-    indexed: ``position`` maps a class map to its index, and the rows of
-    member i, ``up(i)`` and ``translates(i)``, are built the first time they
-    are asked for, so a filter costs only the rows of the members it reads.
+    """Right congruences in (num_classes, class_of) order, indexed:
+    ``position`` maps a class map to its index, and the row of member i,
+    ``translates(i)``, is built the first time it is asked for.  Translates
+    stay in the lattice when it is closed under them: the whole lattice, or
+    the lattice above a two-sided congruence.
     """
 
     def __new__(cls, monoid: FiniteMonoid, members: Iterable[RightCongruence]):
         lattice = super().__new__(cls, members)
         lattice.position = {r.class_of: i for i, r in enumerate(lattice)}
         lattice._table = monoid.table
-        lattice._relations = []
-        lattice._up = [None] * len(lattice)
         lattice._translates = [None] * len(lattice)
         return lattice
 
@@ -259,20 +252,6 @@ class CongruenceLattice(tuple):
         if s is not r and s != r:
             raise TopactError(f"{r!r} is not in the right-congruence lattice")
         return i
-
-    def up(self, i: int) -> int:
-        """The bitset of the members j with r_i ⊆ r_j.  A coarser member
-        has fewer classes and sorts first, so only j ≤ i are tested, each
-        as containment of the relation masks."""
-        row = self._up[i]
-        if row is None:
-            relations = self._relations
-            while len(relations) <= i:
-                relations.append(self[len(relations)].relation_mask())
-            ri = relations[i]
-            row = self._up[i] = int("".join("0" if ri & ~relations[j] else "1"
-                                            for j in range(i, -1, -1)), 2)
-        return row
 
     def translates(self, i: int) -> tuple[int, ...]:
         """The index of q*(r_i) for each q."""
@@ -285,39 +264,45 @@ class CongruenceLattice(tuple):
 
 
 @lru_cache(maxsize=None)
-def enumerate_congruences(monoid: FiniteMonoid,
-                          cap: Optional[int] = None) -> CongruenceLattice:
-    """The full lattice: join closure of the principal congruences plus the
-    diagonal, in canonical order.
+def enumerate_congruences(monoid: FiniteMonoid, cap: Optional[int] = None,
+                          base: Optional[RightCongruence] = None) -> CongruenceLattice:
+    """The lattice above base, a right congruence (the whole lattice when
+    base is None, the diagonal): the join closure of base and the principal
+    congruences above it, in canonical order.
 
-    Every right congruence is the join of the principal congruences it
-    contains, and the join closure of G ∪ {p} is C(G) ∪ {r ∨ p : r ∈ C(G)}.
-    So the distinct principal congruences are added one at a time, finest
-    first: a p already in C(G) adds nothing (C(G) is closed under joins),
-    which leaves only the join-irreducible ones to be joined with the
-    members found so far.  When p is generated by (b, a) and r already
+    Every right congruence r ⊇ base is base joined with the principal
+    congruences it contains, and base ∨ ⟨(b, a)⟩ depends only on the
+    base-classes of a and b.  So the principal congruences above base are
+    p = base ∨ ⟨(b, a)⟩ for least members b < a of base-classes, and the
+    join closure of base and G ∪ {p} is C(G) ∪ {r ∨ p : r ∈ C(G)}.  They are
+    added one at a time, finest first: a p already in C(G) adds nothing
+    (C(G) is closed under joins), which leaves only the join-irreducible
+    ones to be joined with the members found so far.  When r already
     relates a and b, p ⊆ r and r ∨ p = r is skipped; otherwise a union-find
-    merges r's classes along p's (least member, member) pairs.  Members are
-    kept in least-member form (m ↦ least element of m's class), a canonical
-    key that the union-find yields directly.
+    merges r's classes along p's (least member, member) pairs, of which r,
+    containing base, needs only those whose member is least in its
+    base-class.  Members are kept in least-member form (m ↦ least element
+    of m's class), a canonical key that the union-find yields directly.
 
     The cap (``TOPACT_MAX_CONGRUENCES`` unless given) bounds the work of a
     cache miss: CapExceeded is raised as soon as more than cap members are
     found.
     """
     limit = cap if cap is not None else congruence_cap()
+    start = tuple(range(monoid.order)) if base is None else _least_members(base.class_of)
+    reps = [m for m, least in enumerate(start) if least == m]
     principal: dict[tuple[int, ...], tuple[int, int]] = {}
-    for a in range(monoid.order):
-        for b in range(a):
-            p = _least_members(generated_congruence(monoid, [(b, a)]).class_of)
+    for k, a in enumerate(reps):
+        for b in reps[:k]:
+            p = _least_members(generated_congruence(monoid, [(b, a)], base).class_of)
             principal.setdefault(p, (b, a))
-    lattice = [tuple(range(monoid.order))]
+    lattice = [start]
     found = set(lattice)
     for p in sorted(principal, key=lambda p: -len(set(p))):
         if p in found:
             continue
         b, a = principal[p]
-        links = [(least, m) for m, least in enumerate(p) if least != m]
+        links = [(least, m) for m, least in enumerate(p) if least != m and start[m] == m]
         for r in lattice[:]:
             if r[a] == r[b]:
                 continue
@@ -367,11 +352,10 @@ class CongruenceFilter:
     least: RightCongruence
 
     @cached_property
-    def members(self) -> tuple[RightCongruence, ...]:
-        """The members in lattice order: by number of classes, then class
-        map."""
-        lattice = enumerate_congruences(self.monoid)
-        return tuple(map(lattice.__getitem__, bits(lattice.up(lattice.index_of(self.least)))))
+    def members(self) -> CongruenceLattice:
+        """The lattice above least, in lattice order: by number of classes,
+        then class map."""
+        return enumerate_congruences(self.monoid, base=self.least)
 
     def __contains__(self, r: RightCongruence) -> bool:
         return r.monoid == self.monoid and leq(self.least, r)
@@ -388,10 +372,10 @@ def validate_filter(monoid: FiniteMonoid,
     order: by number of classes, then class map.  A finite upward-closed
     family is directed exactly when it has a least element, which has the
     most classes and so comes last: F is upward closed and directed exactly
-    when F = up(last).  Then F is equivariant exactly when the translates
-    of last lie in F, since q*(s) ⊇ q*(last) for every member s.  When an
-    axiom fails, the scans below name the same first witness as the axioms
-    checked member by member.
+    when F is the lattice above last.  Then F is equivariant exactly when
+    the translates of last lie in F, since q*(s) ⊇ q*(last) for every member
+    s.  When an axiom fails, the scans below name the same first witness as
+    the axioms checked member by member.
     """
     members = tuple(members)
     if not members:
@@ -399,14 +383,14 @@ def validate_filter(monoid: FiniteMonoid,
     lattice = enumerate_congruences(monoid)
     index = sorted(set(map(lattice.index_of, members)))
     flt = mask_of(index)
-    if lattice.up(index[-1]) != flt:
-        for i in index:
-            outside = lattice.up(i) & ~flt
-            if outside:
-                raise NotUpwardClosed(lattice[i], lattice[(outside & -outside).bit_length() - 1])
+    mem = tuple(map(lattice.__getitem__, index))
+    if enumerate_congruences(monoid, base=mem[-1]) != mem:
+        for r in mem:
+            for s in enumerate_congruences(monoid, base=r):
+                if not flt >> lattice.position[s.class_of] & 1:
+                    raise NotUpwardClosed(r, s)
         # with upward closure checked, some member lies below r1 and r2 iff
         # their meet (a lattice element above that member) is a member
-        mem = tuple(map(lattice.__getitem__, index))
         for k, r1 in enumerate(mem):
             for r2 in mem[:k]:
                 if not flt >> lattice.position[meet(r1, r2).class_of] & 1:
@@ -417,7 +401,7 @@ def validate_filter(monoid: FiniteMonoid,
             for q, t in enumerate(lattice.translates(i)):
                 if not flt >> t & 1:
                     raise NotEquivariant(q, lattice[i])
-    return CongruenceFilter(monoid, lattice[index[-1]])
+    return CongruenceFilter(monoid, mem[-1])
 
 
 def filter_generated(monoid: FiniteMonoid,

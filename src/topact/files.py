@@ -125,8 +125,8 @@ def load_file(ws: Workspace, path: Path) -> str:
             ws.register(ws.filters, name, parse_filter(obj, ws, path), str(path))
         elif kind == "hom":
             ws.register(ws.homs, name, parse_hom(obj, ws, path), str(path))
-    except TopactError:
-        raise
+    except KeyError as exc:
+        raise ParseError(str(path), f"missing key {exc.args[0]!r}") from None
     return name
 
 
@@ -181,15 +181,25 @@ def parse_mset(obj: Any, ws: Workspace, path: Path) -> MSet:
     for i, row in enumerate(obj["action"]):
         if len(row) != monoid.order:
             raise TopactError(f"action row {i} must list one value per monoid element")
-        act.append([index[v] for v in row])
+        try:
+            act.append([index[v] for v in row])
+        except KeyError as exc:
+            raise ParseError(str(path), f"action row {i} mentions unknown element "
+                                        f"{exc.args[0]!r}") from None
     return validate_mset(monoid, carrier, act)
 
 
-def _classes_to_map(monoid: FiniteMonoid, classes: Any) -> list[int]:
+def _element_index(monoid: FiniteMonoid, v: Any, path: Path) -> int:
+    if v not in monoid.elements:
+        raise ParseError(str(path), f"unknown element {v!r}")
+    return monoid.index(v)
+
+
+def _classes_to_map(monoid: FiniteMonoid, classes: Any, path: Path) -> list[int]:
     class_of = [-1] * monoid.order
     for cid, cls in enumerate(classes):
         for v in cls:
-            i = monoid.index(v)
+            i = _element_index(monoid, v, path)
             if class_of[i] >= 0:
                 raise TopactError(f"element {v!r} appears in two classes")
             class_of[i] = cid
@@ -201,12 +211,12 @@ def _classes_to_map(monoid: FiniteMonoid, classes: Any) -> list[int]:
 
 def parse_congruence(obj: Any, ws: Workspace, path: Path) -> RightCongruence:
     monoid = _resolve_monoid(obj, ws, path)
-    return congruence_from_class_map(monoid, _classes_to_map(monoid, obj["classes"]))
+    return congruence_from_class_map(monoid, _classes_to_map(monoid, obj["classes"], path))
 
 
 def parse_filter(obj: Any, ws: Workspace, path: Path) -> CongruenceFilter:
     monoid = _resolve_monoid(obj, ws, path)
-    gens = [congruence_from_class_map(monoid, _classes_to_map(monoid, classes))
+    gens = [congruence_from_class_map(monoid, _classes_to_map(monoid, classes, path))
             for classes in obj["generators"]]
     return filter_generated(monoid, gens)
 
@@ -220,7 +230,7 @@ def parse_hom(obj: Any, ws: Workspace, path: Path) -> SemigroupHom:
     target = ws.monoid(Path(obj["target"]).stem)
     mapping = [-1] * source.order
     for k, v in obj["map"].items():
-        mapping[source.index(k)] = target.index(v)
+        mapping[_element_index(source, k, path)] = _element_index(target, v, path)
     if -1 in mapping:
         missing = source.elements[mapping.index(-1)]
         raise TopactError(f"map is missing element {missing!r}")

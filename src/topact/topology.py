@@ -9,9 +9,10 @@ decided point by point on the neighbourhoods.  Components, continuity and
 local constancy are decided along `Topology.edges`, a short list of pairs
 whose reflexive-transitive closure is the preorder: a map is continuous iff
 it is monotone, which it is iff it is monotone along each edge.  Carriers
-are capped at 32 points.  The open-set family `Topology.opens` is
-enumerated only on demand and capped at 2^16 members; the open counts
-printed by `analyze`, `act-topology` and `mult-core` and the suite read it.
+generated from a base are capped at 32 points; the discrete topology is
+built without one.  The open-set family `Topology.opens` is enumerated
+only on demand and capped at 2^16 members; the open counts printed by
+`analyze`, `act-topology` and `mult-core` and the suite read it.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def generate_topology(carrier_size: int, base: Iterable[int]) -> Topology:
 
 
 def discrete_topology(carrier_size: int) -> Topology:
-    return generate_topology(carrier_size, [1 << i for i in range(carrier_size)])
+    return Topology(carrier_size, tuple(1 << x for x in range(carrier_size)))
 
 
 def indiscrete_topology(carrier_size: int) -> Topology:

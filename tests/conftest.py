@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
                             right_zeros, truncated_addition, trivial_monoid,
                             two_idempotents)
-from topact.actions import orbit_congruence, power_of_m
+from topact.actions import orbit_congruence, power_of_m, quotient_mset
 from topact.completion import (Completion, PullbackOutsideFilter, complete,
                                dense_closed_factorization, pullback_congruence)
 from topact.congruences import (congruence_from_class_map, enumerate_congruences,
@@ -68,6 +68,28 @@ def tau_a():
 
 class NotInFilter(TopactError):
     pass
+
+
+def relation_mask(r):
+    """The relation of a right congruence as a subset of M x M, row-major:
+    row a is a's class."""
+    n = len(r.class_of)
+    blocks = [0] * r.num_classes
+    for m, c in enumerate(r.class_of):
+        blocks[c] |= 1 << m
+    return sum(blocks[c] << a * n for a, c in enumerate(r.class_of))
+
+
+def zero_fixed_point_by_scan(monoid, flt):
+    """Oracle for zero_fixed_point_check on a monoid with a zero: every
+    member's quotient has exactly one point fixed by the whole monoid."""
+    for r in flt.members:
+        q = quotient_mset(monoid, r)
+        fixed = [x for x in range(q.size)
+                 if all(q.act[x][m] == x for m in range(monoid.order))]
+        if len(fixed) != 1:
+            return False
+    return True
 
 
 def hom_classes(flt, r1, r2):

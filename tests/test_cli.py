@@ -336,6 +336,69 @@ def test_congruence_cap_still_stops_site_on_t3(t3_dir, capsys, monkeypatch):
     assert "right congruences: cap exceeded at 2" in capsys.readouterr().err
 
 
+def test_check_zero_reads_no_lattice(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "1")
+    enumerate_congruences.cache_clear()
+    (tmp_path / "N3.json").write_text(json.dumps(files.monoid_to_obj(truncated_addition(3))))
+    assert main(["check", "zero", str(tmp_path / "N3.json"), "--filter", "all"]) == 0
+    assert enumerate_congruences.cache_info().misses == 0
+    assert "true" in capsys.readouterr().out
+
+
+@pytest.fixture
+def lz12_dir(tmp_path):
+    """The left-zero monoid {1, z1..z11} (z·m = z) with the topology whose
+    base is {1} and the zeros.  Its right congruences, the partitions of the
+    zeros and the total one, outnumber the default cap; the open filter is
+    the two congruences above r0 = {1} | {z1..z11}."""
+    names = ["1"] + [f"z{i}" for i in range(1, 12)]
+    (tmp_path / "LZ12.json").write_text(json.dumps(
+        {"elements": names, "identity": "1",
+         "table": [names] + [[z] * 12 for z in names[1:]]}))
+    (tmp_path / "split.json").write_text(json.dumps(
+        {"monoid": "LZ12.json", "carrier": names, "base": [["1"], names[1:]]}))
+    return tmp_path
+
+
+def test_site_of_a_left_zero_monoid_lists_only_the_congruences_above_r0(lz12_dir, capsys):
+    assert main(["site", str(lz12_dir / "LZ12.json"),
+                 "--filter", f"open@{lz12_dir / 'split.json'}"]) == 0
+    assert "principal site of LZ12: 2 objects, 5 arrows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("what, code", [("atomic", 1), ("jcp", 0)])
+def test_checks_on_a_left_zero_monoid_list_only_the_congruences_above_r0(lz12_dir, capsys,
+                                                                          what, code):
+    assert main(["check", what, str(lz12_dir / "LZ12.json"),
+                 "--filter", f"open@{lz12_dir / 'split.json'}"]) == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, obj, message", [
+    ("act.json", {"monoid": "C4.json", "carrier": ["a"], "action": [["a", "a", "a", "b"]]},
+     "action row 0 mentions unknown element 'b'"),
+    ("cong.json", {"monoid": "C4.json", "classes": [["0", "2"], ["1", "q"]]},
+     "unknown element 'q'"),
+    ("flt.json", {"monoid": "C4.json", "generators": [[["0", "2"], ["1", "q"]]]},
+     "unknown element 'q'"),
+    ("hom.json", {"source": "C4.json", "target": "C2.json",
+                  "map": {"0": "0", "1": "1", "2": "0", "3": "x"}},
+     "unknown element 'x'"),
+    ("noid.json", {"elements": ["e"], "table": [["e"]]}, "missing key 'identity'"),
+], ids=["action", "congruence", "filter", "hom", "missing-key"])
+def test_malformed_files_exit_2_naming_the_file(fixture_dir, capsys, name, obj, message):
+    (fixture_dir / name).write_text(json.dumps(obj))
+    assert main(["validate", path(fixture_dir, name)]) == 2
+    assert capsys.readouterr().err == f"error: {fixture_dir / name}: {message}\n"
+
+
+def test_complete_takes_no_carrier_cap(tmp_path, capsys):
+    (tmp_path / "C64.json").write_text(json.dumps(files.monoid_to_obj(cyclic(64))))
+    assert main(["complete", str(tmp_path / "C64.json"), "--filter", "all"]) == 0
+    out = capsys.readouterr().out
+    assert "L: order 64" in out and "discrete=True" in out
+
+
 def test_powder_on_discrete_t3_and_c32(t3_dir, tmp_path, capsys):
     assert main(["powder", str(t3_dir / "T3.json"), str(t3_dir / "disc.json")]) == 0
     assert "order 27" in capsys.readouterr().out

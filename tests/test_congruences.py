@@ -23,12 +23,11 @@ from topact.errors import InternalCheckError, TopactError
 from topact.reflections import _quotient_monoid
 from topact.topology import (connected_components, discrete_topology, indiscrete_topology,
                              is_open_in_product, partition_topology)
-from topact.util import mask_of
 
 from conftest import (NotInFilter, full_transformation_monoid, hom_classes,
                       preorder_topologies, preorder_topology, relabeled_monoid,
-                      relabeled_topology, transformation_closure, transformation_monoid,
-                      transformation_monoids)
+                      relabeled_topology, relation_mask, transformation_closure,
+                      transformation_monoid, transformation_monoids)
 
 
 def all_partitions(n):
@@ -374,7 +373,7 @@ def test_open_congruences_match_product_openness_of_translates():
     for order in (1, 2, 3, 4):
         for monoid in all_monoids(order):
             lattice = enumerate_congruences(monoid)
-            translates = [{inverse_image_congruence(monoid, q, r).relation_mask()
+            translates = [{relation_mask(inverse_image_congruence(monoid, q, r))
                            for q in range(order)} for r in lattice]
             relations = set().union(*translates)
             for topology in all_topologies(order):
@@ -529,7 +528,49 @@ def test_lattice_order_is_sorted_order_and_its_rows_match_leq():
         assert lattice == _sorted_members(lattice)
         for i, r in enumerate(lattice):
             assert lattice.position[r.class_of] == i
-            assert lattice.up(i) == mask_of(j for j, s in enumerate(lattice) if leq(r, s))
+
+
+def lattice_above_by_scan(monoid, base):
+    """Oracle for enumerate_congruences(monoid, base=base): the members of
+    the whole lattice that contain base, in lattice order."""
+    return tuple(r for r in enumerate_congruences(monoid) if leq(base, r))
+
+
+def test_lattice_above_a_base_matches_scan_through_order_four():
+    bases = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for base in enumerate_congruences(monoid):
+                above = enumerate_congruences(monoid, base=base)
+                assert above == lattice_above_by_scan(monoid, base)
+                assert [above.position[r.class_of] for r in above] == list(range(len(above)))
+                bases += 1
+    assert bases == 250
+
+
+def test_lattice_above_a_base_matches_scan_on_t3():
+    t3 = full_transformation_monoid(3)
+    lattice = enumerate_congruences(t3)
+    bases = random.Random(16).sample(list(lattice), 30) + [lattice[0], lattice[-1]]
+    for base in bases:
+        assert enumerate_congruences(t3, base=base) == lattice_above_by_scan(t3, base)
+
+
+def test_lattice_above_a_base_is_capped_by_its_own_size():
+    t3 = full_transformation_monoid(3)
+    base = next(r for r in enumerate_congruences(t3) if r.num_classes == 3)
+    size = len(lattice_above_by_scan(t3, base))
+    assert len(enumerate_congruences(t3, cap=size, base=base)) == size
+    with pytest.raises(CapExceeded, match=f"cap exceeded at {size}$"):
+        enumerate_congruences(t3, cap=size - 1, base=base)
+
+
+@settings(max_examples=20, deadline=None)
+@given(transformation_monoids(orders=(5, 12)), st.data())
+def test_lattice_above_a_base_matches_scan_on_transformation_monoids(monoid, data):
+    lattice = enumerate_congruences(monoid)
+    for base in data.draw(st.lists(st.sampled_from(lattice), min_size=1, max_size=8)):
+        assert enumerate_congruences(monoid, base=base) == lattice_above_by_scan(monoid, base)
 
 
 def filter_generated_by_closure(monoid, gens):

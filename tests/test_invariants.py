@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (hom_classes, monogenic_homs_bruteforce, preorder_topologies,
-                      relabeled_monoid, transformation_monoid, transformation_monoids)
+                      relabeled_monoid, transformation_monoid, transformation_monoids,
+                      zero_fixed_point_by_scan)
 from topact import files
 from topact.catalog import (all_monoids, all_topologies, cyclic, left_zeros,
                             truncated_addition, two_idempotents)
@@ -23,7 +24,7 @@ from topact.invariants import (BadCategory, FiniteCategory, MonogenicHomFlags,
                                monoids_isomorphic, morita_equivalent,
                                morita_fingerprint, principal_site,
                                strict_joint_covering, zero_fixed_point_check)
-from topact.monoid import opposite, validate_hom, validate_monoid
+from topact.monoid import opposite, validate_hom, validate_monoid, zero_element
 from topact.reflections import powder_reflection
 from topact.topology import discrete_topology
 
@@ -317,6 +318,19 @@ def test_zero_fixed_point(n2, c2, one):
     assert zero_fixed_point_check(one, full_filter(one))
     with pytest.raises(NoZeroElement):
         zero_fixed_point_check(c2, full_filter(c2))
+
+
+def test_zero_fixed_point_matches_member_scan_through_order_four():
+    filters = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            if zero_element(monoid) is None:
+                continue
+            for flt in enumerate_filters(monoid):
+                assert zero_fixed_point_check(monoid, flt) \
+                    == zero_fixed_point_by_scan(monoid, flt)
+                filters += 1
+    assert filters == 96
 
 
 def test_classify_monogenic():
