@@ -13,7 +13,8 @@ from functools import lru_cache
 
 from .actions import MSet, is_continuous_mset
 from .errors import CapExceeded
-from .monoid import FiniteMonoid, SemigroupHom, validate_hom, validate_monoid
+from .monoid import (FiniteMonoid, SemigroupHom, first_nonassociative, generating_set,
+                     validate_monoid)
 from .reflections import continuous_subsets
 from .topology import Topology, partition_topology
 from .util import mask_of
@@ -80,7 +81,7 @@ def all_monoids(order: int) -> tuple[FiniteMonoid, ...]:
         for i in range(free):
             for j in range(free):
                 table[i + 1][j + 1] = values[i * free + j]
-        if not _associative(table, order):
+        if first_nonassociative(table) is not None:
             continue
         canon = _canonical_table(table, order)
         if canon in seen:
@@ -88,19 +89,6 @@ def all_monoids(order: int) -> tuple[FiniteMonoid, ...]:
         seen.add(canon)
         out.append(FiniteMonoid(names, tuple(tuple(r) for r in table), 0))
     return tuple(out)
-
-
-def _associative(table, n: int) -> bool:
-    for a in range(n):
-        ta = table[a]
-        for b in range(n):
-            ab = ta[b]
-            row_ab = table[ab]
-            tb = table[b]
-            for c in range(n):
-                if row_ab[c] != ta[tb[c]]:
-                    return False
-    return True
 
 
 def _canonical_table(table, n: int) -> tuple[tuple[int, ...], ...]:
@@ -158,18 +146,18 @@ def action_topologies(monoid: FiniteMonoid) -> tuple[Topology, ...]:
 def all_msets(monoid: FiniteMonoid, carrier: int) -> tuple[MSet, ...]:
     """All right actions on a carrier of the given size, up to carrier
     permutation: the first of each permutation orbit in the order of the
-    columns (m ↦ the map x ↦ x·m).  Only the columns of a greedy generating
-    set are chosen; the others follow as composites, and a choice that
-    reaches one element with two columns is cut off at once."""
+    columns (m ↦ the map x ↦ x·m).  Only the columns of a generating set
+    (monoid.generating_set) are chosen; the others follow as composites, and
+    a choice that reaches one element with two columns is cut off at once.
+    A choice that _derive completes is an action: it has checked
+    x·(w·g) = (x·w)·g for every w and generator g, and the n with
+    x·(m·n) = (x·m)·n for all m and x form a submonoid, since
+    x·(m·n1·n2) = (x·(m·n1))·n2 = ((x·m)·n1)·n2 = (x·m)·(n1·n2)."""
     if carrier > MAX_ENUM_CARRIER:
         raise CapExceeded("M-set enumeration carrier", carrier)
     names = tuple(f"p{i}" for i in range(carrier))
     functions = list(itertools.product(range(carrier), repeat=carrier))
-    gens: list[int] = []
-    for m in range(monoid.order):
-        # on the empty carrier every column is () and only elements are derived
-        if m not in _derive(monoid, {g: () for g in gens}, 0):
-            gens.append(m)
+    gens = generating_set(monoid)
     valid = []
 
     def extend(chosen: dict) -> None:
@@ -179,7 +167,7 @@ def all_msets(monoid: FiniteMonoid, carrier: int) -> tuple[MSet, ...]:
         if len(chosen) < len(gens):
             for f in functions:
                 extend({**chosen, gens[len(chosen)]: f})
-        elif _action_law(cols, monoid, carrier):
+        else:
             valid.append(tuple(cols[m] for m in range(monoid.order)))
 
     extend({})
@@ -199,7 +187,8 @@ def all_msets(monoid: FiniteMonoid, carrier: int) -> tuple[MSet, ...]:
 def _derive(monoid: FiniteMonoid, chosen: dict, carrier: int) -> dict | None:
     """The columns of the submonoid generated by the chosen generators'
     columns, by x·(w·g) = (x·w)·g; None when one element is reached with two
-    different columns, which breaks the action law."""
+    different columns, which breaks the action law.  Each reached w is
+    multiplied by each chosen g."""
     cols = {monoid.identity: tuple(range(carrier))}
     frontier = [monoid.identity]
     while frontier:
@@ -217,28 +206,14 @@ def _derive(monoid: FiniteMonoid, chosen: dict, carrier: int) -> dict | None:
     return cols
 
 
-def _action_law(cols, monoid: FiniteMonoid, carrier: int) -> bool:
-    for m in range(monoid.order):
-        for n in range(monoid.order):
-            mn = monoid.table[m][n]
-            for x in range(carrier):
-                if cols[n][cols[m][x]] != cols[mn][x]:
-                    return False
-    return True
-
-
 def _canonical_action(cols, order: int, carrier: int):
     best = None
     for perm in itertools.permutations(range(carrier)):
-        candidate = tuple(tuple(perm[cols[m][_inverse(perm, x)]]
+        candidate = tuple(tuple(perm[cols[m][perm.index(x)]]
                                 for x in range(carrier)) for m in range(order))
         if best is None or candidate < best:
             best = candidate
     return best
-
-
-def _inverse(perm, x: int) -> int:
-    return perm.index(x)
 
 
 def continuous_msets(monoid: FiniteMonoid, topology: Topology,
@@ -253,12 +228,10 @@ def continuous_msets(monoid: FiniteMonoid, topology: Topology,
 
 def all_semigroup_homs(source: FiniteMonoid, target: FiniteMonoid
                        ) -> tuple[SemigroupHom, ...]:
-    out = []
-    for mapping in itertools.product(range(target.order), repeat=source.order):
-        if all(mapping[source.table[a][b]] == target.table[mapping[a]][mapping[b]]
-               for a in range(source.order) for b in range(source.order)):
-            out.append(validate_hom(source, target, mapping))
-    return tuple(out)
+    return tuple(SemigroupHom(source, target, mapping, mapping[source.identity] == target.identity)
+                 for mapping in itertools.product(range(target.order), repeat=source.order)
+                 if all(mapping[source.table[a][b]] == target.table[mapping[a]][mapping[b]]
+                        for a in range(source.order) for b in range(source.order)))
 
 
 def all_monoid_homs(source: FiniteMonoid, target: FiniteMonoid

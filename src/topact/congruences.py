@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError, TopactError
@@ -177,25 +177,6 @@ def generated_congruence(monoid: FiniteMonoid, pairs: Iterable[tuple[int, int]],
     return RightCongruence(monoid, _canonical([find(x) for x in range(monoid.order)]))
 
 
-def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
-    """Partition join; right stability is inherited, no extra closure needed."""
-    parent = list(range(len(r1.class_of)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cong in (r1, r2):
-        for cls in cong.classes():
-            for b in cls[1:]:
-                ra, rb = find(cls[0]), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    return RightCongruence(r1.monoid, _canonical([find(x) for x in range(len(parent))]))
-
-
 def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
     """Common refinement."""
     width = r2.num_classes
@@ -263,7 +244,6 @@ class CongruenceLattice(tuple):
         return row
 
 
-@lru_cache(maxsize=None)
 def enumerate_congruences(monoid: FiniteMonoid, cap: Optional[int] = None,
                           base: Optional[RightCongruence] = None) -> CongruenceLattice:
     """The lattice above base, a right congruence (the whole lattice when
@@ -286,8 +266,16 @@ def enumerate_congruences(monoid: FiniteMonoid, cap: Optional[int] = None,
 
     The cap (``TOPACT_MAX_CONGRUENCES`` unless given) bounds the work of a
     cache miss: CapExceeded is raised as soon as more than cap members are
-    found.
+    found.  The lattice above the diagonal is the whole lattice, one cache
+    entry.
     """
+    whole = base is None or base.num_classes == monoid.order
+    return _lattice_above(monoid, cap, None if whole else base)
+
+
+@lru_cache(maxsize=None)
+def _lattice_above(monoid: FiniteMonoid, cap: Optional[int],
+                   base: Optional[RightCongruence]) -> CongruenceLattice:
     limit = cap if cap is not None else congruence_cap()
     start = tuple(range(monoid.order)) if base is None else _least_members(base.class_of)
     reps = [m for m, least in enumerate(start) if least == m]
@@ -334,6 +322,10 @@ def enumerate_congruences(monoid: FiniteMonoid, cap: Optional[int] = None,
     return CongruenceLattice(monoid, (RightCongruence(monoid, c) for c in classes))
 
 
+enumerate_congruences.cache_info = _lattice_above.cache_info
+enumerate_congruences.cache_clear = _lattice_above.cache_clear
+
+
 def _least_members(class_of: Sequence[int]) -> tuple[int, ...]:
     """m ↦ the least element of m's class."""
     least: dict[int, int] = {}
@@ -351,10 +343,10 @@ class CongruenceFilter:
     monoid: FiniteMonoid
     least: RightCongruence
 
-    @cached_property
+    @property
     def members(self) -> CongruenceLattice:
         """The lattice above least, in lattice order: by number of classes,
-        then class map."""
+        then class map; read from the lattice cache on each access."""
         return enumerate_congruences(self.monoid, base=self.least)
 
     def __contains__(self, r: RightCongruence) -> bool:

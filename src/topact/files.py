@@ -76,6 +76,22 @@ def _load_json(path: Path) -> Any:
         raise ParseError(str(path), exc.msg, exc.lineno)
 
 
+# each key's JSON type: strings nested this many lists deep
+SHAPES = {"monoid": {"elements": 1, "identity": 0, "table": 2},
+          "topology": {"monoid": 0, "carrier": 1, "base": 2},
+          "mset": {"monoid": 0, "carrier": 1, "action": 2},
+          "congruence": {"monoid": 0, "classes": 2}, "filter": {"monoid": 0, "generators": 3},
+          "hom": {"source": 0, "target": 0}}
+
+
+def _is_shaped(value: Any, depth: int) -> bool:
+    if depth == 0:
+        return isinstance(value, str)
+    if depth == 1:  # by type, without a call per string
+        return isinstance(value, list) and set(map(type, value)) <= {str}
+    return isinstance(value, list) and all(_is_shaped(v, depth - 1) for v in value)
+
+
 def detect_kind(obj: Any) -> str:
     if not isinstance(obj, dict):
         raise TopactError("top-level value must be an object")
@@ -110,6 +126,10 @@ def load_file(ws: Workspace, path: Path) -> str:
     obj = _load_json(path)
     try:
         kind = detect_kind(obj)
+        for key, depth in SHAPES[kind].items():
+            if key in obj and not _is_shaped(obj[key], depth):
+                shape = "a list of " + "lists of " * (depth - 1) + "strings"
+                raise ParseError(str(path), f"{key!r} must be {shape if depth else 'a string'}")
         if kind == "monoid":
             ws.register(ws.monoids, name, parse_monoid(obj), str(path))
         elif kind == "topology":
@@ -131,12 +151,8 @@ def load_file(ws: Workspace, path: Path) -> str:
 
 
 def _resolve_monoid(obj: Any, ws: Workspace, path: Path) -> FiniteMonoid:
-    ref = obj["monoid"]
-    if not isinstance(ref, str):
-        raise ParseError(str(path), "monoid reference must be a path string")
-    target = (path.parent / ref) if not Path(ref).is_absolute() else Path(ref)
-    name = load_file(ws, target)
-    return ws.monoid(name)
+    # an absolute reference replaces the parent
+    return ws.monoid(load_file(ws, path.parent / obj["monoid"]))
 
 
 def parse_monoid(obj: Any) -> FiniteMonoid:
@@ -222,12 +238,10 @@ def parse_filter(obj: Any, ws: Workspace, path: Path) -> CongruenceFilter:
 
 
 def parse_hom(obj: Any, ws: Workspace, path: Path) -> SemigroupHom:
-    for key in ("source", "target"):
-        ref = obj[key]
-        target = (path.parent / ref) if not Path(ref).is_absolute() else Path(ref)
-        load_file(ws, target)
-    source = ws.monoid(Path(obj["source"]).stem)
-    target = ws.monoid(Path(obj["target"]).stem)
+    names = [load_file(ws, path.parent / obj[key]) for key in ("source", "target")]
+    source, target = map(ws.monoid, names)
+    if not isinstance(obj["map"], dict):
+        raise ParseError(str(path), "'map' must be an object")
     mapping = [-1] * source.order
     for k, v in obj["map"].items():
         mapping[_element_index(source, k, path)] = _element_index(target, v, path)

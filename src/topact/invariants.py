@@ -18,7 +18,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .congruences import CongruenceFilter, RightCongruence
 from .errors import CapExceeded, InternalCheckError, TopactError
-from .monoid import FiniteMonoid, SemigroupHom, validate_hom, zero_element
+from .monoid import (FiniteMonoid, SemigroupHom, generating_set, validate_hom,
+                     zero_element)
 from .reflections import powder_reflection
 from .topology import Topology
 from .util import mask_of
@@ -76,15 +77,11 @@ def validate_category(cat: FiniteCategory) -> FiniteCategory:
     out[tgt(f)], so a row of the table is checked by counting its -1
     entries and gathering its composites' endpoints.
 
-    Associativity is Light's test (Clifford & Preston, The Algebraic Theory
-    of Semigroups I, §1.2), checked only for a generating set of arrows.
-    Once the unit laws hold, the arrows g with (f;g);h = f;(g;h) for every
-    composable f and h include the identities and are closed under
-    composition: for such g1 and g2,
-    (f;(g1;g2));h = ((f;g1);g2);h = (f;g1);(g2;h) = f;(g1;(g2;h))
-    = f;((g1;g2);h).  Every arrow is a product of generators, so every arrow
-    passes once the generators do.  When a generator fails, the full scan
-    names the first failing triple.
+    Associativity is Light's test, checked only for a generating set of
+    arrows by the argument of monoid.validate_monoid: once the unit laws
+    hold, the arrows g with (f;g);h = f;(g;h) for every composable f and h
+    include the identities and are closed under composition.  When a
+    generator fails, the full scan names the first failing triple.
     """
     src, tgt, table = cat.arrow_src, cat.arrow_tgt, cat.compose_table
     for i, ident in enumerate(cat.identities):
@@ -553,21 +550,25 @@ def is_atomic(monoid: FiniteMonoid, flt: CongruenceFilter
               ) -> tuple[bool, Optional[tuple[RightCongruence, int]]]:
     """Quantifier form (condition 4): every m is right-invertible up to every
     filter congruence.  The tests compare it with condition 1, "all site
-    arrows are epimorphisms", and condition 3, dense units."""
-    witness = _not_right_invertible(monoid, flt)
-    return witness is None, witness
+    arrows are epimorphisms", and condition 3, dense units.
+
+    Every member contains least, so the verdict reads only least; the
+    members are read only to name the witness, the first member r in
+    lattice order and the first m not right-invertible up to r."""
+    if _not_right_invertible(monoid, flt.least) is None:
+        return True, None
+    # least is the last member, so some member fails
+    return False, next((r, m) for r in flt.members
+                       if (m := _not_right_invertible(monoid, r)) is not None)
 
 
-def _not_right_invertible(monoid: FiniteMonoid, flt: CongruenceFilter
-                          ) -> Optional[tuple[RightCongruence, int]]:
-    """The first filter member r and element m with no m2 such that m·m2 is
-    r-related to the identity, or None."""
-    for r in flt.members:
-        one = r.class_of[monoid.identity]
-        for m in range(monoid.order):
-            if not any(r.class_of[monoid.table[m][m2]] == one
-                       for m2 in range(monoid.order)):
-                return r, m
+def _not_right_invertible(monoid: FiniteMonoid, r: RightCongruence) -> Optional[int]:
+    """The first element m with no m2 such that m·m2 is r-related to the
+    identity, or None."""
+    one = r.class_of[monoid.identity]
+    for m, row in enumerate(monoid.table):
+        if one not in map(r.class_of.__getitem__, row):
+            return m
     return None
 
 
@@ -630,9 +631,9 @@ def monoids_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid
                        ) -> Optional[tuple[int, ...]]:
     """An isomorphism m1 -> m2 as the tuple of images, or None.
 
-    The map is fixed by the images of a greedy generating set of m1.  Each
-    generator is tried against the elements of m2 with its invariants, and
-    each choice is propagated along products, phi(w·g) = phi(w)·phi(g): the
+    The map is fixed by the images of a generating set of m1, fewest
+    candidate images first.  Each generator is tried against the elements
+    of m2 with its invariants, and each choice is propagated along products, phi(w·g) = phi(w)·phi(g): the
     search backs up as soon as an image repeats, breaks an invariant, or
     disagrees with the image found before.  A map that passes is a
     bijection, since propagation never repeats an image, and it is
@@ -647,7 +648,7 @@ def monoids_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid
     candidates: dict[tuple, list[int]] = {}
     for b, key in enumerate(inv2):
         candidates.setdefault(key, []).append(b)
-    generators = _greedy_generators(m1, [len(candidates[key]) for key in inv1])
+    generators = generating_set(m1, [len(candidates[key]) for key in inv1])
     t1, t2 = m1.table, m2.table
 
     def propagate(images: list[int]) -> Optional[list[int]]:
@@ -699,23 +700,6 @@ def _element_invariants(monoid: FiniteMonoid) -> list[tuple[bool, int, int, int,
         out.append((table[a][a] == a, seen[power], k - seen[power],
                     len(set(table[a])), len({row[a] for row in table})))
     return out
-
-
-def _greedy_generators(monoid: FiniteMonoid, weight: Sequence[int]) -> list[int]:
-    """A generating set of the monoid: in order of weight, then index, each
-    element that those before it do not generate."""
-    generators: list[int] = []
-    reached = {monoid.identity}
-    for g in sorted(range(monoid.order), key=lambda a: (weight[a], a)):
-        if g in reached:
-            continue
-        generators.append(g)
-        frontier = list(reached)
-        while frontier:
-            fresh = [monoid.table[w][h] for w in frontier for h in generators]
-            frontier = [p for p in dict.fromkeys(fresh) if p not in reached]
-            reached.update(frontier)
-    return generators
 
 
 def morita_equivalent(m1: FiniteMonoid, t1: Topology, m2: FiniteMonoid,

@@ -3,15 +3,17 @@
 Elements are indexed 0..n-1 and carry stable user-supplied names; all
 computation uses indices, the I/O layer translates names.  Values are
 immutable after validation, so everything here is a pure function and safe
-for concurrent use.
+for concurrent use.  The package's one generating-set routine and its one
+associativity scan live here.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import TopactError
+from .errors import InternalCheckError, TopactError
 
 
 class BadShape(TopactError):
@@ -123,8 +125,11 @@ def validate_monoid(elements: Sequence[str], table: Sequence[Sequence[int]],
     """Check shape, neutrality and associativity; return the validated monoid.
 
     Raises BadShape, NoIdentity, or NonAssociative with the first failing
-    triple.
-    """
+    triple, named by the full scan once Light's test (Clifford & Preston I,
+    §1.2) fails: (a·g)·c = a·(g·c) is checked only for g in a generating
+    set.  With a neutral identity, the g that pass include 1 and are closed
+    under products, (a·(g1·g2))·c = ((a·g1)·g2)·c = (a·g1)·(g2·c)
+    = a·(g1·(g2·c)) = a·((g1·g2)·c), so all of M passes."""
     names = tuple(elements)
     n = len(names)
     if len(set(names)) != n:
@@ -143,15 +148,46 @@ def validate_monoid(elements: Sequence[str], table: Sequence[Sequence[int]],
     for a in range(n):
         if tab[identity][a] != a or tab[a][identity] != a:
             raise NoIdentity(f"element {identity} is not neutral at {a}")
-    for a in range(n):
-        for b in range(n):
-            ab = tab[a][b]
-            row_ab = tab[ab]
-            row_b = tab[b]
-            for c in range(n):
-                if row_ab[c] != tab[a][row_b[c]]:
-                    raise NonAssociative(a, b, c)
-    return FiniteMonoid(names, tab, identity)
+    monoid = FiniteMonoid(names, tab, identity)
+    for g in generating_set(monoid):
+        # a·(g·c) over c is row a gathered at row g (n >= 2, so a tuple)
+        gather = operator.itemgetter(*tab[g])
+        if any(tab[row_a[g]] != gather(row_a) for row_a in tab):
+            triple = first_nonassociative(tab)
+            if triple is None:
+                raise InternalCheckError("a generator fails Light's test but no triple fails")
+            raise NonAssociative(*triple)
+    return monoid
+
+
+def generating_set(monoid: FiniteMonoid, weight: Optional[Sequence[int]] = None) -> list[int]:
+    """Each element, in index order or by weight then index, that the
+    identity's closure under right multiplication by the generators before
+    it does not reach."""
+    table, n, generators, reached = monoid.table, monoid.order, [], {monoid.identity}
+    for g in range(n) if weight is None else sorted(range(n), key=weight.__getitem__):
+        if g in reached:
+            continue
+        generators.append(g)
+        # reached is closed under the earlier generators: only w·g is new
+        fresh = {table[w][g] for w in reached} - reached
+        while fresh:
+            reached |= fresh
+            fresh = {table[w][h] for w in fresh for h in generators} - reached
+    return generators
+
+
+def first_nonassociative(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """The first triple (a, b, c) with (a·b)·c != a·(b·c), or None."""
+    span = range(len(table))
+    for a in span:
+        row_a = table[a]
+        for b in span:
+            row_ab, row_b = table[row_a[b]], table[b]
+            for c in span:
+                if row_ab[c] != row_a[row_b[c]]:
+                    return a, b, c
+    return None
 
 
 def validate_hom(source: FiniteMonoid, target: FiniteMonoid,

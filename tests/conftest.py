@@ -10,11 +10,13 @@ from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
 from topact.actions import orbit_congruence, power_of_m, quotient_mset
 from topact.completion import (Completion, PullbackOutsideFilter, complete,
                                dense_closed_factorization, pullback_congruence)
-from topact.congruences import (congruence_from_class_map, enumerate_congruences,
-                                inverse_image_congruence, leq, validate_filter)
+from topact.congruences import (congruence_from_class_map,
+                                enumerate_congruences, inverse_image_congruence, leq,
+                                validate_filter)
 from topact.errors import TopactError
 from topact.invariants import MonogenicHomFlags, monogenic_orbit
-from topact.monoid import validate_hom, validate_monoid
+from topact.monoid import (BadShape, FiniteMonoid, NoIdentity, NonAssociative, validate_hom,
+                           validate_monoid)
 from topact.reflections import continuous_subsets
 from topact.topology import Topology, generate_topology, is_locally_constant, subspace_topology
 from topact.util import bits, mask_of
@@ -68,6 +70,58 @@ def tau_a():
 
 class NotInFilter(TopactError):
     pass
+
+
+def validate_monoid_by_triples(elements, table, identity):
+    """Oracle for validate_monoid: the same shape and identity checks, then
+    (a·b)·c = a·(b·c) for every triple in index order."""
+    names = tuple(elements)
+    n = len(names)
+    if len(set(names)) != n:
+        raise BadShape("element names are not unique")
+    if len(table) != n:
+        raise BadShape(f"table has {len(table)} rows for {n} elements")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise BadShape(f"row {i} has length {len(row)}, expected {n}")
+        for v in row:
+            if not (0 <= v < n):
+                raise BadShape(f"entry {v} in row {i} out of range")
+    tab = tuple(tuple(row) for row in table)
+    if not (0 <= identity < n):
+        raise BadShape(f"identity index {identity} out of range")
+    for a in range(n):
+        if tab[identity][a] != a or tab[a][identity] != a:
+            raise NoIdentity(f"element {identity} is not neutral at {a}")
+    for a in range(n):
+        for b in range(n):
+            ab = tab[a][b]
+            row_ab = tab[ab]
+            row_b = tab[b]
+            for c in range(n):
+                if row_ab[c] != tab[a][row_b[c]]:
+                    raise NonAssociative(a, b, c)
+    return FiniteMonoid(names, tab, identity)
+
+
+def join(r1, r2):
+    """Partition join of two right congruences, by union-find; right
+    stability is inherited, so no closure under translates is needed."""
+    parent = list(range(len(r1.class_of)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for cong in (r1, r2):
+        for cls in cong.classes():
+            for b in cls[1:]:
+                ra, rb = find(cls[0]), find(b)
+                if ra != rb:
+                    parent[rb] = ra
+    return congruence_from_class_map(r1.monoid, [find(x) for x in range(len(parent))])
 
 
 def relation_mask(r):

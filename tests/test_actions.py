@@ -22,11 +22,22 @@ from conftest import (relation_mask, transformation_closure, transformation_mono
                       transformation_monoids)
 
 
+def _action_law(cols, monoid, carrier):
+    """x·(m·n) = (x·m)·n for every m, n and x, where cols[m] is x ↦ x·m."""
+    for m in range(monoid.order):
+        for n in range(monoid.order):
+            mn = monoid.table[m][n]
+            for x in range(carrier):
+                if cols[n][cols[m][x]] != cols[mn][x]:
+                    return False
+    return True
+
+
 def msets_by_brute_force(monoid, carrier):
     """Oracle for all_msets: every tuple of self-maps, one per non-identity
     element, checked against the action law, the first of each orbit under
     carrier permutation kept."""
-    from topact.catalog import _action_law, _canonical_action
+    from topact.catalog import _canonical_action
     names = tuple(f"p{i}" for i in range(carrier))
     functions = list(itertools.product(range(carrier), repeat=carrier))
     non_identity = [m for m in range(monoid.order) if m != monoid.identity]

@@ -392,6 +392,52 @@ def test_malformed_files_exit_2_naming_the_file(fixture_dir, capsys, name, obj, 
     assert capsys.readouterr().err == f"error: {fixture_dir / name}: {message}\n"
 
 
+@pytest.mark.parametrize("name, obj, message", [
+    ("elements.json", {"elements": 5, "identity": "e", "table": [["e"]]},
+     "'elements' must be a list of strings"),
+    ("identity.json", {"elements": ["e"], "identity": ["e"], "table": [["e"]]},
+     "'identity' must be a string"),
+    ("table.json", {"elements": ["e"], "identity": "e", "table": [5]},
+     "'table' must be a list of lists of strings"),
+    ("carrier.json", {"monoid": "C4.json", "carrier": 5, "base": []},
+     "'carrier' must be a list of strings"),
+    ("base.json", {"monoid": "C4.json", "carrier": ["0", "1", "2", "3"], "base": [5]},
+     "'base' must be a list of lists of strings"),
+    ("act.json", {"monoid": "C4.json", "carrier": ["a"], "action": [5]},
+     "'action' must be a list of lists of strings"),
+    ("cong.json", {"monoid": "C4.json", "classes": [5]},
+     "'classes' must be a list of lists of strings"),
+    ("flt.json", {"monoid": "C4.json", "generators": [[5]]},
+     "'generators' must be a list of lists of lists of strings"),
+    ("hom.json", {"source": 5, "target": "C2.json", "map": {}},
+     "'source' must be a string"),
+    ("map.json", {"source": "C4.json", "target": "C2.json", "map": []},
+     "'map' must be an object"),
+], ids=["monoid-elements", "monoid-identity", "monoid-table", "topology-carrier",
+        "topology-base", "mset-action", "congruence-classes", "filter-generators",
+        "hom-source", "hom-map"])
+def test_values_of_the_wrong_type_exit_2_naming_the_file(fixture_dir, capsys, name, obj,
+                                                         message):
+    (fixture_dir / name).write_text(json.dumps(obj))
+    assert main(["validate", path(fixture_dir, name)]) == 2
+    assert capsys.readouterr().err == f"error: {fixture_dir / name}: {message}\n"
+
+
+def test_validate_checks_c512_within_3_seconds(tmp_path, capsys):
+    (tmp_path / "C512.json").write_text(json.dumps(files.monoid_to_obj(cyclic(512))))
+    start = time.perf_counter()
+    assert main(["validate", str(tmp_path / "C512.json")]) == 0
+    assert time.perf_counter() - start < 3
+    assert "C512: OK (monoid)" in capsys.readouterr().out
+
+
+def test_check_atomic_on_a_group_reads_no_lattice(fixture_dir, capsys, monkeypatch):
+    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "1")
+    enumerate_congruences.cache_clear()     # the cap is read on a cache miss
+    assert main(["check", "atomic", path(fixture_dir, "C4.json"), "--filter", "all"]) == 0
+    capsys.readouterr()
+
+
 def test_complete_takes_no_carrier_cap(tmp_path, capsys):
     (tmp_path / "C64.json").write_text(json.dumps(files.monoid_to_obj(cyclic(64))))
     assert main(["complete", str(tmp_path / "C64.json"), "--filter", "all"]) == 0

@@ -17,14 +17,14 @@ from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, Inva
                                 diagonal, enumerate_congruences, enumerate_filters,
                                 filter_generated, full_filter, generated_congruence,
                                 inverse_image_congruence, is_two_sided,
-                                join, least_open_congruence, leq, meet,
+                                least_open_congruence, leq, meet,
                                 open_congruences, total, validate_filter)
 from topact.errors import InternalCheckError, TopactError
 from topact.reflections import _quotient_monoid
 from topact.topology import (connected_components, discrete_topology, indiscrete_topology,
                              is_open_in_product, partition_topology)
 
-from conftest import (NotInFilter, full_transformation_monoid, hom_classes,
+from conftest import (NotInFilter, full_transformation_monoid, hom_classes, join,
                       preorder_topologies, preorder_topology, relabeled_monoid,
                       relabeled_topology, relation_mask, transformation_closure,
                       transformation_monoid, transformation_monoids)
@@ -620,6 +620,17 @@ def test_filter_generated_examples(c4, m_lz):
     flt = filter_generated(c4, [mod2])
     assert [r.num_classes for r in flt.members] == [1, 2]
     assert flt.least == mod2
+
+
+def test_the_full_filter_reads_the_whole_lattice_from_one_cache_entry():
+    t3 = full_transformation_monoid(3)
+    for monoid in [cyclic(4), truncated_addition(3), t3]:
+        assert full_filter(monoid).members is enumerate_congruences(monoid)
+        assert enumerate_congruences(monoid, base=diagonal(monoid)) \
+            is enumerate_congruences(monoid)
+    enumerate_congruences.cache_clear()
+    validate_filter(t3, enumerate_congruences(t3))
+    assert enumerate_congruences.cache_info().misses == 1
 
 
 def test_every_filter_least_is_two_sided():

@@ -286,6 +286,29 @@ def test_is_atomic_truncated_addition(n2):
     assert not is_atomic(n2, full_filter(n2))[0]
 
 
+def atomic_witness_by_member_scan(monoid, flt):
+    """Oracle for is_atomic's witness: the first member r and element m
+    with no m2 such that m·m2 is r-related to the identity, or None."""
+    for r in flt.members:
+        one = r.class_of[monoid.identity]
+        for m in range(monoid.order):
+            if not any(r.class_of[monoid.table[m][m2]] == one
+                       for m2 in range(monoid.order)):
+                return r, m
+    return None
+
+
+def test_is_atomic_matches_the_member_scan_through_order_four():
+    verdicts = []
+    for order in range(1, 5):
+        for monoid in all_monoids(order):
+            for flt in enumerate_filters(monoid):
+                witness = atomic_witness_by_member_scan(monoid, flt)
+                assert is_atomic(monoid, flt) == (witness is None, witness)
+                verdicts.append(witness is None)
+    assert len(verdicts) == 217 and 0 < sum(verdicts) < 217
+
+
 def test_is_atomic_left_zero(m_lz, tau_a):
     verdict, witness = is_atomic(m_lz, open_congruences(m_lz, tau_a))
     assert not verdict

@@ -1,11 +1,17 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (full_transformation_monoid, transformation_monoids,
+                      validate_monoid_by_triples)
 from topact.catalog import all_monoids, all_semigroup_homs
+from topact.errors import TopactError
 from topact.monoid import (BadShape, MismatchedHoms, NoIdentity, NonAssociative,
                            NotIdempotent, NotMultiplicative, conjugations,
-                           corner_monoid, factor_surjection_inclusion, identity_hom,
+                           corner_monoid, factor_surjection_inclusion, generating_set, identity_hom,
                            idempotents, is_group, opposite, unit_indices,
                            units_group, validate_hom, validate_monoid, zero_element)
 
@@ -194,3 +200,79 @@ def test_equal_monoids_compare_and_hash_equal():
     assert relabeled != first and first != relabeled
     assert validate_monoid(["e", "a", "b"], table, 0) != first
     assert first != table
+
+
+def monoid_outcome(validate, elements, table, identity):
+    """The validated monoid, or the class and message of the error."""
+    try:
+        return validate(elements, table, identity)
+    except TopactError as exc:
+        return type(exc), str(exc)
+
+
+def validates_like_the_triple_scan(monoid, a=None, b=None, v=None):
+    """Compare validate_monoid with the triple scan on the monoid's table,
+    with entry (a, b) set to v when given; returns the outcome."""
+    table = [list(row) for row in monoid.table]
+    if a is not None:
+        table[a][b] = v
+    args = (monoid.elements, table, monoid.identity)
+    outcome = monoid_outcome(validate_monoid, *args)
+    assert outcome == monoid_outcome(validate_monoid_by_triples, *args)
+    return outcome
+
+
+def test_validate_monoid_matches_the_triple_scan_through_order_four():
+    # every monoid, and every table with one entry of it changed
+    errors = set()
+    for order in range(1, 5):
+        for monoid in all_monoids(order):
+            assert validates_like_the_triple_scan(monoid) == monoid
+            for a, b in itertools.product(range(order), repeat=2):
+                for v in range(order):
+                    if v != monoid.table[a][b]:
+                        outcome = validates_like_the_triple_scan(monoid, a, b, v)
+                        errors.add(outcome[0] if isinstance(outcome, tuple) else None)
+    assert errors == {NoIdentity, NonAssociative, None}
+
+
+def test_validate_monoid_matches_the_triple_scan_on_t3():
+    t3 = full_transformation_monoid(3)
+    assert validates_like_the_triple_scan(t3) == t3
+    rng = random.Random(3)
+    for _ in range(40):
+        a, b = rng.randrange(1, 27), rng.randrange(1, 27)
+        v = rng.choice([v for v in range(27) if v != t3.table[a][b]])
+        validates_like_the_triple_scan(t3, a, b, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformation_monoids(orders=(5, 20)), st.data())
+def test_validate_monoid_matches_the_triple_scan_on_corrupted_tables(monoid, data):
+    n = monoid.order
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    v = data.draw(st.integers(0, n - 1).filter(lambda v: v != monoid.table[a][b]))
+    validates_like_the_triple_scan(monoid, a, b, v)
+
+
+def submonoid_generated(monoid, gens):
+    """Oracle: the identity and gens, closed under every product."""
+    reached = {monoid.identity, *gens}
+    while True:
+        more = {monoid.table[a][b] for a in reached for b in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def test_generating_sets_generate_and_each_generator_is_new():
+    monoids = [m for order in range(1, 5) for m in all_monoids(order)]
+    for monoid in monoids + [full_transformation_monoid(3)]:
+        n = monoid.order
+        for weight in (None, [n - a for a in range(n)]):
+            gens = generating_set(monoid, weight)
+            key = (lambda a: a) if weight is None else (lambda a: (weight[a], a))
+            assert gens == sorted(gens, key=key)
+            assert submonoid_generated(monoid, gens) == set(range(n))
+            for k, g in enumerate(gens):
+                assert g not in submonoid_generated(monoid, gens[:k])
