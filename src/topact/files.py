@@ -92,9 +92,9 @@ def _is_shaped(value: Any, depth: int) -> bool:
     return isinstance(value, list) and all(_is_shaped(v, depth - 1) for v in value)
 
 
-def detect_kind(obj: Any) -> str:
+def detect_kind(obj: Any, path: Path) -> str:
     if not isinstance(obj, dict):
-        raise TopactError("top-level value must be an object")
+        raise ParseError(str(path), "top-level value must be an object")
     if "table" in obj:
         return "monoid"
     if "base" in obj:
@@ -107,7 +107,7 @@ def detect_kind(obj: Any) -> str:
         return "filter"
     if "map" in obj:
         return "hom"
-    raise TopactError(f"cannot detect object kind from keys {sorted(obj)}")
+    raise ParseError(str(path), f"cannot detect object kind from keys {sorted(obj)}")
 
 
 def parse_inputs(paths: list[str]) -> Workspace:
@@ -125,13 +125,13 @@ def load_file(ws: Workspace, path: Path) -> str:
         return name
     obj = _load_json(path)
     try:
-        kind = detect_kind(obj)
+        kind = detect_kind(obj, path)
         for key, depth in SHAPES[kind].items():
             if key in obj and not _is_shaped(obj[key], depth):
                 shape = "a list of " + "lists of " * (depth - 1) + "strings"
                 raise ParseError(str(path), f"{key!r} must be {shape if depth else 'a string'}")
         if kind == "monoid":
-            ws.register(ws.monoids, name, parse_monoid(obj), str(path))
+            ws.register(ws.monoids, name, parse_monoid(obj, path), str(path))
         elif kind == "topology":
             monoid, topo = parse_topology(obj, ws, path)
             ws.register(ws.topologies, name, topo, str(path))
@@ -155,19 +155,19 @@ def _resolve_monoid(obj: Any, ws: Workspace, path: Path) -> FiniteMonoid:
     return ws.monoid(load_file(ws, path.parent / obj["monoid"]))
 
 
-def parse_monoid(obj: Any) -> FiniteMonoid:
+def parse_monoid(obj: Any, path: Path) -> FiniteMonoid:
     names = list(obj["elements"])
     index = {n: i for i, n in enumerate(names)}
     if len(index) != len(names):
-        raise TopactError("element names are not unique")
+        raise ParseError(str(path), "element names are not unique")
     if obj["identity"] not in index:
-        raise TopactError(f"identity {obj['identity']!r} is not an element")
+        raise ParseError(str(path), f"identity {obj['identity']!r} is not an element")
     table = []
     for i, row in enumerate(obj["table"]):
         out = []
         for v in row:
             if v not in index:
-                raise TopactError(f"table row {i} mentions unknown element {v!r}")
+                raise ParseError(str(path), f"table row {i} mentions unknown element {v!r}")
             out.append(index[v])
         table.append(out)
     return validate_monoid(names, table, index[obj["identity"]])
@@ -181,11 +181,11 @@ def parse_topology(obj: Any, ws: Workspace, path: Path
     for subset in obj["base"]:
         for v in subset:
             if v not in index:
-                raise TopactError(f"base subset mentions unknown element {v!r}")
+                raise ParseError(str(path), f"base subset mentions unknown element {v!r}")
         base.append(mask_of(index[v] for v in subset))
     monoid = _resolve_monoid(obj, ws, path) if "monoid" in obj else None
     if monoid is not None and list(monoid.elements) != carrier:
-        raise TopactError("topology carrier does not match its monoid's elements")
+        raise ParseError(str(path), "topology carrier does not match its monoid's elements")
     return monoid, generate_topology(len(carrier), base)
 
 
@@ -196,7 +196,7 @@ def parse_mset(obj: Any, ws: Workspace, path: Path) -> MSet:
     act = []
     for i, row in enumerate(obj["action"]):
         if len(row) != monoid.order:
-            raise TopactError(f"action row {i} must list one value per monoid element")
+            raise ParseError(str(path), f"action row {i} must list one value per monoid element")
         try:
             act.append([index[v] for v in row])
         except KeyError as exc:
@@ -217,11 +217,11 @@ def _classes_to_map(monoid: FiniteMonoid, classes: Any, path: Path) -> list[int]
         for v in cls:
             i = _element_index(monoid, v, path)
             if class_of[i] >= 0:
-                raise TopactError(f"element {v!r} appears in two classes")
+                raise ParseError(str(path), f"element {v!r} appears in two classes")
             class_of[i] = cid
     if -1 in class_of:
         missing = monoid.elements[class_of.index(-1)]
-        raise TopactError(f"element {missing!r} missing from the partition")
+        raise ParseError(str(path), f"element {missing!r} missing from the partition")
     return class_of
 
 
@@ -247,7 +247,7 @@ def parse_hom(obj: Any, ws: Workspace, path: Path) -> SemigroupHom:
         mapping[_element_index(source, k, path)] = _element_index(target, v, path)
     if -1 in mapping:
         missing = source.elements[mapping.index(-1)]
-        raise TopactError(f"map is missing element {missing!r}")
+        raise ParseError(str(path), f"map is missing element {missing!r}")
     return validate_hom(source, target, mapping)
 
 

@@ -2,6 +2,10 @@
 small-scale equivalence search, joint-covering and atomicity checkers, and
 the tail/cycle classification of monogenic actions.
 
+A hand-built finite category (make_category) is checked law by law by
+validate_category; a principal site is a category by construction, and no
+command validates one.
+
 Arrows of a principal site are congruence classes [m]: r1 -> r2 with
 r1 ⊆ m*(r2); the underlying map of classes sends [x] to [mx], so composing
 [m] then [n] yields [n·m].  Epis are the class-surjective arrows; the
@@ -12,12 +16,11 @@ engine does not verify.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .congruences import CongruenceFilter, RightCongruence
-from .errors import CapExceeded, InternalCheckError, TopactError
+from .errors import CapExceeded, TopactError
 from .monoid import (FiniteMonoid, SemigroupHom, generating_set, validate_hom,
                      zero_element)
 from .reflections import powder_reflection
@@ -57,136 +60,55 @@ class FiniteCategory:
         return tuple(f for f in range(self.arrow_count)
                      if self.arrow_src[f] == i and self.arrow_tgt[f] == j)
 
-    def compose(self, f: int, g: int) -> int:
-        """f then g."""
-        out = self.compose_table[f][g]
-        if out < 0:
-            raise BadCategory("arrows are not composable")
-        return out
-
     def __repr__(self) -> str:
         return f"FiniteCategory({len(self.objects)} objects, {self.arrow_count} arrows)"
 
 
 def validate_category(cat: FiniteCategory) -> FiniteCategory:
-    """Check the identities' endpoints, the composition table against
-    composability and endpoints, the unit laws and associativity, raising
-    BadCategory at the first failure in (f, g, h) order.
-
-    Arrows are indexed by source object: the arrows composable after f are
-    out[tgt(f)], so a row of the table is checked by counting its -1
-    entries and gathering its composites' endpoints.
-
-    Associativity is Light's test, checked only for a generating set of
-    arrows by the argument of monoid.validate_monoid: once the unit laws
-    hold, the arrows g with (f;g);h = f;(g;h) for every composable f and h
-    include the identities and are closed under composition.  When a
-    generator fails, the full scan names the first failing triple.
-    """
+    """Check the category law by law, raising BadCategory at the first
+    failure: the shape of the data (list lengths, endpoints among the
+    objects, identities and composites among the arrows), the identities'
+    endpoints, every table entry against composability and endpoints, the
+    unit laws, and associativity over the composable triples in (f, g, h)
+    order."""
     src, tgt, table = cat.arrow_src, cat.arrow_tgt, cat.compose_table
+    count, objects = cat.arrow_count, len(cat.objects)
+    if len(src) != count or len(tgt) != count or len(cat.identities) != objects:
+        raise BadCategory("each arrow needs a source and a target, each object an identity")
+    if len(table) != count or any(len(row) != count for row in table):
+        raise BadCategory(f"composition table is not {count} by {count}")
+    for f in range(count):
+        if not (0 <= src[f] < objects and 0 <= tgt[f] < objects):
+            raise BadCategory(f"arrow {f} has an endpoint that is not an object")
     for i, ident in enumerate(cat.identities):
+        if not 0 <= ident < count:
+            raise BadCategory(f"identity of object {i} is not an arrow")
         if src[ident] != i or tgt[ident] != i:
             raise BadCategory(f"identity of object {i} has wrong endpoints")
-    count = cat.arrow_count
-    out: dict[int, list[int]] = {}
-    into: dict[int, list[int]] = {}
-    for g in range(count):
-        out.setdefault(src[g], []).append(g)
-        into.setdefault(tgt[g], []).append(g)
-    # row f's composites must have the endpoints (src f, tgt g) for g after f
-    key = list(zip(src, tgt))
-    ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for f in range(count):
-        row, after = table[f], out.get(tgt[f], [])
-        composites = list(map(row.__getitem__, after))
-        if (row.count(-1) != count - len(after)
-                or min(composites, default=0) < 0):
-            _check_row_composability(cat, f)
-        expected = ends.get((src[f], tgt[f]))
-        if expected is None:
-            expected = ends[src[f], tgt[f]] = [(src[f], tgt[g]) for g in after]
-        if list(map(key.__getitem__, composites)) != expected:
-            raise BadCategory("composite has wrong endpoints")
+        for g, h in enumerate(table[f]):
+            if (tgt[f] == src[g]) != (h >= 0):
+                raise BadCategory("composition table disagrees with composability")
+            if h >= count:
+                raise BadCategory(f"composite of arrows {f} and {g} is not an arrow")
+            if h >= 0 and (src[h] != src[f] or tgt[h] != tgt[g]):
+                raise BadCategory("composite has wrong endpoints")
     for f in range(count):
         if table[cat.identities[src[f]]][f] != f:
             raise BadCategory(f"left unit law fails at arrow {f}")
         if table[f][cat.identities[tgt[f]]] != f:
             raise BadCategory(f"right unit law fails at arrow {f}")
-    # f;(g;h) for every h after g is row f gathered at g's row segment, and
-    # (f;g);h is row f;g taken at the same positions
-    take = {o: operator.itemgetter(*hs) for o, hs in out.items()}
-    for g in _generating_arrows(cat, into):
-        row_g = table[g]
-        segment = take[tgt[g]]
-        gather = operator.itemgetter(*[row_g[h] for h in out[tgt[g]]])
-        for f in into.get(src[g], ()):
-            row_f = table[f]
-            if segment(table[row_f[g]]) != gather(row_f):
-                _raise_first_associativity_failure(cat, out)
-    return cat
-
-
-def _generating_arrows(cat: FiniteCategory, into: dict[int, list[int]]) -> list[int]:
-    """A generating set of arrows: in index order, each arrow that the
-    identities' closure under right composition by the arrows chosen
-    before it does not reach."""
-    src, tgt, table = cat.arrow_src, cat.arrow_tgt, cat.compose_table
-    reached = [False] * cat.arrow_count
-    for ident in cat.identities:
-        reached[ident] = True
-    generators: list[int] = []
-    starting: dict[int, list[int]] = {}  # generators by source object
-    for a in range(cat.arrow_count):
-        if reached[a]:
-            continue
-        generators.append(a)
-        starting.setdefault(src[a], []).append(a)
-        # the arrows reached before were closed under the earlier generators,
-        # so only their composites with a are new, and then whatever those
-        # newly reached arrows reach
-        fresh = []
-        for f in into.get(src[a], ()):
-            h = table[f][a]
-            if reached[f] and not reached[h]:
-                reached[h] = True
-                fresh.append(h)
-        while fresh:
-            frontier, fresh = fresh, []
-            for f in frontier:
-                row = table[f]
-                for g in starting.get(tgt[f], ()):
-                    h = row[g]
-                    if not reached[h]:
-                        reached[h] = True
-                        fresh.append(h)
-    return generators
-
-
-def _raise_first_associativity_failure(cat: FiniteCategory,
-                                       out: dict[int, list[int]]) -> None:
-    """The (f, g, h)-ordered associativity scan over every composable
-    triple, for a table that Light's test has found to fail."""
-    table, tgt = cat.compose_table, cat.arrow_tgt
-    for f in range(cat.arrow_count):
+    out: list[list[int]] = [[] for _ in cat.objects]  # arrows by source
+    for g in range(count):
+        out[src[g]].append(g)
+    for f in range(count):
         row_f = table[f]
-        for g in out.get(tgt[f], []):
+        for g in out[tgt[f]]:
             row_fg, row_g = table[row_f[g]], table[g]
             for h in out[tgt[g]]:
                 if row_fg[h] != row_f[row_g[h]]:
                     raise BadCategory(f"associativity fails at ({f}, {g}, {h})")
-    raise InternalCheckError("a generator fails Light's test but no triple fails")
-
-
-def _check_row_composability(cat: FiniteCategory, f: int) -> None:
-    """The entry-by-entry check of row f, for a row whose -1 count is off."""
-    for g in range(cat.arrow_count):
-        composable = cat.arrow_tgt[f] == cat.arrow_src[g]
-        h = cat.compose_table[f][g]
-        if composable != (h >= 0):
-            raise BadCategory("composition table disagrees with composability")
-        if h >= 0 and (cat.arrow_src[h] != cat.arrow_src[f]
-                       or cat.arrow_tgt[h] != cat.arrow_tgt[g]):
-            raise BadCategory("composite has wrong endpoints")
+    return cat
 
 
 # The composition table is quadratic in the arrows; sites past this many
@@ -396,9 +318,7 @@ MAX_ISO_CLASSES = 6
 MAX_HOM_SET = 8
 
 
-def categories_equivalent(c1: FiniteCategory, c2: FiniteCategory,
-                          max_classes: int = MAX_ISO_CLASSES,
-                          max_hom: int = MAX_HOM_SET) -> EquivalenceVerdict:
+def categories_equivalent(c1: FiniteCategory, c2: FiniteCategory) -> EquivalenceVerdict:
     """Fingerprint mismatch is a sound "no"; otherwise search for an
     isomorphism of skeletons, which for finite categories witnesses an
     equivalence.  Beyond the caps the verdict is an honest "unknown"."""
@@ -407,7 +327,7 @@ def categories_equivalent(c1: FiniteCategory, c2: FiniteCategory,
         return EquivalenceVerdict("no", "fingerprints differ")
     s1, o1 = _skeleton(c1)
     s2, o2 = _skeleton(c2)
-    if len(s1.objects) > max_classes or _max_hom(s1) > max_hom:
+    if len(s1.objects) > MAX_ISO_CLASSES or _max_hom(s1) > MAX_HOM_SET:
         return EquivalenceVerdict("unknown", "beyond search caps")
     witness = _find_isomorphism(s1, s2)
     if witness is None:

@@ -423,6 +423,35 @@ def test_values_of_the_wrong_type_exit_2_naming_the_file(fixture_dir, capsys, na
     assert capsys.readouterr().err == f"error: {fixture_dir / name}: {message}\n"
 
 
+@pytest.mark.parametrize("obj, message", [
+    ([1], "top-level value must be an object"),
+    ({"x": 1}, "cannot detect object kind from keys ['x']"),
+    ({"elements": ["e", "e"], "identity": "e", "table": [["e", "e"], ["e", "e"]]},
+     "element names are not unique"),
+    ({"elements": ["e"], "identity": "x", "table": [["e"]]},
+     "identity 'x' is not an element"),
+    ({"elements": ["e", "a"], "identity": "e", "table": [["e", "b"], ["a", "e"]]},
+     "table row 0 mentions unknown element 'b'"),
+    ({"monoid": "C4.json", "carrier": ["0", "1", "2", "3"], "base": [["0", "q"]]},
+     "base subset mentions unknown element 'q'"),
+    ({"monoid": "C4.json", "carrier": ["0", "1", "2", "x"], "base": []},
+     "topology carrier does not match its monoid's elements"),
+    ({"monoid": "C4.json", "carrier": ["a"], "action": [["a", "a"]]},
+     "action row 0 must list one value per monoid element"),
+    ({"monoid": "C4.json", "classes": [["0", "2"], ["0", "1", "3"]]},
+     "element '0' appears in two classes"),
+    ({"monoid": "C4.json", "generators": [[["0", "2"], ["1"]]]},
+     "element '3' missing from the partition"),
+    ({"source": "C4.json", "target": "C2.json", "map": {"0": "0", "1": "1", "2": "0"}},
+     "map is missing element '3'"),
+], ids=["top-level", "kind", "unique-names", "identity", "table-row", "base", "carrier",
+        "action-row", "two-classes", "partition", "map"])
+def test_parse_errors_name_the_bad_file_among_several(fixture_dir, capsys, obj, message):
+    (fixture_dir / "bad.json").write_text(json.dumps(obj))
+    assert main(["validate", path(fixture_dir, "C4.json"), path(fixture_dir, "bad.json")]) == 2
+    assert capsys.readouterr().err == f"error: {fixture_dir / 'bad.json'}: {message}\n"
+
+
 def test_validate_checks_c512_within_3_seconds(tmp_path, capsys):
     (tmp_path / "C512.json").write_text(json.dumps(files.monoid_to_obj(cyclic(512))))
     start = time.perf_counter()
