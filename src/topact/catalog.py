@@ -13,8 +13,7 @@ from functools import lru_cache
 
 from .actions import MSet, is_continuous_mset
 from .errors import CapExceeded
-from .monoid import (FiniteMonoid, SemigroupHom, first_nonassociative, generating_set,
-                     validate_monoid)
+from .monoid import FiniteMonoid, SemigroupHom, generating_set, validate_monoid
 from .reflections import continuous_subsets
 from .topology import Topology, partition_topology
 from .util import mask_of
@@ -64,31 +63,69 @@ def left_zero_split_topology() -> Topology:
 @lru_cache(maxsize=None)
 def all_monoids(order: int) -> tuple[FiniteMonoid, ...]:
     """All monoids of the given order up to isomorphism, identity at 0,
-    elements named 1, a, b, c."""
+    elements named 1, a, b, c.
+
+    The table is filled one row at a time by a depth-first search: row k
+    is (k,) + values, the values in itertools.product order, so the full
+    tables arrive in the order of one product over all free entries, and
+    the first table of each isomorphism class is kept.  After row k is
+    placed, (a·b)·c = a·(b·c) is checked for every c over each pair (a, b)
+    whose rows a, b and a·b are placed and whose largest is k, and a
+    prefix that fails is cut off with its whole subtree.
+
+    Sound: each triple is checked exactly once, at the row where the last
+    of a, b and a·b arrives (a = b = 0 needs no check, 0 being the
+    identity), so every full table reached is associative.  Complete: a
+    check reads only placed rows, so a prefix is cut only for a triple
+    that fails in every table it extends, and every associative table is
+    reached.
+    """
     if order > MAX_ENUM_ORDER:
         raise CapExceeded("monoid enumeration order", order)
+    if order < 1:
+        return ()
     names = ("1", "a", "b", "c")[:order]
-    if order == 1:
-        return (validate_monoid(names, [[0]], 0),)
-    free = order - 1
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out = []
-    for values in itertools.product(range(order), repeat=free * free):
-        table = [[0] * order for _ in range(order)]
-        for a in range(order):
-            table[0][a] = a
-            table[a][0] = a
-        for i in range(free):
-            for j in range(free):
-                table[i + 1][j + 1] = values[i * free + j]
-        if first_nonassociative(table) is not None:
-            continue
+    for table in _associative_tables([tuple(range(order))], order):
         canon = _canonical_table(table, order)
         if canon in seen:
             continue
         seen.add(canon)
-        out.append(FiniteMonoid(names, tuple(tuple(r) for r in table), 0))
+        out.append(FiniteMonoid(names, table, 0))
     return tuple(out)
+
+
+def _associative_tables(rows: list[tuple[int, ...]], order: int):
+    """Every associative table whose first rows are `rows`, each further
+    row k being (k,) + values with the values in itertools.product order."""
+    k = len(rows)
+    if k == order:
+        yield tuple(rows)
+        return
+    for values in itertools.product(range(order), repeat=order - 1):
+        rows.append((k,) + values)
+        if _associative_at_last_row(rows):
+            yield from _associative_tables(rows, order)
+        rows.pop()
+
+
+def _associative_at_last_row(rows: list[tuple[int, ...]]) -> bool:
+    """(a·b)·c = a·(b·c) for every c, over the pairs (a, b) with rows a, b
+    and a·b placed and max(a, b, a·b) the last placed row."""
+    k = len(rows) - 1
+    span = range(len(rows[0]))
+    for a in range(k + 1):
+        row_a = rows[a]
+        for b in range(k + 1):
+            ab = row_a[b]
+            if max(a, b, ab) != k:
+                continue
+            row_ab, row_b = rows[ab], rows[b]
+            for c in span:
+                if row_ab[c] != row_a[row_b[c]]:
+                    return False
+    return True
 
 
 def _canonical_table(table, n: int) -> tuple[tuple[int, ...], ...]:

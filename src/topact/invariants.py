@@ -67,10 +67,10 @@ class FiniteCategory:
 def validate_category(cat: FiniteCategory) -> FiniteCategory:
     """Check the category law by law, raising BadCategory at the first
     failure: the shape of the data (list lengths, endpoints among the
-    objects, identities and composites among the arrows), the identities'
-    endpoints, every table entry against composability and endpoints, the
-    unit laws, and associativity over the composable triples in (f, g, h)
-    order."""
+    objects, identities and composites among the arrows, each an int), the
+    identities' endpoints, every table entry against composability and
+    endpoints, the unit laws, and associativity over the composable triples
+    in (f, g, h) order."""
     src, tgt, table = cat.arrow_src, cat.arrow_tgt, cat.compose_table
     count, objects = cat.arrow_count, len(cat.objects)
     if len(src) != count or len(tgt) != count or len(cat.identities) != objects:
@@ -78,15 +78,17 @@ def validate_category(cat: FiniteCategory) -> FiniteCategory:
     if len(table) != count or any(len(row) != count for row in table):
         raise BadCategory(f"composition table is not {count} by {count}")
     for f in range(count):
-        if not (0 <= src[f] < objects and 0 <= tgt[f] < objects):
+        if not (_is_index(src[f], objects) and _is_index(tgt[f], objects)):
             raise BadCategory(f"arrow {f} has an endpoint that is not an object")
     for i, ident in enumerate(cat.identities):
-        if not 0 <= ident < count:
+        if not _is_index(ident, count):
             raise BadCategory(f"identity of object {i} is not an arrow")
         if src[ident] != i or tgt[ident] != i:
             raise BadCategory(f"identity of object {i} has wrong endpoints")
     for f in range(count):
         for g, h in enumerate(table[f]):
+            if not isinstance(h, int):
+                raise BadCategory(f"composite of arrows {f} and {g} is not an arrow")
             if (tgt[f] == src[g]) != (h >= 0):
                 raise BadCategory("composition table disagrees with composability")
             if h >= count:
@@ -109,6 +111,10 @@ def validate_category(cat: FiniteCategory) -> FiniteCategory:
                 if row_fg[h] != row_f[row_g[h]]:
                     raise BadCategory(f"associativity fails at ({f}, {g}, {h})")
     return cat
+
+
+def _is_index(value: object, size: int) -> bool:
+    return isinstance(value, int) and 0 <= value < size
 
 
 # The composition table is quadratic in the arrows; sites past this many

@@ -18,7 +18,6 @@ only on demand and capped at 2^16 members; the open counts printed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import TopactError
@@ -49,18 +48,25 @@ class Topology:
     def full(self) -> int:
         return full_mask(self.carrier_size)
 
-    @cached_property
+    @property
     def opens(self) -> frozenset[int]:
         """Every open set, as the unions of the neighbourhoods: each distinct
         one is folded into the family of unions found so far."""
-        family = {0}
-        for v in set(self.nbhd):
-            family |= {u | v for u in family}
-            if len(family) > _MAX_FAMILY:
-                raise TopactError(f"open-set family exceeds {_MAX_FAMILY} members")
-        return frozenset(family)
+        try:
+            return self._opens
+        except AttributeError:
+            family = {0}
+            for v in set(self.nbhd):
+                family |= {u | v for u in family}
+                if len(family) > _MAX_FAMILY:
+                    raise TopactError(f"open-set family exceeds {_MAX_FAMILY} members")
+            # filled on first read like FiniteMonoid.__hash__, without the
+            # lock that functools.cached_property takes on every first read
+            value = frozenset(family)
+            object.__setattr__(self, "_opens", value)
+            return value
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Pairs (x, y) with y ∈ nb[x], ascending in x, whose
         reflexive-transitive closure is the relation y ∈ nb[x].  The first
@@ -68,15 +74,20 @@ class Topology:
         point of v, and each later point with neighbourhood v one edge, to p;
         so a partition topology with k blocks has 2(n - k) edges and the
         discrete one none."""
-        first: dict[int, int] = {}
-        out = []
-        for x, v in enumerate(self.nbhd):
-            p = first.setdefault(v, x)
-            if p == x:
-                out += ((x, y) for y in bits(v ^ (1 << x)))
-            else:
-                out.append((x, p))
-        return tuple(out)
+        try:
+            return self._edges
+        except AttributeError:
+            first: dict[int, int] = {}
+            out = []
+            for x, v in enumerate(self.nbhd):
+                p = first.setdefault(v, x)
+                if p == x:
+                    out += ((x, y) for y in bits(v ^ (1 << x)))
+                else:
+                    out.append((x, p))
+            value = tuple(out)
+            object.__setattr__(self, "_edges", value)
+            return value
 
     def is_open(self, mask: int) -> bool:
         if mask & ~self.full:

@@ -4,19 +4,19 @@ import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from topact.catalog import (cyclic, left_zeros, left_zero_split_topology,
-                            right_zeros, truncated_addition, trivial_monoid,
-                            two_idempotents)
+from topact.catalog import (MAX_ENUM_ORDER, _canonical_table, cyclic, left_zeros,
+                            left_zero_split_topology, right_zeros, truncated_addition,
+                            trivial_monoid, two_idempotents)
 from topact.actions import orbit_congruence, power_of_m, quotient_mset
 from topact.completion import (Completion, PullbackOutsideFilter, complete,
                                dense_closed_factorization, pullback_congruence)
 from topact.congruences import (congruence_from_class_map,
                                 enumerate_congruences, inverse_image_congruence, leq,
                                 validate_filter)
-from topact.errors import TopactError
+from topact.errors import CapExceeded, TopactError
 from topact.invariants import MonogenicHomFlags, monogenic_orbit
-from topact.monoid import (BadShape, FiniteMonoid, NoIdentity, NonAssociative, validate_hom,
-                           validate_monoid)
+from topact.monoid import (BadShape, FiniteMonoid, NoIdentity, NonAssociative,
+                           first_nonassociative, validate_hom, validate_monoid)
 from topact.reflections import continuous_subsets
 from topact.topology import Topology, generate_topology, is_locally_constant, subspace_topology
 from topact.util import bits, mask_of
@@ -102,6 +102,36 @@ def validate_monoid_by_triples(elements, table, identity):
                 if row_ab[c] != tab[a][row_b[c]]:
                     raise NonAssociative(a, b, c)
     return FiniteMonoid(names, tab, identity)
+
+
+def all_monoids_by_product(order):
+    """Oracle for catalog.all_monoids: every identity-at-0 table from one
+    product over the free entries, kept when the full triple scan finds it
+    associative and it is the first of its isomorphism class."""
+    if order > MAX_ENUM_ORDER:
+        raise CapExceeded("monoid enumeration order", order)
+    names = ("1", "a", "b", "c")[:order]
+    if order == 1:
+        return (validate_monoid(names, [[0]], 0),)
+    free = order - 1
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    out = []
+    for values in itertools.product(range(order), repeat=free * free):
+        table = [[0] * order for _ in range(order)]
+        for a in range(order):
+            table[0][a] = a
+            table[a][0] = a
+        for i in range(free):
+            for j in range(free):
+                table[i + 1][j + 1] = values[i * free + j]
+        if first_nonassociative(table) is not None:
+            continue
+        canon = _canonical_table(table, order)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        out.append(FiniteMonoid(names, tuple(tuple(r) for r in table), 0))
+    return tuple(out)
 
 
 def join(r1, r2):

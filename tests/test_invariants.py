@@ -557,6 +557,11 @@ def test_constructions_move_along_relabellings_on_order_four_cells():
         assert_constructions_move_along_a_relabelling(monoid, topology, rng)
 
 
+def test_make_category_rejects_a_composite_that_is_not_an_int():
+    with pytest.raises(BadCategory, match="composite of arrows 0 and 0 is not an arrow"):
+        make_category(["*"], [("id", 0, 0)], lambda f, g: None, [0], [])
+
+
 def test_bad_category_rejected():
     with pytest.raises(BadCategory):
         make_category(["*"], [("id", 0, 0), ("e", 0, 0)],
@@ -580,8 +585,16 @@ def one_object(table, identities=(0,), src=(0, 0), tgt=(0, 0), objects=("*",)):
      "each arrow needs a source and a target, each object an identity"),
     (one_object(((0, 1), (1, 0)), objects=("*", "+")),
      "each arrow needs a source and a target, each object an identity"),
+    (one_object(((0, 1), (1, None))), "composite of arrows 1 and 1 is not an arrow"),
+    (one_object(((0, 1.0), (1, 0))), "composite of arrows 0 and 1 is not an arrow"),
+    (one_object(((0, 1), (1, 0)), identities=(0.0,)), "identity of object 0 is not an arrow"),
+    (one_object(((0, 1), (1, 0)), src=(0, 0.0)),
+     "arrow 1 has an endpoint that is not an object"),
+    (one_object(((0, 1), (1, 0)), tgt=(None, 0)),
+     "arrow 0 has an endpoint that is not an object"),
 ], ids=["composite", "identity", "negative-identity", "short-row", "missing-row",
-        "target", "negative-source", "sources", "identities"])
+        "target", "negative-source", "sources", "identities", "none-composite",
+        "float-composite", "float-identity", "float-source", "none-target"])
 def test_malformed_categories_raise_bad_category(cat, message):
     with pytest.raises(BadCategory, match=re.escape(message)):
         validate_category(cat)

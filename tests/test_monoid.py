@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (full_transformation_monoid, transformation_monoids,
-                      validate_monoid_by_triples)
+from conftest import (all_monoids_by_product, full_transformation_monoid,
+                      transformation_monoids, validate_monoid_by_triples)
 from topact.catalog import all_monoids, all_semigroup_homs
 from topact.errors import TopactError
 from topact.monoid import (BadShape, MismatchedHoms, NoIdentity, NonAssociative,
@@ -220,6 +220,14 @@ def validates_like_the_triple_scan(monoid, a=None, b=None, v=None):
     outcome = monoid_outcome(validate_monoid, *args)
     assert outcome == monoid_outcome(validate_monoid_by_triples, *args)
     return outcome
+
+
+def test_all_monoids_matches_the_product_enumeration_through_order_four():
+    # the row-by-row search keeps the product loop's tables, names and order;
+    # the counts are OEIS A058129
+    for order in (0, 1, 2, 3, 4):
+        assert all_monoids(order) == all_monoids_by_product(order)
+    assert [len(all_monoids(order)) for order in (1, 2, 3, 4)] == [1, 2, 7, 35]
 
 
 def test_validate_monoid_matches_the_triple_scan_through_order_four():
