@@ -339,16 +339,21 @@ def cmd_site(args) -> int:
     return 0
 
 
+def _dot_string(text: str) -> str:
+    """A DOT quoted string: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def site_dot(site) -> str:
     out = ["digraph site {"]
     for i, obj in enumerate(site.objects):
-        out.append(f'  n{i} [label="{obj}"];')
+        out.append(f'  n{i} [label={_dot_string(obj)}];')
     for f in range(site.arrow_count):
         if f in site.identities:
             continue
         style = ' style=bold' if f in site.epis else ""
         out.append(f'  n{site.arrow_src[f]} -> n{site.arrow_tgt[f]} '
-                   f'[label="{site.arrow_names[f]}"{style}];')
+                   f'[label={_dot_string(site.arrow_names[f])}{style}];')
     out.append("}")
     return "\n".join(out)
 

@@ -49,9 +49,13 @@ class Workspace:
 
     def register(self, kind: dict, name: str, value: Any, source: str) -> None:
         if name in self.provenance:
-            raise ParseError(source, f"duplicate object name {name!r}")
+            raise self.clash(name, source)
         kind[name] = value
         self.provenance[name] = source
+
+    def clash(self, name: str, source: str) -> ParseError:
+        return ParseError(source, f"duplicate object name {name!r}, "
+                                  f"also loaded from {self.provenance[name]}")
 
     def monoid(self, name: str) -> FiniteMonoid:
         return self._get(self.monoids, name, "monoid")
@@ -119,9 +123,16 @@ def parse_inputs(paths: list[str]) -> Workspace:
 
 def load_file(ws: Workspace, path: Path) -> str:
     """Parse one file into the workspace, resolving references; returns the
-    registered name (the file stem)."""
+    registered name (the file stem).  The same file reached again is not
+    read again; another file with a registered stem is an error."""
     name = path.stem
     if name in ws.provenance:
+        first = ws.provenance[name]
+        # a topology's "monoid" reference mostly repeats a loaded spelling;
+        # resolving both paths on every such load (an lstat per component)
+        # cost the benchmark's desk workload about 10% of its items/s
+        if first != str(path) and Path(first).resolve() != path.resolve():
+            raise ws.clash(name, str(path))
         return name
     obj = _load_json(path)
     try:

@@ -232,6 +232,9 @@ def make_category(objects: Sequence[str],
 
 
 def _iso_classes(cat: FiniteCategory) -> list[list[int]]:
+    """The classes of isomorphic objects, by least member.  A composite of
+    isomorphisms is an isomorphism and an arrow of the category, so the
+    objects with an inverse pair to i already form i's whole class."""
     iso = {i: {i} for i in range(len(cat.objects))}
     for f in range(cat.arrow_count):
         i, j = cat.arrow_src[f], cat.arrow_tgt[f]
@@ -245,26 +248,10 @@ def _iso_classes(cat: FiniteCategory) -> list[list[int]]:
     classes: list[list[int]] = []
     seen: set[int] = set()
     for i in range(len(cat.objects)):
-        if i in seen:
-            continue
-        cls = sorted(_reach(iso, i))
-        seen.update(cls)
-        classes.append(cls)
+        if i not in seen:
+            seen |= iso[i]
+            classes.append(sorted(iso[i]))
     return classes
-
-
-def _reach(adj: dict[int, set[int]], start: int) -> set[int]:
-    out = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return out
 
 
 @dataclass(frozen=True)

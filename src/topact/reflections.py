@@ -45,39 +45,42 @@ class CommutationFailure(InternalCheckError):
 MAX_UNIONS = 1 << 16
 
 
-class _Unions:
-    """The `continuous_sets` field: every union of the partition's classes,
-    ascending, enumerated on first read and capped at MAX_UNIONS.  A list
-    passed in is kept as given."""
+@dataclass(frozen=True, init=False)
+class ActionTopologyReport:
+    """The action topology as a two-sided congruence whose classes are open:
+    its partition topology, and whether that is the input topology.  The
+    continuous subsets are the unions of the classes.  They are not a field,
+    so repr, == and hash never list them; a tuple passed in is kept as
+    given (the benchmark's self-test builds a corrupted report this way)."""
 
-    def __get__(self, report, owner=None):
-        if report is None:
-            return None
-        if "_unions" not in report.__dict__:
-            classes = [mask_of(c) for c in report.partition.classes()]
+    partition: RightCongruence
+    topology: Topology
+    is_action_topology: bool
+
+    def __init__(self, partition: RightCongruence, topology: Topology,
+                 is_action_topology: bool, continuous_sets: tuple[int, ...] | None = None):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "is_action_topology", is_action_topology)
+        if continuous_sets is not None:
+            object.__setattr__(self, "_unions", continuous_sets)
+
+    @property
+    def continuous_sets(self) -> tuple[int, ...]:
+        """Every union of the partition's classes, ascending, listed on first
+        read (filled like `Topology.opens`) and capped at MAX_UNIONS."""
+        try:
+            return self._unions
+        except AttributeError:
+            classes = [mask_of(c) for c in self.partition.classes()]
             if 1 << len(classes) > MAX_UNIONS:
                 raise CapExceeded("continuous-subset union list", 1 << len(classes))
             family = [0]
             for c in classes:
                 family += [u | c for u in family]
-            report.__dict__["_unions"] = tuple(sorted(family))
-        return report.__dict__["_unions"]
-
-    def __set__(self, report, value):
-        if value is not None:
-            report.__dict__["_unions"] = value
-
-
-@dataclass(frozen=True)
-class ActionTopologyReport:
-    """The action topology as a two-sided congruence whose classes are open:
-    its partition topology, and whether that is the input topology.  The
-    continuous subsets are the unions of the classes."""
-
-    partition: RightCongruence
-    topology: Topology
-    is_action_topology: bool
-    continuous_sets: tuple[int, ...] = _Unions()
+            value = tuple(sorted(family))
+            object.__setattr__(self, "_unions", value)
+            return value
 
 
 def _partition_topology(partition: RightCongruence) -> Topology:

@@ -8,11 +8,11 @@ base sets that contain it; openness, closure, subspaces and products are
 decided point by point on the neighbourhoods.  Components, continuity and
 local constancy are decided along `Topology.edges`, a short list of pairs
 whose reflexive-transitive closure is the preorder: a map is continuous iff
-it is monotone, which it is iff it is monotone along each edge.  Carriers
-generated from a base are capped at 32 points; the discrete topology is
-built without one.  The open-set family `Topology.opens` is enumerated
-only on demand and capped at 2^16 members; the open counts printed by
-`analyze`, `act-topology` and `mult-core` and the suite read it.
+it is monotone, which it is iff it is monotone along each edge.  The
+carrier takes no cap, since nothing here is exponential in it but the
+open-set family `Topology.opens`: it is enumerated only on demand and
+capped at 2^16 members; the open counts printed by `analyze`,
+`act-topology` and `mult-core` and the suite read it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class SizeMismatch(TopactError):
     """A map's domain or codomain does not fit the given topologies."""
 
 
-MAX_CARRIER = 32
 _MAX_FAMILY = 1 << 16
 
 
@@ -120,8 +119,6 @@ def generate_topology(carrier_size: int, base: Iterable[int]) -> Topology:
     """Smallest topology containing the base: the minimal neighbourhood of x
     is the intersection of the base sets containing x (the full set if none
     does)."""
-    if carrier_size > MAX_CARRIER:
-        raise OutOfRange(f"carrier {carrier_size} exceeds cap {MAX_CARRIER}")
     full = full_mask(carrier_size)
     nb = [full] * carrier_size
     for b in base:

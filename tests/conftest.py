@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, settings
@@ -14,6 +15,7 @@ from topact.congruences import (congruence_from_class_map,
                                 enumerate_congruences, inverse_image_congruence, leq,
                                 validate_filter)
 from topact.errors import CapExceeded, TopactError
+from topact.files import monoid_to_obj
 from topact.invariants import MonogenicHomFlags, monogenic_orbit
 from topact.monoid import (BadShape, FiniteMonoid, NoIdentity, NonAssociative,
                            first_nonassociative, validate_hom, validate_monoid)
@@ -393,6 +395,20 @@ def transformation_monoid(elements):
 def full_transformation_monoid(points):
     maps = list(itertools.product(range(points), repeat=points))
     return transformation_monoid(transformation_closure(maps, points, len(maps)))
+
+
+def write_past_cap_inputs(directory):
+    """Write T4 with the topology whose blocks are the maps of one image
+    size, and C512 with the partition into the four cosets of 4·C512, as
+    T4.json, T4_top.json, C512.json and C512_top.json in directory."""
+    t4, c512 = full_transformation_monoid(4), cyclic(512)
+    blocks = {"T4": [[e for e in t4.elements if len(set(e)) == k] for k in range(1, 5)],
+              "C512": [list(c512.elements[r::4]) for r in range(4)]}
+    for name, monoid in (("T4", t4), ("C512", c512)):
+        (directory / f"{name}.json").write_text(json.dumps(monoid_to_obj(monoid)))
+        (directory / f"{name}_top.json").write_text(json.dumps(
+            {"monoid": f"{name}.json", "carrier": list(monoid.elements),
+             "base": blocks[name]}))
 
 
 def relabeled_monoid(monoid, rng):

@@ -3,18 +3,20 @@ import io
 import itertools
 import json
 import random
+import re
 import time
 
 import pytest
 
-from conftest import relabeled_monoid, transformation_closure, transformation_monoid
+from conftest import (relabeled_monoid, transformation_closure, transformation_monoid,
+                      write_past_cap_inputs)
 from topact import files
 from topact.actions import power_of_m
 from topact.catalog import cyclic, left_zeros, truncated_addition
 from topact.cli import SUBCOMMANDS, build_parser, main
-from topact.congruences import enumerate_congruences, generated_congruence
+from topact.congruences import enumerate_congruences, full_filter, generated_congruence
 from topact.errors import CapExceeded
-from topact.invariants import MAX_SITE_ARROWS
+from topact.invariants import MAX_SITE_ARROWS, principal_site
 
 
 @pytest.fixture
@@ -181,6 +183,25 @@ def test_morita_json_carries_the_witness(fixture_dir, capsys):
     assert report["reason"] == "powder monoids differ in order"
 
 
+def test_files_sharing_a_stem_in_two_directories_are_an_error(tmp_path, capsys):
+    for directory, monoid in (("a", cyclic(3)), ("b", left_zeros())):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "M.json").write_text(json.dumps(files.monoid_to_obj(monoid)))
+        (tmp_path / directory / "T.json").write_text(json.dumps(
+            {"monoid": "M.json", "carrier": list(monoid.elements),
+             "base": [[e] for e in monoid.elements]}))
+    a_m, a_t, b_m, b_t = (str(tmp_path / d / f) for d in "ab" for f in ("M.json", "T.json"))
+    assert main(["morita", a_m, a_t, b_m, b_t]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate object name 'M'" in err and a_m in err and b_m in err
+    assert main(["validate", a_m, b_m]) == 2
+    assert "duplicate object name 'M'" in capsys.readouterr().err
+    # the same file reached twice, once through another spelling, loads once
+    again = str(tmp_path / "a" / ".." / "a" / "M.json")
+    assert main(["morita", a_m, a_t, again, a_t]) == 0
+    assert "equivalent: yes" in capsys.readouterr().out
+
+
 def _disc4(fixture_dir):
     p = fixture_dir / "disc4.json"
     p.write_text(json.dumps({"monoid": "C4.json",
@@ -202,6 +223,23 @@ def test_site_dot_output(fixture_dir, capsys):
                  "--dot"]) == 0
     out = capsys.readouterr().out
     assert "digraph site {" in out
+
+
+def test_site_dot_labels_read_back_to_the_names(tmp_path, capsys):
+    # element names with a double quote and a backslash
+    names = ['a"b', "c\\d"]
+    (tmp_path / "Q.json").write_text(json.dumps(
+        {"elements": names, "identity": names[0],
+         "table": [names, names[::-1]]}))
+    assert main(["site", str(tmp_path / "Q.json"), "--filter", "all", "--dot"]) == 0
+    dot = capsys.readouterr().out.split("digraph site {")[1]
+    labels = [re.sub(r"\\(.)", r"\1", label)
+              for label in re.findall(r'label="((?:[^"\\]|\\.)*)"', dot)]
+    monoid = files.parse_monoid(json.loads((tmp_path / "Q.json").read_text()), tmp_path)
+    site = principal_site(monoid, full_filter(monoid))
+    assert labels == [*site.objects, *(site.arrow_names[f] for f in range(site.arrow_count)
+                                       if f not in site.identities)]
+    assert any('"' in label for label in labels) and any("\\" in label for label in labels)
 
 
 def test_reports_are_deterministic(fixture_dir, capsys):
@@ -472,6 +510,24 @@ def test_complete_takes_no_carrier_cap(tmp_path, capsys):
     assert main(["complete", str(tmp_path / "C64.json"), "--filter", "all"]) == 0
     out = capsys.readouterr().out
     assert "L: order 64" in out and "discrete=True" in out
+
+
+@pytest.fixture(scope="module")
+def large_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("large")
+    write_past_cap_inputs(directory)
+    return directory
+
+
+@pytest.mark.parametrize("name, powder_order", [("T4", 2), ("C512", 4)])
+def test_commands_answer_past_thirty_two_points(large_dir, capsys, name, powder_order):
+    m, t = str(large_dir / f"{name}.json"), str(large_dir / f"{name}_top.json")
+    for argv in (["analyze", m, t], ["act-topology", m, t],
+                 ["complete", m, "--filter", f"open@{t}"]):
+        assert main(argv) == 0
+        capsys.readouterr()
+    assert main(["powder", m, t]) == 0
+    assert f": order {powder_order}\n" in capsys.readouterr().out
 
 
 def test_powder_on_discrete_t3_and_c32(t3_dir, tmp_path, capsys):

@@ -242,6 +242,15 @@ def test_skeleton_collapse_detects_equivalence():
     assert categories_equivalent(cat, terminal_category()).kind == "yes"
 
 
+def test_chaotic_category_is_one_iso_class():
+    # one arrow between every ordered pair: every object is isomorphic to
+    # every other, each by a single inverse pair
+    chaotic = poset_category([[True] * 3] * 3, 3)
+    assert chaotic.arrow_count == 9
+    assert morita_fingerprint(chaotic).object_count == 1
+    assert categories_equivalent(chaotic, terminal_category()).kind == "yes"
+
+
 def test_joint_covering_terminal():
     assert joint_covering(terminal_category())
     assert strict_joint_covering(terminal_category())

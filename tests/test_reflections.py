@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from topact.congruences import (RightCongruence, diagonal, enumerate_congruences
                                 enumerate_filters, filter_generated, full_filter,
                                 generated_congruence, inverse_image_congruence,
                                 is_two_sided, open_congruences, total)
+from topact.errors import CapExceeded
 from topact.monoid import opposite, validate_hom, validate_monoid
 from topact.reflections import (NotTopologicalMonoid, _quotient_monoid,
                                 congruence_hat_topology, congruence_set,
@@ -183,6 +185,28 @@ def test_continuous_subsets_split(m_lz, tau_a):
     assert rep.continuous_sets == (0, 1, 6, 7)
     assert rep.topology.opens == tau_a.opens
     assert rep.is_action_topology
+
+
+def test_reports_past_the_union_cap_compare_without_listing_unions():
+    # 17 r0 classes: the union list passes its cap, but repr, == and hash
+    # read only the partition and the topologies
+    c17, disc = cyclic(17), discrete_topology(17)
+    for build in (continuous_subsets, powder_reflection):
+        first, second = build(c17, disc), build(c17, disc)
+        assert "continuous_sets" not in repr(first)
+        assert first == second and hash(first) == hash(second)
+    with pytest.raises(CapExceeded, match="continuous-subset union list"):
+        continuous_subsets(c17, disc).continuous_sets
+
+
+def test_continuous_sets_passed_in_are_kept(m_lz, tau_a):
+    # dataclasses.replace passes continuous_sets to the constructor; a
+    # replaced partition or topology lists its own unions again
+    rep = continuous_subsets(m_lz, tau_a)
+    dropped = dataclasses.replace(rep, continuous_sets=rep.continuous_sets[:-1])
+    assert dropped.continuous_sets == (0, 1, 6) and dropped == rep
+    rebuilt = dataclasses.replace(rep, partition=total(m_lz))
+    assert rebuilt.continuous_sets == (0, 7)
 
 
 def test_action_topology_universal_among_equal_categories():
