@@ -122,11 +122,15 @@ def orbit_congruence(mset: MSet, x: int) -> RightCongruence:
 
 def is_continuous_mset(mset: MSet, topology: Topology
                        ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """True when every necessary clopen is open; otherwise a witness (x, p)."""
-    for x in range(mset.size):
-        for p in range(mset.monoid.order):
-            if not topology.is_open(necessary_clopen(mset, x, p)):
-                return False, (x, p)
+    """True when every necessary clopen is open; otherwise a witness (x, p),
+    the first in row-major order.  The necessary clopens of row x are the
+    fibres of m ↦ x·m, so they are all open iff the row is locally
+    constant; only a row that is not is scanned for its witness p."""
+    for x, row in enumerate(mset.act):
+        if not is_locally_constant(row, topology):
+            for p in range(mset.monoid.order):
+                if not topology.is_open(necessary_clopen(mset, x, p)):
+                    return False, (x, p)
     return True, None
 
 
@@ -332,6 +336,14 @@ def enumerate_mset_homs(source: MSet, target: MSet) -> tuple[tuple[int, ...], ..
     return tuple(sorted(map(in_source_order, partials)))
 
 
+def _tuple_getter(indices: list[int]):
+    """itemgetter(*indices), but a 1-tuple for a single index."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
 def msets_isomorphic(a: MSet, b: MSet) -> bool:
     if a.size != b.size or a.monoid != b.monoid:
         return False
@@ -365,16 +377,16 @@ def exponential_mset(x: MSet, y: MSet, topology: Topology) -> ExponentialMSet:
     base = mset_product(regular_mset(monoid), x)
     homs = enumerate_mset_homs(base, y)
     index = {h: i for i, h in enumerate(homs)}
+    # h·m is (n, p) ↦ h(m·n, p): one list of base indices per m
+    movers = [_tuple_getter([row_m[n] * x.size + p for n in range(monoid.order)
+                             for p in range(x.size)])
+              for row_m in monoid.table]
     act = []
     for h in homs:
-        row = []
-        for m in range(monoid.order):
-            moved = tuple(h[monoid.table[m][nn] * x.size + p]
-                          for nn in range(monoid.order) for p in range(x.size))
-            if moved not in index:
-                raise InternalCheckError("hom set not closed under the action")
-            row.append(index[moved])
-        act.append(tuple(row))
+        try:
+            act.append(tuple([index[mover(h)] for mover in movers]))
+        except KeyError:
+            raise InternalCheckError("hom set not closed under the action") from None
     ambient = MSet(monoid, tuple(f"f{i}" for i in range(len(homs))), tuple(act))
     mask = continuous_part(ambient, topology)
     members = list(bits(mask))

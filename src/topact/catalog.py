@@ -182,43 +182,73 @@ def action_topologies(monoid: FiniteMonoid) -> tuple[Topology, ...]:
 @lru_cache(maxsize=None)
 def all_msets(monoid: FiniteMonoid, carrier: int) -> tuple[MSet, ...]:
     """All right actions on a carrier of the given size, up to carrier
-    permutation: the first of each permutation orbit in the order of the
-    columns (m ↦ the map x ↦ x·m).  Only the columns of a generating set
-    (monoid.generating_set) are chosen; the others follow as composites, and
-    a choice that reaches one element with two columns is cut off at once.
-    A choice that _derive completes is an action: it has checked
+    permutation: the least of each permutation orbit in the order of the
+    columns (m ↦ the map x ↦ x·m), in that order.  Only the columns of a
+    generating set (monoid.generating_set) are chosen; the others follow as
+    composites, and a choice that reaches one element with two columns is
+    cut off at once.  The first generator's column is drawn only from the
+    least member of each conjugacy class of self-maps of the carrier
+    (_class_minima: 19 maps on 4 points, not 256); later generators range
+    over every column.
+
+    Sound: a choice that _derive completes is an action.  It has checked
     x·(w·g) = (x·w)·g for every w and generator g, and the n with
     x·(m·n) = (x·m)·n for all m and x form a submonoid, since
-    x·(m·n1·n2) = (x·(m·n1))·n2 = ((x·m)·n1)·n2 = (x·m)·(n1·n2)."""
+    x·(m·n1·n2) = (x·(m·n1))·n2 = ((x·m)·n1)·n2 = (x·m)·(n1·n2).  Each
+    completed action is replaced by its canonical form (_canonical_action),
+    the least member of its orbit, which is again an action, since
+    relabelling by p (each column f becoming p∘f∘p⁻¹) preserves the action
+    law.
+
+    Complete: relabelling by p conjugates the first generator's column, so
+    every orbit has a member whose first column is the least of its class,
+    and that member is reached with the later columns it has.  So the set
+    of canonical forms is that of the search over every column, and sorted
+    it is that search's output: each orbit lies whole in that search's
+    actions, and its first member in sorted order is its least."""
     if carrier > MAX_ENUM_CARRIER:
         raise CapExceeded("M-set enumeration carrier", carrier)
     names = tuple(f"p{i}" for i in range(carrier))
     functions = list(itertools.product(range(carrier), repeat=carrier))
+    minima = _class_minima(carrier)
     gens = generating_set(monoid)
-    valid = []
+    order = monoid.order
+    canons: set[tuple[tuple[int, ...], ...]] = set()
 
     def extend(chosen: dict) -> None:
         cols = _derive(monoid, chosen, carrier)
         if cols is None:
             return
         if len(chosen) < len(gens):
-            for f in functions:
+            for f in functions if chosen else minima:
                 extend({**chosen, gens[len(chosen)]: f})
         else:
-            valid.append(tuple(cols[m] for m in range(monoid.order)))
+            canons.add(_canonical_action(tuple(cols[m] for m in range(order)),
+                                         order, carrier))
 
     extend({})
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    return tuple(MSet(monoid, names, tuple(tuple(cols[m][x] for m in range(order))
+                                           for x in range(carrier)))
+                 for cols in sorted(canons))
+
+
+def _class_minima(carrier: int) -> list[tuple[int, ...]]:
+    """The least self-map of the carrier in each conjugacy class
+    {p∘f∘p⁻¹ : p a permutation}, in itertools.product order: each map not
+    yet seen starts a class, and its conjugates are marked seen."""
+    perms = list(itertools.permutations(range(carrier)))
+    seen: set[tuple[int, ...]] = set()
     out = []
-    for cols in sorted(valid):
-        canon = _canonical_action(cols, monoid.order, carrier)
-        if canon in seen:
+    for f in itertools.product(range(carrier), repeat=carrier):
+        if f in seen:
             continue
-        seen.add(canon)
-        act = tuple(tuple(cols[m][x] for m in range(monoid.order))
-                    for x in range(carrier))
-        out.append(MSet(monoid, names, act))
-    return tuple(out)
+        out.append(f)
+        for p in perms:
+            conjugate = [0] * carrier
+            for x in range(carrier):
+                conjugate[p[x]] = p[f[x]]
+            seen.add(tuple(conjugate))
+    return out
 
 
 def _derive(monoid: FiniteMonoid, chosen: dict, carrier: int) -> dict | None:

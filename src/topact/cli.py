@@ -152,18 +152,20 @@ def cmd_analyze(args) -> int:
     ws = files.Workspace()
     name, monoid = _monoid(ws, args.monoid_arg)
     names = monoid.elements
+    commutative = monoid.is_commutative()
+    idem = [names[e] for e in idempotents(monoid)]
+    units = [names[u] for u in unit_indices(monoid)]
+    z = zero_element(monoid)
+    zero = names[z] if z is not None else None
     lines = [
         f"monoid {name}: order {monoid.order}, identity {names[monoid.identity]}",
-        f"commutative: {monoid.is_commutative()}",
-        f"idempotents: {' '.join(names[e] for e in idempotents(monoid))}",
-        f"units: {' '.join(names[u] for u in unit_indices(monoid))}",
+        f"commutative: {commutative}",
+        f"idempotents: {' '.join(idem)}",
+        f"units: {' '.join(units)}",
+        f"zero: {zero if zero is not None else 'none'}",
     ]
-    z = zero_element(monoid)
-    lines.append(f"zero: {names[z] if z is not None else 'none'}")
-    report: dict = {"order": monoid.order, "commutative": monoid.is_commutative(),
-                    "idempotents": [names[e] for e in idempotents(monoid)],
-                    "units": [names[u] for u in unit_indices(monoid)],
-                    "zero": names[z] if z is not None else None}
+    report: dict = {"order": monoid.order, "commutative": commutative,
+                    "idempotents": idem, "units": units, "zero": zero}
     if args.topology_arg:
         tname, topo = _topology(ws, args.topology_arg, monoid)
         sep = separation_report(topo)

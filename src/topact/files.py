@@ -46,6 +46,7 @@ class Workspace:
     filters: dict[str, CongruenceFilter] = field(default_factory=dict)
     homs: dict[str, SemigroupHom] = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
+    loading: set[str] = field(default_factory=set)  # names whose files are being parsed
 
     def register(self, kind: dict, name: str, value: Any, source: str) -> None:
         if name in self.provenance:
@@ -124,7 +125,9 @@ def parse_inputs(paths: list[str]) -> Workspace:
 def load_file(ws: Workspace, path: Path) -> str:
     """Parse one file into the workspace, resolving references; returns the
     registered name (the file stem).  The same file reached again is not
-    read again; another file with a registered stem is an error."""
+    read again; another file with a registered stem is an error, and so is
+    a reference back to a name whose file is still being parsed (a file
+    naming itself, or a cycle of references)."""
     name = path.stem
     if name in ws.provenance:
         first = ws.provenance[name]
@@ -134,7 +137,11 @@ def load_file(ws: Workspace, path: Path) -> str:
         if first != str(path) and Path(first).resolve() != path.resolve():
             raise ws.clash(name, str(path))
         return name
+    if name in ws.loading:
+        raise ParseError(str(path), f"object name {name!r} is reached again "
+                                    f"while its file is still loading")
     obj = _load_json(path)
+    ws.loading.add(name)
     try:
         kind = detect_kind(obj, path)
         for key, depth in SHAPES[kind].items():
@@ -158,6 +165,8 @@ def load_file(ws: Workspace, path: Path) -> str:
             ws.register(ws.homs, name, parse_hom(obj, ws, path), str(path))
     except KeyError as exc:
         raise ParseError(str(path), f"missing key {exc.args[0]!r}") from None
+    finally:
+        ws.loading.remove(name)
     return name
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from topact.catalog import (MAX_ENUM_ORDER, _canonical_table, cyclic, left_zeros,
                             left_zero_split_topology, right_zeros, truncated_addition,
                             trivial_monoid, two_idempotents)
-from topact.actions import orbit_congruence, power_of_m, quotient_mset
+from topact.actions import MSet, orbit_congruence, power_of_m, quotient_mset
 from topact.completion import (Completion, PullbackOutsideFilter, complete,
                                dense_closed_factorization, pullback_congruence)
 from topact.congruences import (congruence_from_class_map,
@@ -18,7 +18,8 @@ from topact.errors import CapExceeded, TopactError
 from topact.files import monoid_to_obj
 from topact.invariants import MonogenicHomFlags, monogenic_orbit
 from topact.monoid import (BadShape, FiniteMonoid, NoIdentity, NonAssociative,
-                           first_nonassociative, validate_hom, validate_monoid)
+                           first_nonassociative, generating_set, validate_hom,
+                           validate_monoid)
 from topact.reflections import continuous_subsets
 from topact.topology import Topology, generate_topology, is_locally_constant, subspace_topology
 from topact.util import bits, mask_of
@@ -133,6 +134,74 @@ def all_monoids_by_product(order):
             continue
         seen.add(canon)
         out.append(FiniteMonoid(names, tuple(tuple(r) for r in table), 0))
+    return tuple(out)
+
+
+def action_orbit(cols, carrier):
+    """Every relabelling of the action whose columns are cols (cols[m] is
+    x ↦ x·m), as a frozenset: equal exactly for isomorphic actions.  Under
+    a permutation p each column f becomes p∘f∘p⁻¹."""
+    orbit = set()
+    for p in itertools.permutations(range(carrier)):
+        relabelled = []
+        for f in cols:
+            g = [0] * carrier
+            for x in range(carrier):
+                g[p[x]] = p[f[x]]
+            relabelled.append(tuple(g))
+        orbit.add(tuple(relabelled))
+    return frozenset(orbit)
+
+
+def all_msets_by_columns(monoid, carrier):
+    """Oracle for catalog.all_msets: every column for every generator
+    (monoid.generating_set), the other columns derived by
+    x·(w·g) = (x·w)·g and a choice that reaches one element with two
+    columns dropped; of the actions in sorted order, the first of each
+    relabelling orbit is kept."""
+    names = tuple(f"p{i}" for i in range(carrier))
+    functions = list(itertools.product(range(carrier), repeat=carrier))
+    gens = generating_set(monoid)
+    valid = []
+
+    def derive(chosen):
+        cols = {monoid.identity: tuple(range(carrier))}
+        frontier = [monoid.identity]
+        while frontier:
+            fresh = []
+            for w in frontier:
+                for g, col_g in chosen.items():
+                    wg = monoid.table[w][g]
+                    col = tuple(col_g[y] for y in cols[w])
+                    if wg not in cols:
+                        cols[wg] = col
+                        fresh.append(wg)
+                    elif cols[wg] != col:
+                        return None
+            frontier = fresh
+        return cols
+
+    def extend(chosen):
+        cols = derive(chosen)
+        if cols is None:
+            return
+        if len(chosen) < len(gens):
+            for f in functions:
+                extend({**chosen, gens[len(chosen)]: f})
+        else:
+            valid.append(tuple(cols[m] for m in range(monoid.order)))
+
+    extend({})
+    seen = set()
+    out = []
+    for cols in sorted(valid):
+        orbit = action_orbit(cols, carrier)
+        if orbit in seen:
+            continue
+        seen.add(orbit)
+        act = tuple(tuple(cols[m][x] for m in range(monoid.order))
+                    for x in range(carrier))
+        out.append(MSet(monoid, names, act))
     return tuple(out)
 
 

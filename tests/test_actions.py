@@ -11,15 +11,16 @@ from topact.actions import (MSet, NotAnAction, NotContinuousInput, NotEquivarian
                             power_mset, power_of_m, quotient_mset,
                             regular_mset, restrict_mset, subobject_classifier,
                             terminal_mset, validate_mset, validate_mset_hom)
-from topact.catalog import all_monoids, all_msets, all_topologies
+from topact.catalog import (action_topologies, all_monoids, all_msets, all_topologies,
+                            continuous_msets, cyclic, two_idempotents)
 from topact.congruences import (diagonal, enumerate_congruences, generated_congruence,
-                                leq, meet, total)
+                                leq, meet, open_congruences, total)
 from topact.reflections import congruence_set, continuous_subsets
 from topact.topology import discrete_topology, is_continuous
 from topact.util import bits, full_mask, mask_of
 
-from conftest import (relation_mask, transformation_closure, transformation_monoid,
-                      transformation_monoids)
+from conftest import (action_orbit, all_msets_by_columns, relation_mask,
+                      transformation_closure, transformation_monoid, transformation_monoids)
 
 
 def _action_law(cols, monoid, carrier):
@@ -37,7 +38,6 @@ def msets_by_brute_force(monoid, carrier):
     """Oracle for all_msets: every tuple of self-maps, one per non-identity
     element, checked against the action law, the first of each orbit under
     carrier permutation kept."""
-    from topact.catalog import _canonical_action
     names = tuple(f"p{i}" for i in range(carrier))
     functions = list(itertools.product(range(carrier), repeat=carrier))
     non_identity = [m for m in range(monoid.order) if m != monoid.identity]
@@ -49,7 +49,7 @@ def msets_by_brute_force(monoid, carrier):
             cols[m] = f
         if not _action_law(cols, monoid, carrier):
             continue
-        canon = _canonical_action(cols, monoid.order, carrier)
+        canon = action_orbit(cols, carrier)
         if canon not in seen:
             seen.add(canon)
             out.append(MSet(monoid, names, tuple(
@@ -62,6 +62,21 @@ def test_all_msets_matches_the_brute_force_through_order_three():
         for monoid in all_monoids(order):
             for carrier in (1, 2, 3, 4):
                 assert all_msets(monoid, carrier) == msets_by_brute_force(monoid, carrier)
+
+
+def test_all_msets_matches_the_every_column_search_at_order_four():
+    for monoid in all_monoids(4):
+        for carrier in (1, 2, 3):
+            assert all_msets(monoid, carrier) == all_msets_by_columns(monoid, carrier)
+
+
+def test_all_msets_counts_one_generator_maps_up_to_conjugacy():
+    """An action of C2, {1, e} or C3 is one map f with f² = 1, f² = f or
+    f³ = 1: involutions, idempotents and order-3 maps up to conjugacy."""
+    counts = {name: [len(all_msets(monoid, k)) for k in (1, 2, 3, 4)]
+              for name, monoid in (("C2", cyclic(2)), ("E", two_idempotents()),
+                                   ("C3", cyclic(3)))}
+    assert counts == {"C2": [1, 2, 2, 3], "E": [1, 2, 3, 5], "C3": [1, 1, 2, 2]}
 
 
 def trivial_action(monoid, size=2):
@@ -109,6 +124,29 @@ def test_continuity_witness(m_lz, tau_a):
     assert not ok
     x, p = witness
     assert not tau_a.is_open(necessary_clopen(regular_mset(m_lz), x, p))
+
+
+def continuity_by_scan(mset, topology):
+    """Oracle for is_continuous_mset: each necessary clopen tested for
+    openness, (x, p) in row-major order, the first failure the witness."""
+    for x in range(mset.size):
+        for p in range(mset.monoid.order):
+            if not topology.is_open(necessary_clopen(mset, x, p)):
+                return False, (x, p)
+    return True, None
+
+
+def test_continuity_and_witness_match_the_scan_through_order_three():
+    failures = 0
+    for order in (1, 2, 3):
+        for monoid in all_monoids(order):
+            for carrier in (1, 2, 3):
+                for mset in all_msets(monoid, carrier):
+                    for topology in all_topologies(order):
+                        expected = continuity_by_scan(mset, topology)
+                        assert is_continuous_mset(mset, topology) == expected
+                        failures += not expected[0]
+    assert failures > 0
 
 
 def test_quotient_by_split_is_continuous(m_lz, tau_a):
@@ -335,6 +373,40 @@ def test_continuous_part_matches_necessary_clopens_of_translates():
                         assert mask_of(x for x, flag in enumerate(flags) if flag) == expected
                         simplified += 1
     assert simplified > 0
+
+
+def exponential_act_by_formula(x, y, topology):
+    """Oracle for exponential_mset's action: each hom h of M×X -> Y moved
+    by each m to (n, p) ↦ h(m·n, p), looked up among the homs, and the
+    continuous part of that action."""
+    monoid = x.monoid
+    homs = enumerate_mset_homs(mset_product(regular_mset(monoid), x), y)
+    index = {h: i for i, h in enumerate(homs)}
+    act = tuple(tuple(index[tuple(h[monoid.table[m][n] * x.size + p]
+                                  for n in range(monoid.order) for p in range(x.size))]
+                      for m in range(monoid.order))
+                for h in homs)
+    ambient = MSet(monoid, tuple(f"f{i}" for i in range(len(homs))), act)
+    return restrict_mset(ambient, continuous_part(ambient, topology)).act
+
+
+def test_exponential_action_matches_the_per_hom_formula_on_criterion_10():
+    """Every (X, Y) of acceptance criterion 10; the order-1 monoid gives
+    X with one point, where the base M×X has a single point."""
+    pairs = 0
+    for order in (1, 2, 3):
+        for monoid in all_monoids(order):
+            for topology in action_topologies(monoid):
+                principal = [quotient_mset(monoid, r)
+                             for r in open_congruences(monoid, topology).members]
+                inputs = [(x, y) for x in principal for y in principal]
+                inputs += [(terminal_mset(monoid), y)
+                           for y in continuous_msets(monoid, topology, 4)]
+                for x, y in inputs:
+                    pairs += 1
+                    assert (exponential_mset(x, y, topology).mset.act
+                            == exponential_act_by_formula(x, y, topology))
+    assert pairs > 0
 
 
 def test_exponential_requires_continuous_inputs(m_lz, tau_a):

@@ -202,6 +202,19 @@ def test_files_sharing_a_stem_in_two_directories_are_an_error(tmp_path, capsys):
     assert "equivalent: yes" in capsys.readouterr().out
 
 
+def test_a_file_referring_to_itself_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "T.json").write_text(json.dumps(
+        {"monoid": "T.json", "carrier": ["1"], "base": [["1"]]}))
+    for name, other in (("A", "B"), ("B", "A")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"monoid": f"{other}.json", "carrier": ["1"], "base": [["1"]]}))
+    for name in ("T", "A"):
+        bad = str(tmp_path / f"{name}.json")
+        assert main(["validate", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and f"object name {name!r}" in err
+
+
 def _disc4(fixture_dir):
     p = fixture_dir / "disc4.json"
     p.write_text(json.dumps({"monoid": "C4.json",
