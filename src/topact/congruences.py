@@ -104,7 +104,7 @@ class RightCongruence:
         out: list[list[int]] = [[] for _ in range(self.num_classes)]
         for m, c in enumerate(self.class_of):
             out[c].append(m)
-        return tuple(tuple(c) for c in out)
+        return tuple(map(tuple, out))
 
     def representatives(self) -> tuple[int, ...]:
         seen: dict[int, int] = {}
@@ -453,19 +453,17 @@ def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCong
     for x, y in topology.edges:
         if label[x] != label[y]:
             merge(x, y)
-    if merges:
-        columns = tuple(zip(*table))
-        # the loop also visits the merges appended while it runs; after
-        # n - 1 merges every point shares one label
-        for a, b in merges:
-            if len(merges) == n - 1:
-                break
-            for x, y in zip(table[a], table[b]):
-                if label[x] != label[y]:
-                    merge(x, y)
-            for x, y in zip(columns[a], columns[b]):
-                if label[x] != label[y]:
-                    merge(x, y)
+    # the loop also visits the merges appended while it runs; after
+    # n - 1 merges every point shares one label
+    for a, b in merges:
+        if len(merges) == n - 1:
+            break
+        for x, y in zip(table[a], table[b]):
+            if label[x] != label[y]:
+                merge(x, y)
+        for x, y in zip(monoid.columns[a], monoid.columns[b]):
+            if label[x] != label[y]:
+                merge(x, y)
     return RightCongruence(monoid, _canonical(label))
 
 

@@ -11,13 +11,17 @@ r1 ⊆ m*(r2); the underlying map of classes sends [x] to [mx], so composing
 [m] then [n] yields [n·m].  Epis are the class-surjective arrows; the
 strict joint-covering check takes them as the strict epis too, which the
 engine does not verify.
+
+A Morita fingerprint, of any finite category, reads one pass over its
+arrows (_hom_counts); its oracle, morita_fingerprint_by_scan in
+tests/conftest.py, rescans them for every arrow and pair of objects.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .congruences import CongruenceFilter, RightCongruence
 from .errors import CapExceeded, TopactError
@@ -55,10 +59,6 @@ class FiniteCategory:
     @property
     def arrow_count(self) -> int:
         return len(self.arrow_names)
-
-    def hom(self, i: int, j: int) -> tuple[int, ...]:
-        return tuple(f for f in range(self.arrow_count)
-                     if self.arrow_src[f] == i and self.arrow_tgt[f] == j)
 
     def __repr__(self) -> str:
         return f"FiniteCategory({len(self.objects)} objects, {self.arrow_count} arrows)"
@@ -124,71 +124,37 @@ MAX_SITE_ARROWS = 4096
 
 def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategory:
     """The category with the filter's congruences as objects and classes
-    [m] as arrows; epis/monos are marked from the underlying class maps.
+    [m] as arrows, by source r_i, then target r_j, then the r_j-class c of
+    m, the least of its class.  [m] is an arrow when r_i ⊆ m*(r_j): x ↦
+    r_j-class of m·x is constant on r_i-classes.  One pass over the carrier
+    decides this and builds the class map, stopping at the first x whose
+    r_i-class already has another image; the arrow is recorded, and marked
+    epi or mono from the size of its image, as it is found.
 
     [m]: r_i → r_j composed with [n]: r_j → r_k is [n·m], whose r_k-class
-    is the class map of [n] at the r_j-class of m: the composites are read
-    from the class maps, through one list per (i, k) indexed by r_k-class.
+    is the class map of [n] at the r_j-class of m.
     """
-    members = flt.members
-    arrows = list(itertools.islice(_site_arrows(monoid, members), MAX_SITE_ARROWS + 1))
-    count = len(arrows)
-    if count > MAX_SITE_ARROWS:
-        raise CapExceeded("principal-site arrows", count)
-    lookup = [[[-1] * r.num_classes for r in members] for _ in members]
-    for f, (i, j, c, _) in enumerate(arrows):
-        lookup[i][j][c] = f
-    # the arrows out of r_j are start[j], ..., start[j + 1] - 1
-    start = [0] * (len(members) + 1)
-    for i, _, _, _ in arrows:
-        start[i + 1] += 1
-    for i in range(len(members)):
-        start[i + 1] += start[i]
-    compose = []
-    for f, (i, j, c, _) in enumerate(arrows):
-        lookup_i = lookup[i]
-        segment = [lookup_i[k][cmap[c]] for (_, k, _, cmap) in arrows[start[j]:start[j + 1]]]
-        compose.append((-1,) * start[j] + tuple(segment) + (-1,) * (count - start[j + 1]))
-    epis, monos = set(), set()
-    for f, (_, j, _, cmap) in enumerate(arrows):
-        image = len(set(cmap))
-        if image == members[j].num_classes:
-            epis.add(f)
-        if image == len(cmap):
-            monos.add(f)
-    names = monoid.elements
-    reps = [r.representatives() for r in members]
-    return FiniteCategory(
-        objects=tuple(r.label() for r in members),
-        arrow_names=tuple(f"[{names[reps[j][c]]}]" for (_, j, c, _) in arrows),
-        arrow_src=tuple(a[0] for a in arrows),
-        arrow_tgt=tuple(a[1] for a in arrows),
-        compose_table=tuple(compose),
-        identities=tuple(lookup[i][i][r.class_of[monoid.identity]]
-                         for i, r in enumerate(members)),
-        epis=frozenset(epis),
-        monos=frozenset(monos),
-    )
-
-
-def _site_arrows(monoid: FiniteMonoid, members: Sequence[RightCongruence]
-                 ) -> Iterator[tuple[int, int, int, list[int]]]:
-    """The arrows [m]: r_i → r_j of the principal site in its order (by i,
-    then j, then the r_j-class c of m), each as (i, j, c, class map).
-
-    m is the least element of its class, and [m] is an arrow when r_i ⊆
-    m*(r_j), that is, when x ↦ r_j-class of m·x is constant on r_i-classes.
-    One pass over the carrier decides this and builds the class map as it
-    goes, stopping at the first x whose r_i-class already has another
-    image.
-    """
-    table = monoid.table
-    reps = [r.representatives() for r in members]
+    members, table, names = flt.members, monoid.table, monoid.elements
+    # the r_k-class c is at slot offset[k] + c of the lookup lists, one per
+    # source, and the class maps write each class as its slot
+    classes, labels, slot_of, offset = [], [], [], [0]
+    for r in members:
+        cls = r.classes()
+        classes.append(cls)
+        labels.append("|".join([",".join(map(names.__getitem__, c)) for c in cls]))
+        slot_of.append([offset[-1] + c for c in r.class_of])
+        offset.append(offset[-1] + len(cls))
+    # per arrow [m]: r_i → r_j of class c: its name, i, j, slot and class map
+    arrow_names, src, tgt, slot, cmaps = [], [], [], [], []
+    epis, monos, lookup, identities = [], [], [], []
+    start = [0]  # the arrows out of r_i are start[i], ..., start[i + 1] - 1
     for i, ri in enumerate(members):
-        cls_i, size = ri.class_of, ri.num_classes
-        for j, rj in enumerate(members):
-            cls_j = rj.class_of
-            for c, m in enumerate(reps[j]):
+        cls_i, size = ri.class_of, len(classes[i])
+        found = [-1] * offset[-1]
+        for j, cls_j in enumerate(slot_of):
+            base, size_j = offset[j], len(classes[j])
+            for c, cls in enumerate(classes[j]):
+                m = cls[0]
                 cmap = [-1] * size
                 for a, y in zip(cls_i, table[m]):
                     v = cls_j[y]
@@ -198,7 +164,42 @@ def _site_arrows(monoid: FiniteMonoid, members: Sequence[RightCongruence]
                     elif w != v:
                         break
                 else:
-                    yield i, j, c, cmap
+                    f = len(src)
+                    if f == MAX_SITE_ARROWS:
+                        raise CapExceeded("principal-site arrows", f + 1)
+                    found[base + c] = f
+                    arrow_names.append(f"[{names[m]}]")
+                    src.append(i)
+                    tgt.append(j)
+                    slot.append(base + c)
+                    cmaps.append(cmap)
+                    image = len(set(cmap))
+                    if image == size_j:
+                        epis.append(f)
+                    if image == size:
+                        monos.append(f)
+        lookup.append(found)
+        identities.append(found[offset[i] + cls_i[monoid.identity]])
+        start.append(len(src))
+    count = len(src)
+    # through[offset[j] + c]: for each [n] out of r_j, the slot of n·m for m in c
+    through: list[tuple[int, ...]] = []
+    for j in range(len(members)):
+        through.extend(zip(*cmaps[start[j]:start[j + 1]]))
+    compose = []
+    for i, j, p in zip(src, tgt, slot):
+        compose.append((-1,) * start[j] + tuple(map(lookup[i].__getitem__, through[p]))
+                       + (-1,) * (count - start[j + 1]))
+    return FiniteCategory(
+        objects=tuple(labels),
+        arrow_names=tuple(arrow_names),
+        arrow_src=tuple(src),
+        arrow_tgt=tuple(tgt),
+        compose_table=tuple(compose),
+        identities=tuple(identities),
+        epis=frozenset(epis),
+        monos=frozenset(monos),
+    )
 
 
 def make_category(objects: Sequence[str],
@@ -231,27 +232,38 @@ def make_category(objects: Sequence[str],
     return validate_category(cat)
 
 
-def _iso_classes(cat: FiniteCategory) -> list[list[int]]:
-    """The classes of isomorphic objects, by least member.  A composite of
-    isomorphisms is an isomorphism and an arrow of the category, so the
-    objects with an inverse pair to i already form i's whole class."""
-    iso = {i: {i} for i in range(len(cat.objects))}
-    for f in range(cat.arrow_count):
-        i, j = cat.arrow_src[f], cat.arrow_tgt[f]
-        if i == j:
-            continue
-        for g in cat.hom(j, i):
-            if (cat.compose_table[f][g] == cat.identities[i]
-                    and cat.compose_table[g][f] == cat.identities[j]):
-                iso[i].add(j)
-                iso[j].add(i)
-    classes: list[list[int]] = []
-    seen: set[int] = set()
-    for i in range(len(cat.objects)):
-        if i not in seen:
-            seen |= iso[i]
-            classes.append(sorted(iso[i]))
-    return classes
+def _hom_counts(cat: FiniteCategory
+                ) -> tuple[list[list[int]], dict[tuple[int, int], list[int]]]:
+    """One pass over the arrows: the (hom, epi, mono) counts of every ordered
+    pair of objects (i, j), at position i·k + j for k objects, and the
+    arrows from i to j for every pair of distinct objects that has one."""
+    k = len(cat.objects)
+    counts = [[0, 0, 0] for _ in range(k * k)]
+    between: dict[tuple[int, int], list[int]] = {}
+    for f, (i, j) in enumerate(zip(cat.arrow_src, cat.arrow_tgt)):
+        count = counts[i * k + j]
+        count[0] += 1
+        count[1] += f in cat.epis
+        count[2] += f in cat.monos
+        if i != j:
+            between.setdefault((i, j), []).append(f)
+    return counts, between
+
+
+def _iso_representatives(cat: FiniteCategory,
+                         between: dict[tuple[int, int], list[int]]) -> list[int]:
+    """The least object of each iso class, in order: j is one when no i < j
+    has f: i → j and g: j → i (from _hom_counts) composing to both
+    identities.  Every pair is tested, so no transitive step is needed."""
+    table, ident = cat.compose_table, cat.identities
+    above: set[int] = set()
+    for (i, j), forth in between.items():
+        back = between.get((j, i))
+        if i < j and back and j not in above and any(
+                table[f][g] == ident[i] and table[g][f] == ident[j]
+                for f in forth for g in back):
+            above.add(j)
+    return [i for i in range(len(cat.objects)) if i not in above]
 
 
 @dataclass(frozen=True)
@@ -265,38 +277,30 @@ class MoritaFingerprint:
 
 
 def morita_fingerprint(cat: FiniteCategory) -> MoritaFingerprint:
-    classes = _iso_classes(cat)
-    reps = [cls[0] for cls in classes]
-    k = len(reps)
-    raw = [[_hom_profile(cat, reps[i], reps[j]) for j in range(k)]
-           for i in range(k)]
+    """The (hom, epi, mono) counts between the least objects of the iso
+    classes, in the least order among those sorting them by profile."""
+    counts, between = _hom_counts(cat)
+    k = len(cat.objects)
+    reps = _iso_representatives(cat, between)
+    n = len(reps)
+    raw = [[counts[a * k + b] for b in reps] for a in reps]
     # canonicalize only within invariantly-computed profile groups; the
     # restricted minimum is still a relabeling invariant and stays cheap
-    profile = [(raw[i][i], tuple(sorted(raw[i])), tuple(sorted(r[i] for r in raw)))
-               for i in range(k)]
-    order = sorted(range(k), key=lambda i: profile[i])
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and profile[groups[-1][0]] == profile[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    best = None
-    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = [i for part in parts for i in part]
-        candidate = tuple(tuple(raw[perm[i]][perm[j]] for j in range(k))
-                          for i in range(k))
-        if best is None or candidate < best:
-            best = candidate
-    has_terminal = any(all(raw[i][j][0] == 1 for i in range(k)) for j in range(k))
-    return MoritaFingerprint(k, best if best is not None else (), has_terminal)
-
-
-def _hom_profile(cat: FiniteCategory, i: int, j: int) -> tuple[int, int, int]:
-    hom = cat.hom(i, j)
-    return (len(hom),
-            sum(1 for f in hom if f in cat.epis),
-            sum(1 for f in hom if f in cat.monos))
+    profile = [(row[i], sorted(row), sorted([r[i] for r in raw])) for i, row in enumerate(raw)]
+    order = sorted(range(n), key=profile.__getitem__)
+    orders = [order]
+    lo = 0
+    for hi in range(1, n + 1):
+        if hi == n or profile[order[hi]] != profile[order[lo]]:
+            if hi - lo > 1:
+                orders = [perm[:lo] + list(part) + perm[hi:] for perm in orders
+                          for part in itertools.permutations(order[lo:hi])]
+            lo = hi
+    best = min(tuple([tuple([tuple(raw[a][b]) for b in perm]) for a in perm])
+               for perm in orders)
+    # an object is terminal when its sorted column starts and ends with one arrow
+    has_terminal = any(column[0][0] == column[-1][0] == 1 for _, _, column in profile)
+    return MoritaFingerprint(n, best, has_terminal)
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,8 @@ def categories_equivalent(c1: FiniteCategory, c2: FiniteCategory) -> Equivalence
         return EquivalenceVerdict("no", "fingerprints differ")
     s1, o1 = _skeleton(c1)
     s2, o2 = _skeleton(c2)
-    if len(s1.objects) > MAX_ISO_CLASSES or _max_hom(s1) > MAX_HOM_SET:
+    if (len(s1.objects) > MAX_ISO_CLASSES
+            or max((count[0] for count in _hom_counts(s1)[0]), default=0) > MAX_HOM_SET):
         return EquivalenceVerdict("unknown", "beyond search caps")
     witness = _find_isomorphism(s1, s2)
     if witness is None:
@@ -331,14 +336,9 @@ def categories_equivalent(c1: FiniteCategory, c2: FiniteCategory) -> Equivalence
                               arrow_map)
 
 
-def _max_hom(cat: FiniteCategory) -> int:
-    k = len(cat.objects)
-    return max((len(cat.hom(i, j)) for i in range(k) for j in range(k)), default=0)
-
-
 def _skeleton(cat: FiniteCategory) -> tuple[FiniteCategory, tuple[int, ...]]:
     """Full subcategory on one object per iso class."""
-    reps = tuple(cls[0] for cls in _iso_classes(cat))
+    reps = tuple(_iso_representatives(cat, _hom_counts(cat)[1]))
     keep = [f for f in range(cat.arrow_count)
             if cat.arrow_src[f] in reps and cat.arrow_tgt[f] in reps]
     arrow_pos = {f: i for i, f in enumerate(keep)}
@@ -364,8 +364,9 @@ def _find_isomorphism(c1: FiniteCategory, c2: FiniteCategory
     k = len(c1.objects)
     if k != len(c2.objects) or c1.arrow_count != c2.arrow_count:
         return None
+    counts1, counts2 = _hom_counts(c1)[0], _hom_counts(c2)[0]
     for obj_map in itertools.permutations(range(k)):
-        if any(_hom_profile(c1, i, j) != _hom_profile(c2, obj_map[i], obj_map[j])
+        if any(counts1[i * k + j] != counts2[obj_map[i] * k + obj_map[j]]
                for i in range(k) for j in range(k)):
             continue
         arrow_map = _match_arrows(c1, c2, obj_map)
@@ -602,7 +603,7 @@ def monoids_isomorphic(m1: FiniteMonoid, m2: FiniteMonoid
 def _element_invariants(monoid: FiniteMonoid) -> list[tuple[bool, int, int, int, int]]:
     """Per element a: idempotent, the index and period of its powers, |aM|
     and |Ma|.  Isomorphisms preserve each; a is a unit iff |aM| = |M|."""
-    n, table = monoid.order, monoid.table
+    n, table, columns = monoid.order, monoid.table, monoid.columns
     out = []
     for a in range(n):
         seen: dict[int, int] = {}
@@ -611,7 +612,7 @@ def _element_invariants(monoid: FiniteMonoid) -> list[tuple[bool, int, int, int,
             seen[power] = k
             power, k = table[power][a], k + 1
         out.append((table[a][a] == a, seen[power], k - seen[power],
-                    len(set(table[a])), len({row[a] for row in table})))
+                    len(set(table[a])), len(set(columns[a]))))
     return out
 
 

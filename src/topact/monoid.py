@@ -52,7 +52,8 @@ class FiniteMonoid:
 
     table[a][b] is the index of the product of elements a and b.  Equality
     compares all three fields; the hash is computed once, on first use, from
-    the table and the identity, which equal monoids share.
+    the table and the identity, which equal monoids share.  So is the
+    transposed table, columns[b][a] = table[a][b].
     """
 
     elements: tuple[str, ...]
@@ -79,6 +80,14 @@ class FiniteMonoid:
             return value
 
     @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        try:
+            return self._columns
+        except AttributeError:
+            object.__setattr__(self, "_columns", tuple(zip(*self.table)))
+            return self._columns
+
+    @property
     def order(self) -> int:
         return len(self.elements)
 
@@ -89,8 +98,7 @@ class FiniteMonoid:
         return self.elements.index(name)
 
     def is_commutative(self) -> bool:
-        n = self.order
-        return all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(a))
+        return self.table == self.columns
 
     def __repr__(self) -> str:
         return f"FiniteMonoid({'|'.join(self.elements)})"
@@ -214,9 +222,7 @@ def identity_hom(monoid: FiniteMonoid) -> SemigroupHom:
 
 def opposite(monoid: FiniteMonoid) -> FiniteMonoid:
     """Same carrier with the transposed table."""
-    n = monoid.order
-    table = tuple(tuple(monoid.table[b][a] for b in range(n)) for a in range(n))
-    return FiniteMonoid(monoid.elements, table, monoid.identity)
+    return FiniteMonoid(monoid.elements, monoid.columns, monoid.identity)
 
 
 def idempotents(monoid: FiniteMonoid) -> tuple[int, ...]:

@@ -120,15 +120,10 @@ def _translated_edges(monoid: FiniteMonoid, topology: Topology
                       ) -> Iterator[tuple[int, int]]:
     """(x·q, y·q) and (q·x, q·y) for every edge (x, y) of the topology and
     every q: the translations are all continuous iff each pair (a, b) has
-    b ∈ nb[a].  The table is transposed only when there are edges."""
-    edges = topology.edges
-    if not edges:
-        return
-    table = monoid.table
-    columns = tuple(zip(*table))
-    for x, y in edges:
-        yield from zip(table[x], table[y])
-        yield from zip(columns[x], columns[y])
+    b ∈ nb[a].  The table's columns are read only when there are edges."""
+    for x, y in topology.edges:
+        yield from zip(monoid.table[x], monoid.table[y])
+        yield from zip(monoid.columns[x], monoid.columns[y])
 
 
 def is_topological_monoid(monoid: FiniteMonoid, topology: Topology) -> bool:

@@ -16,7 +16,7 @@ from topact.congruences import (congruence_from_class_map,
                                 validate_filter)
 from topact.errors import CapExceeded, TopactError
 from topact.files import monoid_to_obj
-from topact.invariants import MonogenicHomFlags, monogenic_orbit
+from topact.invariants import MonogenicHomFlags, MoritaFingerprint, monogenic_orbit
 from topact.monoid import (BadShape, FiniteMonoid, NoIdentity, NonAssociative,
                            first_nonassociative, generating_set, validate_hom,
                            validate_monoid)
@@ -378,6 +378,73 @@ def monogenic_homs_bruteforce(shape1, shape2):
         if len(values) == len(f1):
             mono = True
     return MonogenicHomFlags(epi, mono)
+
+
+def hom_by_scan(cat, i, j):
+    """The arrows from object i to object j, by a scan of every arrow."""
+    return tuple(f for f in range(cat.arrow_count)
+                 if cat.arrow_src[f] == i and cat.arrow_tgt[f] == j)
+
+
+def iso_classes_by_scan(cat):
+    """The classes of isomorphic objects, by least member: for every arrow
+    f: i → j between distinct objects, a scan of hom(j, i) for a g with
+    f then g the identity of i and g then f the identity of j."""
+    iso = {i: {i} for i in range(len(cat.objects))}
+    for f in range(cat.arrow_count):
+        i, j = cat.arrow_src[f], cat.arrow_tgt[f]
+        if i == j:
+            continue
+        for g in hom_by_scan(cat, j, i):
+            if (cat.compose_table[f][g] == cat.identities[i]
+                    and cat.compose_table[g][f] == cat.identities[j]):
+                iso[i].add(j)
+                iso[j].add(i)
+    classes = []
+    seen = set()
+    for i in range(len(cat.objects)):
+        if i not in seen:
+            seen |= iso[i]
+            classes.append(sorted(iso[i]))
+    return classes
+
+
+def hom_profile_by_scan(cat, i, j):
+    """(|hom(i, j)|, its epis, its monos), each hom set read by a scan of
+    every arrow."""
+    hom = hom_by_scan(cat, i, j)
+    return (len(hom),
+            sum(1 for f in hom if f in cat.epis),
+            sum(1 for f in hom if f in cat.monos))
+
+
+def morita_fingerprint_by_scan(cat):
+    """Oracle for morita_fingerprint: the iso classes by iso_classes_by_scan,
+    every hom profile by its own scan, then the least matrix over every
+    order of the classes that keeps them sorted by profile."""
+    classes = iso_classes_by_scan(cat)
+    reps = [cls[0] for cls in classes]
+    k = len(reps)
+    raw = [[hom_profile_by_scan(cat, reps[i], reps[j]) for j in range(k)]
+           for i in range(k)]
+    profile = [(raw[i][i], tuple(sorted(raw[i])), tuple(sorted(r[i] for r in raw)))
+               for i in range(k)]
+    order = sorted(range(k), key=lambda i: profile[i])
+    groups = []
+    for i in order:
+        if groups and profile[groups[-1][0]] == profile[i]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    best = None
+    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
+        perm = [i for part in parts for i in part]
+        candidate = tuple(tuple(raw[perm[i]][perm[j]] for j in range(k))
+                          for i in range(k))
+        if best is None or candidate < best:
+            best = candidate
+    has_terminal = any(all(raw[i][j][0] == 1 for i in range(k)) for j in range(k))
+    return MoritaFingerprint(k, best if best is not None else (), has_terminal)
 
 
 def open_congruences_by_scan(monoid, topology):

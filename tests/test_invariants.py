@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (hom_classes, monogenic_homs_bruteforce, preorder_topologies,
+from conftest import (hom_by_scan, hom_classes, monogenic_homs_bruteforce,
+                      morita_fingerprint_by_scan, preorder_topologies,
                       relabeled_monoid, relabeled_topology, transformation_monoid,
                       transformation_monoids,
                       zero_fixed_point_by_scan)
@@ -18,7 +19,7 @@ from topact.completion import complete
 from topact.congruences import (congruence_from_class_map, enumerate_filters, filter_generated,
                                 full_filter, open_congruences, total)
 from topact.invariants import (BadCategory, FiniteCategory, MonogenicHomFlags,
-                               NoZeroElement, _site_arrows,
+                               NoZeroElement, _skeleton,
                                categories_equivalent, validate_category,
                                classify_monogenic, dense_units, is_atomic,
                                joint_covering, make_category, monogenic_homs,
@@ -60,6 +61,36 @@ def relabeled_category(cat, rng):
 
 def terminal_category():
     return make_category(["*"], [("id", 0, 0)], lambda f, g: 0, [0], [0], [0])
+
+
+def two_object_discrete():
+    return make_category(["a", "b"], [("ida", 0, 0), ("idb", 1, 1)],
+                         lambda f, g: f, [0, 1], [0, 1], [0, 1])
+
+
+def two_isomorphic_objects():
+    """a and b with f: a → b and g: b → a inverse to each other."""
+    arrows = [("ida", 0, 0), ("idb", 1, 1), ("f", 0, 1), ("g", 1, 0)]
+    table = {
+        (0, 0): 0, (0, 2): 2, (1, 1): 1, (1, 3): 3,
+        (2, 1): 2, (2, 3): 0, (3, 0): 3, (3, 2): 1,
+    }
+    return make_category(["a", "b"], arrows, lambda f, g: table[(f, g)],
+                         [0, 1], [0, 1, 2, 3], [0, 1, 2, 3])
+
+
+def retract_category():
+    """a is a retract of b: s: a → b then r: b → a is the identity of a,
+    while r then s is an idempotent e of b other than its identity, so a
+    and b are not isomorphic."""
+    arrows = [("ida", 0, 0), ("idb", 1, 1), ("s", 0, 1), ("r", 1, 0), ("e", 1, 1)]
+    table = {
+        (0, 0): 0, (0, 2): 2, (1, 1): 1, (1, 3): 3, (1, 4): 4,
+        (2, 1): 2, (2, 3): 0, (2, 4): 2, (3, 0): 3, (3, 2): 4,
+        (4, 1): 4, (4, 3): 3, (4, 4): 4,
+    }
+    return make_category(["a", "b"], arrows, lambda f, g: table[(f, g)],
+                         [0, 1], [0, 1, 3], [0, 1, 2])
 
 
 def poset_category(relations, n):
@@ -217,9 +248,7 @@ def test_equivalence_to_itself(c4):
 
 
 def test_terminal_vs_two_object_discrete():
-    two = make_category(["a", "b"], [("ida", 0, 0), ("idb", 1, 1)],
-                        lambda f, g: f, [0, 1], [0, 1], [0, 1])
-    verdict = categories_equivalent(terminal_category(), two)
+    verdict = categories_equivalent(terminal_category(), two_object_discrete())
     assert verdict.kind == "no"
 
 
@@ -232,13 +261,7 @@ def test_split_site_equivalent_to_discrete_two_idempotents(m_lz, tau_a, b2):
 
 def test_skeleton_collapse_detects_equivalence():
     # a category with two isomorphic objects is equivalent to the terminal one
-    arrows = [("ida", 0, 0), ("idb", 1, 1), ("f", 0, 1), ("g", 1, 0)]
-    table = {
-        (0, 0): 0, (0, 2): 2, (1, 1): 1, (1, 3): 3,
-        (2, 1): 2, (2, 3): 0, (3, 0): 3, (3, 2): 1,
-    }
-    cat = make_category(["a", "b"], arrows, lambda f, g: table[(f, g)],
-                        [0, 1], [0, 1, 2, 3], [0, 1, 2, 3])
+    cat = two_isomorphic_objects()
     assert categories_equivalent(cat, terminal_category()).kind == "yes"
 
 
@@ -249,6 +272,67 @@ def test_chaotic_category_is_one_iso_class():
     assert chaotic.arrow_count == 9
     assert morita_fingerprint(chaotic).object_count == 1
     assert categories_equivalent(chaotic, terminal_category()).kind == "yes"
+
+
+@pytest.fixture(scope="module")
+def order_four_cell_filters():
+    """The distinct filters of the order-4 cells (M, τ): the open filter of
+    each, and the full filter of each powder monoid M/r0.  Cells with the
+    same filter have the same site, so each site is checked once."""
+    open_filters, powder_monoids = {}, {}
+    for monoid in all_monoids(4):
+        for topology in all_topologies(4):
+            open_filters[open_congruences(monoid, topology)] = None
+            powder_monoids[powder_reflection(monoid, topology).monoid] = None
+    return tuple(open_filters), tuple(map(full_filter, powder_monoids))
+
+
+def sites_through_order_three():
+    return [principal_site(monoid, flt) for order in (1, 2, 3)
+            for monoid in all_monoids(order) for flt in enumerate_filters(monoid)]
+
+
+def test_principal_site_matches_oracle_on_the_powder_full_filter_of_every_order_four_cell(
+        order_four_cell_filters):
+    powder_filters = order_four_cell_filters[1]
+    assert len(powder_filters) > 35
+    for flt in powder_filters:
+        assert principal_site(flt.monoid, flt) == principal_site_by_hom_classes(flt.monoid, flt)
+
+
+def test_fingerprint_matches_the_scan_on_every_site_through_order_three_and_its_skeleton():
+    for site in sites_through_order_three():
+        for each in (site, _skeleton(site)[0]):
+            assert morita_fingerprint(each) == morita_fingerprint_by_scan(each)
+
+
+def test_fingerprint_matches_the_scan_on_both_sites_of_every_order_four_cell(
+        order_four_cell_filters):
+    open_filters, powder_filters = order_four_cell_filters
+    for flt in open_filters + powder_filters:
+        site = principal_site(flt.monoid, flt)
+        assert morita_fingerprint(site) == morita_fingerprint_by_scan(site)
+
+
+def test_fingerprint_matches_the_scan_on_hand_built_categories_and_skeletons():
+    hand_built = [terminal_category(), poset_category([[True] * 3] * 3, 3),
+                  two_object_discrete(), two_isomorphic_objects(), retract_category(),
+                  poset_category([[True, True, False], [False, True, False],
+                                  [False, False, True]], 3)]
+    for cat in hand_built:
+        for each in (cat, _skeleton(cat)[0]):
+            assert morita_fingerprint(each) == morita_fingerprint_by_scan(each)
+    assert morita_fingerprint(retract_category()).object_count == 2
+
+
+def test_fingerprint_matches_the_scan_on_relabelled_sites(order_four_cell_filters):
+    rng = random.Random(22)
+    sites = sites_through_order_three() + [
+        principal_site(flt.monoid, flt) for flt in order_four_cell_filters[1]]
+    for site in sites:
+        shuffled = relabeled_category(site, rng)
+        assert morita_fingerprint(shuffled) == morita_fingerprint_by_scan(shuffled)
+        assert morita_fingerprint(shuffled) == morita_fingerprint(site)
 
 
 def test_joint_covering_terminal():
@@ -516,7 +600,7 @@ def test_endomorphisms_of_r0_in_the_site_form_the_powder_monoid():
         flt = open_congruences(monoid, topology)
         site = principal_site(monoid, flt)
         r0 = flt.members.index(flt.least)
-        arrows = site.hom(r0, r0)
+        arrows = hom_by_scan(site, r0, r0)
         pos = {f: k for k, f in enumerate(arrows)}
         endo = validate_monoid(
             [site.arrow_names[f] for f in arrows],
@@ -711,8 +795,11 @@ def test_first_associativity_failure_with_a_composite_middle_arrow():
 
 
 def class_maps_all_onto(monoid, flt):
-    return all(len(set(cmap)) == flt.members[j].num_classes
-               for _, j, _, cmap in _site_arrows(monoid, flt.members))
+    """Whether every arrow [m]: r1 → r2 of hom_classes has a class map onto
+    the r2-classes: its image is the r2-classes of m·x over all x."""
+    members, table = flt.members, monoid.table
+    return all(len({r2.class_of[y] for y in table[m]}) == r2.num_classes
+               for r1 in members for r2 in members for m in hom_classes(flt, r1, r2))
 
 
 def test_class_map_epis_match_the_site_through_order_four():
