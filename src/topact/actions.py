@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .congruences import RightCongruence, _canonical, _check_right_stable
+from .congruences import RightCongruence, _canonical
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import BadShape, FiniteMonoid
 from .topology import Topology, is_locally_constant
@@ -43,9 +43,6 @@ class MSet:
     @property
     def size(self) -> int:
         return len(self.carrier)
-
-    def apply(self, x: int, m: int) -> int:
-        return self.act[x][m]
 
     def __repr__(self) -> str:
         return f"MSet({'|'.join(self.carrier)} over {self.monoid!r})"
@@ -114,10 +111,9 @@ def necessary_clopen(mset: MSet, x: int, p: int) -> int:
 
 
 def orbit_congruence(mset: MSet, x: int) -> RightCongruence:
-    """Partition of M by the orbit map m ↦ x·m; stability is re-verified."""
-    cong = RightCongruence(mset.monoid, _canonical(mset.act[x]))
-    _check_right_stable(cong)
-    return cong
+    """Partition of M by the orbit map m ↦ x·m.  It is right stable: x·m =
+    x·n gives x·(m·k) = (x·m)·k = (x·n)·k = x·(n·k)."""
+    return RightCongruence(mset.monoid, _canonical(mset.act[x]))
 
 
 def is_continuous_mset(mset: MSet, topology: Topology
@@ -222,11 +218,8 @@ def subobject_classifier(monoid: FiniteMonoid) -> SubobjectClassifier:
         if all(a >> monoid.table[x][m] & 1
                for x in bits(a) for m in range(n)):
             ideals.append(a)
+    # g⁻¹A = {x : g·x ∈ A} is a right ideal with A: g·(x·m) = (g·x)·m ∈ A
     pos = {a: i for i, a in enumerate(ideals)}
-    for a in ideals:
-        for g in range(n):
-            if power.act[a][g] not in pos:
-                raise InternalCheckError("inverse image action left the right ideals")
     act = tuple(tuple(pos[power.act[a][g]] for g in range(n)) for a in ideals)
     omega = MSet(monoid, tuple(power.carrier[a] for a in ideals), act)
     retraction = tuple(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruences import (CongruenceFilter, RightCongruence, congruence_from_class_map,
+from .congruences import (CongruenceFilter, RightCongruence, _canonical,
                           least_open_congruence)
 from .errors import TopactError
 from .monoid import FiniteMonoid, SemigroupHom, sub_monoid, unit_indices
@@ -99,10 +99,10 @@ def prodiscrete_criteria(monoid: FiniteMonoid, flt: CongruenceFilter
 
 
 def pullback_congruence(phi: SemigroupHom, r: RightCongruence) -> RightCongruence:
-    """Relate m, n in the source when their images are related; right
-    stability follows from multiplicativity and is re-verified."""
-    return congruence_from_class_map(
-        phi.source, [r.class_of[phi.map[m]] for m in range(phi.source.order)])
+    """Relate m, n in the source when their images are related.  It is right
+    stable since phi is multiplicative: phi(m) r phi(n) gives phi(m·k) =
+    phi(m)·phi(k) r phi(n)·phi(k) = phi(n·k)."""
+    return RightCongruence(phi.source, _canonical([r.class_of[v] for v in phi.map]))
 
 
 def extend_hom(phi: SemigroupHom, f_src: CongruenceFilter,

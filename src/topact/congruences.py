@@ -122,21 +122,32 @@ class RightCongruence:
 
 def congruence_from_class_map(monoid: FiniteMonoid,
                               class_of: Sequence[int]) -> RightCongruence:
+    """The partition with the given class map, checked right stable: the
+    files module builds partitions read from outside through it.  NotStable
+    names the first pair that breaks, class by class, and its right
+    factor."""
     cong = RightCongruence(monoid, _canonical(class_of))
-    _check_right_stable(cong)
+    found = _unstable_pair(cong, monoid.table)
+    if found is not None:
+        a, b, m = map(monoid.elements.__getitem__, found)
+        raise NotStable(f"pair ({a}, {b}) breaks at right factor {m}")
     return cong
 
 
-def _check_right_stable(cong: RightCongruence) -> None:
-    mon = cong.monoid
-    for cls in cong.classes():
-        a0 = cls[0]
-        for b in cls[1:]:
-            for m in range(mon.order):
-                if cong.class_of[mon.table[a0][m]] != cong.class_of[mon.table[b][m]]:
-                    raise NotStable(
-                        f"pair ({mon.elements[a0]}, {mon.elements[b]}) breaks at "
-                        f"right factor {mon.elements[m]}")
+def _unstable_pair(r: RightCongruence, rows: Sequence[Sequence[int]]
+                   ) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, m), class by class, with a the least member of its
+    class, b another member and rows[a][m], rows[b][m] in different classes,
+    or None.  The table's rows give right stability, its columns left."""
+    class_of = r.class_of
+    for a, *rest in r.classes():
+        if rest:
+            image = [class_of[x] for x in rows[a]]
+            for b in rest:
+                for m, x in enumerate(rows[b]):
+                    if class_of[x] != image[m]:
+                        return a, b, m
+    return None
 
 
 def diagonal(monoid: FiniteMonoid) -> RightCongruence:
@@ -202,14 +213,7 @@ def inverse_image_congruence(monoid: FiniteMonoid, q: int,
 
 
 def is_two_sided(r: RightCongruence) -> bool:
-    mon = r.monoid
-    for cls in r.classes():
-        a0 = cls[0]
-        for b in cls[1:]:
-            for m in range(mon.order):
-                if r.class_of[mon.table[m][a0]] != r.class_of[mon.table[m][b]]:
-                    return False
-    return True
+    return _unstable_pair(r, r.monoid.columns) is None
 
 
 class CongruenceLattice(tuple):
@@ -244,7 +248,7 @@ class CongruenceLattice(tuple):
         return row
 
 
-def enumerate_congruences(monoid: FiniteMonoid, cap: Optional[int] = None,
+def enumerate_congruences(monoid: FiniteMonoid,
                           base: Optional[RightCongruence] = None) -> CongruenceLattice:
     """The lattice above base, a right congruence (the whole lattice when
     base is None, the diagonal): the join closure of base and the principal
@@ -264,19 +268,19 @@ def enumerate_congruences(monoid: FiniteMonoid, cap: Optional[int] = None,
     base-class.  Members are kept in least-member form (m ↦ least element
     of m's class), a canonical key that the union-find yields directly.
 
-    The cap (``TOPACT_MAX_CONGRUENCES`` unless given) bounds the work of a
-    cache miss: CapExceeded is raised as soon as more than cap members are
-    found.  The lattice above the diagonal is the whole lattice, one cache
-    entry.
+    The cap, ``TOPACT_MAX_CONGRUENCES`` as read on a cache miss, bounds the
+    work of that miss: CapExceeded is raised as soon as more than cap
+    members are found.  The lattice above the diagonal is the whole
+    lattice, one cache entry.
     """
     whole = base is None or base.num_classes == monoid.order
-    return _lattice_above(monoid, cap, None if whole else base)
+    return _lattice_above(monoid, None if whole else base)
 
 
 @lru_cache(maxsize=None)
-def _lattice_above(monoid: FiniteMonoid, cap: Optional[int],
+def _lattice_above(monoid: FiniteMonoid,
                    base: Optional[RightCongruence]) -> CongruenceLattice:
-    limit = cap if cap is not None else congruence_cap()
+    limit = congruence_cap()
     start = tuple(range(monoid.order)) if base is None else _least_members(base.class_of)
     reps = [m for m, least in enumerate(start) if least == m]
     principal: dict[tuple[int, ...], tuple[int, int]] = {}

@@ -25,8 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from .congruences import CongruenceFilter, RightCongruence
 from .errors import CapExceeded, TopactError
-from .monoid import (FiniteMonoid, SemigroupHom, generating_set, validate_hom,
-                     zero_element)
+from .monoid import FiniteMonoid, SemigroupHom, generating_set, zero_element
 from .reflections import powder_reflection
 from .topology import Topology
 from .util import mask_of
@@ -377,8 +376,20 @@ def _find_isomorphism(c1: FiniteCategory, c2: FiniteCategory
 
 def _match_arrows(c1: FiniteCategory, c2: FiniteCategory,
                   obj_map: Sequence[int]) -> Optional[tuple[int, ...]]:
-    order = sorted(range(c1.arrow_count))
-    assignment: list[int] = [-1] * c1.arrow_count
+    """The lexicographically least arrow bijection that follows obj_map,
+    keeps epis, monos and identities, and is a functor.  Arrows are assigned
+    in index order, and each composite (f, g, f then g) is checked once,
+    when the last of its three arrows is assigned (the rule of
+    catalog._associative_at_last_row), so every full assignment is a
+    functor."""
+    count, table2 = c1.arrow_count, c2.compose_table
+    # last[k]: the composites (f, g, f then g) whose greatest arrow is k
+    last: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
+    for f, row in enumerate(c1.compose_table):
+        for g, h in enumerate(row):
+            if h >= 0:
+                last[max(f, g, h)].append((f, g, h))
+    assignment: list[int] = []
 
     def consistent(f: int, image: int) -> bool:
         if c2.arrow_src[image] != obj_map[c1.arrow_src[f]]:
@@ -392,72 +403,45 @@ def _match_arrows(c1: FiniteCategory, c2: FiniteCategory,
         if c1.identities[c1.arrow_src[f]] == f and \
                 c2.identities[obj_map[c1.arrow_src[f]]] != image:
             return False
-        for g in range(c1.arrow_count):
-            if assignment[g] < 0:
-                continue
-            for a, b, ia, ib in ((f, g, image, assignment[g]),
-                                 (g, f, assignment[g], image)):
-                h = c1.compose_table[a][b]
-                if h >= 0:
-                    h2 = c2.compose_table[ia][ib]
-                    if h2 < 0:
-                        return False
-                    if assignment[h] >= 0 and assignment[h] != h2:
-                        return False
         return True
 
     used: set[int] = set()
 
-    def search(pos: int) -> bool:
-        if pos == len(order):
-            return _full_functor_check(c1, c2, assignment)
-        f = order[pos]
+    def search(f: int) -> bool:
+        if f == count:
+            return True
         for image in range(c2.arrow_count):
             if image in used or not consistent(f, image):
                 continue
-            assignment[f] = image
-            used.add(image)
-            if search(pos + 1):
-                return True
-            used.discard(image)
-            assignment[f] = -1
+            assignment.append(image)
+            if all(table2[assignment[a]][assignment[b]] == assignment[h]
+                   for a, b, h in last[f]):
+                used.add(image)
+                if search(f + 1):
+                    return True
+                used.discard(image)
+            assignment.pop()
         return False
 
-    if search(0):
-        return tuple(assignment)
-    return None
-
-
-def _full_functor_check(c1: FiniteCategory, c2: FiniteCategory,
-                        assignment: Sequence[int]) -> bool:
-    for f in range(c1.arrow_count):
-        for g in range(c1.arrow_count):
-            h = c1.compose_table[f][g]
-            if h >= 0 and c2.compose_table[assignment[f]][assignment[g]] != assignment[h]:
-                return False
-    return True
+    return tuple(assignment) if search(0) else None
 
 
 def joint_covering(cat: FiniteCategory) -> bool:
     """Every pair of objects admits a common source of marked epis."""
-    return _jcp(cat, cat.epis)
-
-
-def strict_joint_covering(cat: FiniteCategory) -> bool:
-    """Joint covering by strict epis, taken to be the marked epis."""
-    return _jcp(cat, cat.epis)
-
-
-def _jcp(cat: FiniteCategory, epis: frozenset[int]) -> bool:
     k = len(cat.objects)
     covers = [[False] * k for _ in range(k)]
-    for f in epis:
+    for f in cat.epis:
         covers[cat.arrow_src[f]][cat.arrow_tgt[f]] = True
     for a in range(k):
         for b in range(k):
             if not any(covers[n][a] and covers[n][b] for n in range(k)):
                 return False
     return True
+
+
+def strict_joint_covering(cat: FiniteCategory) -> bool:
+    """Joint covering by strict epis, taken to be the marked epis."""
+    return joint_covering(cat)
 
 
 def is_atomic(monoid: FiniteMonoid, flt: CongruenceFilter
@@ -635,4 +619,5 @@ def morita_equivalent(m1: FiniteMonoid, t1: Topology, m2: FiniteMonoid,
     q1 = powder_reflection(m1, t1).monoid
     q2 = powder_reflection(m2, t2).monoid
     phi = monoids_isomorphic(q1, q2)
-    return None if phi is None else validate_hom(q1, q2, phi)
+    # monoids_isomorphic's map is a multiplicative bijection with 1 ↦ 1
+    return None if phi is None else SemigroupHom(q1, q2, phi, True)

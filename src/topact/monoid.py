@@ -117,10 +117,13 @@ class SemigroupHom:
         return self.map[a]
 
     def then(self, other: "SemigroupHom") -> "SemigroupHom":
+        """self followed by other, multiplicative as a composite of
+        multiplicative maps."""
         if other.source is not self.target and other.source != self.target:
             raise MismatchedHoms("cannot compose: target/source mismatch")
-        return validate_hom(self.source, other.target,
-                            tuple(other.map[v] for v in self.map))
+        m = tuple(other.map[v] for v in self.map)
+        return SemigroupHom(self.source, other.target, m,
+                            m[self.source.identity] == other.target.identity)
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{self.source.elements[a]}->{self.target.elements[v]}"
@@ -310,9 +313,12 @@ def conjugations(phi: SemigroupHom, psi: SemigroupHom) -> tuple[int, ...]:
 
 def factor_surjection_inclusion(phi: SemigroupHom) -> tuple[SemigroupHom, SemigroupHom]:
     """Factor a semigroup hom as a monoid hom onto the corner at phi(1)
-    followed by the corner's subsemigroup inclusion."""
+    followed by the corner's subsemigroup inclusion.  Each phi(m) =
+    phi(1·m·1) = e·phi(m)·e lies in the corner at e = phi(1), and the
+    inclusion is injective and multiplicative, so the first factor is a
+    monoid hom: it is multiplicative with phi and sends 1 to e."""
     e = phi.map[phi.source.identity]
     corner, inclusion = corner_monoid(phi.target, e)
     lookup = {v: i for i, v in enumerate(inclusion.map)}
-    first = validate_hom(phi.source, corner, tuple(lookup[v] for v in phi.map))
+    first = SemigroupHom(phi.source, corner, tuple(lookup[v] for v in phi.map), True)
     return first, inclusion

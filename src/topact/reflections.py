@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .actions import MSet, continuous_points
-from .congruences import (CongruenceFilter, RightCongruence, congruence_from_class_map,
+from .congruences import (CongruenceFilter, RightCongruence, _canonical,
                           enumerate_congruences, least_open_congruence)
 from .errors import CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, opposite
@@ -185,12 +185,14 @@ def _quotient_monoid(monoid: FiniteMonoid, cong: RightCongruence
 def t0_quotient(monoid: FiniteMonoid, topology: Topology
                 ) -> tuple[FiniteMonoid, Topology, SemigroupHom]:
     """Quotient a topological monoid by topological indistinguishability;
-    the relation is a two-sided congruence, so the quotient is a monoid."""
+    the relation is a two-sided congruence, so the quotient is a monoid.
+    Points x and y are indistinguishable iff x ≤ y ≤ x in the specialization
+    preorder, that is, iff they share the minimal neighbourhood.  Every
+    translation is continuous, hence monotone, so it keeps x ≤ y ≤ x."""
     if not is_topological_monoid(monoid, topology):
         raise NotTopologicalMonoid("T0 quotient needs continuous multiplication")
     nb = topology.nbhd
-    # x and y are indistinguishable iff they share the minimal neighbourhood
-    cong = congruence_from_class_map(monoid, nb)
+    cong = RightCongruence(monoid, _canonical(nb))
     quotient, projection = _quotient_monoid(monoid, cong)
     q_top = Topology(quotient.order, tuple(mask_of(cong.class_of[m] for m in bits(nb[rep]))
                                            for rep in cong.representatives()))

@@ -9,7 +9,7 @@ monoid order 4, topology carrier 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .actions import is_continuous_mset, quotient_mset
 from .catalog import all_monoids, all_topologies
@@ -67,8 +67,7 @@ class SuiteSummary:
         return out
 
 
-def exhaustive_suite(order_bound: int = 3, topology_bound: int = 3,
-                     progress: Optional[Callable[[str], None]] = None) -> SuiteSummary:
+def exhaustive_suite(order_bound: int = 3, topology_bound: int = 3) -> SuiteSummary:
     if order_bound > HARD_ORDER_CAP:
         raise CapExceeded("suite monoid order", order_bound)
     if topology_bound > HARD_CARRIER_CAP:
@@ -76,8 +75,6 @@ def exhaustive_suite(order_bound: int = 3, topology_bound: int = 3,
     summary = SuiteSummary()
     for order in range(1, order_bound + 1):
         for monoid in all_monoids(order):
-            if progress:
-                progress(f"monoid {monoid!r}")
             if order <= topology_bound:
                 for topology in all_topologies(order):
                     _topology_cell(summary, monoid, topology)

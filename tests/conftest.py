@@ -16,6 +16,7 @@ from topact.congruences import (congruence_from_class_map,
                                 validate_filter)
 from topact.errors import CapExceeded, TopactError
 from topact.files import monoid_to_obj
+from topact import invariants
 from topact.invariants import MonogenicHomFlags, MoritaFingerprint, monogenic_orbit
 from topact.monoid import (BadShape, FiniteMonoid, NoIdentity, NonAssociative,
                            first_nonassociative, generating_set, validate_hom,
@@ -445,6 +446,80 @@ def morita_fingerprint_by_scan(cat):
             best = candidate
     has_terminal = any(all(raw[i][j][0] == 1 for i in range(k)) for j in range(k))
     return MoritaFingerprint(k, best if best is not None else (), has_terminal)
+
+
+def match_arrows_by_full_check(c1, c2, obj_map):
+    """Oracle for invariants._match_arrows: the same search over images in
+    index order, pruned by each assigned arrow's composites with the arrows
+    assigned before it where their composite is assigned too, and every
+    full assignment checked as a functor over all composable pairs."""
+    order = sorted(range(c1.arrow_count))
+    assignment = [-1] * c1.arrow_count
+
+    def consistent(f, image):
+        if c2.arrow_src[image] != obj_map[c1.arrow_src[f]]:
+            return False
+        if c2.arrow_tgt[image] != obj_map[c1.arrow_tgt[f]]:
+            return False
+        if (f in c1.epis) != (image in c2.epis):
+            return False
+        if (f in c1.monos) != (image in c2.monos):
+            return False
+        if c1.identities[c1.arrow_src[f]] == f and \
+                c2.identities[obj_map[c1.arrow_src[f]]] != image:
+            return False
+        for g in range(c1.arrow_count):
+            if assignment[g] < 0:
+                continue
+            for a, b, ia, ib in ((f, g, image, assignment[g]),
+                                 (g, f, assignment[g], image)):
+                h = c1.compose_table[a][b]
+                if h >= 0:
+                    h2 = c2.compose_table[ia][ib]
+                    if h2 < 0:
+                        return False
+                    if assignment[h] >= 0 and assignment[h] != h2:
+                        return False
+        return True
+
+    used = set()
+
+    def search(pos):
+        if pos == len(order):
+            return full_functor_check(c1, c2, assignment)
+        f = order[pos]
+        for image in range(c2.arrow_count):
+            if image in used or not consistent(f, image):
+                continue
+            assignment[f] = image
+            used.add(image)
+            if search(pos + 1):
+                return True
+            used.discard(image)
+            assignment[f] = -1
+        return False
+
+    if search(0):
+        return tuple(assignment)
+    return None
+
+
+def full_functor_check(c1, c2, assignment):
+    """Every composite of c1 goes to the composite of the images."""
+    for f in range(c1.arrow_count):
+        for g in range(c1.arrow_count):
+            h = c1.compose_table[f][g]
+            if h >= 0 and c2.compose_table[assignment[f]][assignment[g]] != assignment[h]:
+                return False
+    return True
+
+
+def categories_equivalent_by_full_check(c1, c2):
+    """Oracle for categories_equivalent: the same verdict with the skeleton
+    arrows matched by match_arrows_by_full_check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_match_arrows", match_arrows_by_full_check)
+        return invariants.categories_equivalent(c1, c2)
 
 
 def open_congruences_by_scan(monoid, topology):

@@ -13,8 +13,8 @@ from topact.actions import (MSet, NotAnAction, NotContinuousInput, NotEquivarian
                             terminal_mset, validate_mset, validate_mset_hom)
 from topact.catalog import (action_topologies, all_monoids, all_msets, all_topologies,
                             continuous_msets, cyclic, two_idempotents)
-from topact.congruences import (diagonal, enumerate_congruences, generated_congruence,
-                                leq, meet, open_congruences, total)
+from topact.congruences import (congruence_from_class_map, diagonal, enumerate_congruences,
+                                generated_congruence, leq, meet, open_congruences, total)
 from topact.reflections import congruence_set, continuous_subsets
 from topact.topology import discrete_topology, is_continuous
 from topact.util import bits, full_mask, mask_of
@@ -112,6 +112,16 @@ def test_orbit_congruence(c2, m_lz):
     assert orbit_congruence(regular_mset(c2), 0) == diagonal(c2)
     assert orbit_congruence(trivial_action(c2), 0) == total(c2)
     assert orbit_congruence(regular_mset(m_lz), 1) == total(m_lz)
+
+
+def test_orbit_congruences_of_every_small_mset_are_right_stable():
+    for order in (1, 2, 3):
+        for monoid in all_monoids(order):
+            for carrier in (1, 2, 3, 4):
+                for mset in all_msets(monoid, carrier):
+                    for x in range(carrier):
+                        r = orbit_congruence(mset, x)
+                        assert congruence_from_class_map(monoid, r.class_of) == r
 
 
 def test_continuity_discrete_always(m_lz):
@@ -273,6 +283,19 @@ def test_subobject_classifier_left_zero(m_lz):
                             for x in bits(a) for m in range(3)))
     assert omega.ideal_masks == expected == (0, 2, 4, 6, 7)
     assert omega.retraction[0b001] == 0b111  # the identity generates everything
+
+
+def test_subobject_classifier_acts_on_right_ideals_through_order_four():
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            omega = subobject_classifier(monoid)
+            power = power_of_m(monoid)
+            ideals = omega.ideal_masks
+            for i, a in enumerate(ideals):
+                assert all(a >> monoid.table[x][m] & 1 for x in bits(a) for m in range(order))
+                # the inverse image by each g is again a right ideal, and the
+                # classifier acts as the powerset does
+                assert tuple(ideals[j] for j in omega.mset.act[i]) == power.act[a]
 
 
 def test_quotient_mset_shapes(c4, m_lz):

@@ -9,9 +9,9 @@ from topact.completion import (ClosureNotMonoid, NotContinuous, NotPowderInput,
                                PullbackOutsideFilter, closedness_report, complete,
                                dense_closed_factorization, extend_hom, is_complete,
                                prodiscrete_criteria, pullback_congruence)
-from topact.congruences import (diagonal, enumerate_congruences, enumerate_filters,
-                                filter_generated, full_filter, generated_congruence,
-                                open_congruences, total)
+from topact.congruences import (congruence_from_class_map, diagonal, enumerate_congruences,
+                                enumerate_filters, filter_generated, full_filter,
+                                generated_congruence, open_congruences, total)
 from topact.invariants import monoids_isomorphic
 from topact.monoid import idempotents, identity_hom, validate_hom
 from topact.topology import (discrete_topology, generate_topology,
@@ -182,6 +182,11 @@ def test_extend_hom_matches_the_member_pullback_scan():
     for src in small:
         for tgt in small:
             for hom in all_monoid_homs(src, tgt):
+                # every pullback the loop builds is of a congruence of tgt,
+                # and each is right stable
+                for r in enumerate_congruences(tgt):
+                    pulled = pullback_congruence(hom, r)
+                    assert congruence_from_class_map(src, pulled.class_of) == pulled
                 for f_src in enumerate_filters(src):
                     for f_tgt in enumerate_filters(tgt):
                         try:

@@ -104,6 +104,19 @@ def pairwise_join_closure(monoid, cap):
     return tuple(sorted(found, key=lambda r: (r.num_classes, r.class_of)))
 
 
+def set_lattice_cap(monkeypatch, cap):
+    """TOPACT_MAX_CONGRUENCES=cap, read from the next cache miss on."""
+    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", str(cap))
+    enumerate_congruences.cache_clear()
+
+
+def capped_lattice(monoid, cap):
+    """enumerate_congruences(monoid) under a lattice cap of cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        set_lattice_cap(mp, cap)
+        return enumerate_congruences(monoid)
+
+
 def lattice_or_cap(build, monoid, cap):
     try:
         return build(monoid, cap)
@@ -146,9 +159,10 @@ def test_enumeration_examples(c2, c4, m_lz):
     assert labels == ["1,x,y", "1|x,y", "1|x|y"]
 
 
-def test_enumeration_cap(c4):
+def test_enumeration_cap(c4, monkeypatch):
+    set_lattice_cap(monkeypatch, 1)
     with pytest.raises(CapExceeded):
-        enumerate_congruences(c4, cap=1)
+        enumerate_congruences(c4)
 
 
 def test_generated_congruence_matches_queue_closure_through_order_three():
@@ -267,12 +281,14 @@ def test_lattice_matches_pairwise_join_closure_where_a_wrong_skip_key_loses_a_me
     assert lattice == pairwise_join_closure(monoid, cap=100_000)
 
 
-def test_lattice_cap_raises_once_the_count_passes_it():
+def test_lattice_cap_raises_once_the_count_passes_it(monkeypatch):
     t3 = full_transformation_monoid(3)
-    assert len(enumerate_congruences(t3, cap=287)) == 287
+    set_lattice_cap(monkeypatch, 287)
+    assert len(enumerate_congruences(t3)) == 287
     for cap in (1, 44, 286):
+        set_lattice_cap(monkeypatch, cap)
         with pytest.raises(CapExceeded, match=f"cap exceeded at {cap + 1}$"):
-            enumerate_congruences(t3, cap=cap)
+            enumerate_congruences(t3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -280,7 +296,7 @@ def test_lattice_cap_raises_once_the_count_passes_it():
 def test_lattice_matches_pairwise_join_closure_beyond_order_four(monoid):
     # the oracle joins every member with every principal congruence, so
     # both run under a cap of 150, and past it both must raise
-    assert lattice_or_cap(enumerate_congruences, monoid, 150) \
+    assert lattice_or_cap(capped_lattice, monoid, 150) \
         == lattice_or_cap(pairwise_join_closure, monoid, 150)
 
 
@@ -556,13 +572,15 @@ def test_lattice_above_a_base_matches_scan_on_t3():
         assert enumerate_congruences(t3, base=base) == lattice_above_by_scan(t3, base)
 
 
-def test_lattice_above_a_base_is_capped_by_its_own_size():
+def test_lattice_above_a_base_is_capped_by_its_own_size(monkeypatch):
     t3 = full_transformation_monoid(3)
     base = next(r for r in enumerate_congruences(t3) if r.num_classes == 3)
     size = len(lattice_above_by_scan(t3, base))
-    assert len(enumerate_congruences(t3, cap=size, base=base)) == size
+    set_lattice_cap(monkeypatch, size)
+    assert len(enumerate_congruences(t3, base=base)) == size
+    set_lattice_cap(monkeypatch, size - 1)
     with pytest.raises(CapExceeded, match=f"cap exceeded at {size}$"):
-        enumerate_congruences(t3, cap=size - 1, base=base)
+        enumerate_congruences(t3, base=base)
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (hom_by_scan, hom_classes, monogenic_homs_bruteforce,
-                      morita_fingerprint_by_scan, preorder_topologies,
+from conftest import (categories_equivalent_by_full_check, hom_by_scan, hom_classes,
+                      monogenic_homs_bruteforce, morita_fingerprint_by_scan, preorder_topologies,
                       relabeled_monoid, relabeled_topology, transformation_monoid,
                       transformation_monoids,
                       zero_fixed_point_by_scan)
@@ -171,11 +171,11 @@ def test_principal_site_matches_oracle_on_every_filter_through_order_three():
                 assert principal_site(monoid, flt) == principal_site_by_hom_classes(monoid, flt)
 
 
-def test_principal_site_matches_oracle_on_order_four_open_filters():
-    cells = [(m, t) for m in all_monoids(4) for t in all_topologies(4)]
-    for monoid, topology in random.Random(9).sample(cells, 400):
-        flt = open_congruences(monoid, topology)
-        assert principal_site(monoid, flt) == principal_site_by_hom_classes(monoid, flt)
+def test_principal_site_matches_oracle_on_order_four_open_filters(order_four_cell_filters):
+    open_filters = order_four_cell_filters[0]
+    assert len(open_filters) == 190
+    for flt in open_filters:
+        assert principal_site(flt.monoid, flt) == principal_site_by_hom_classes(flt.monoid, flt)
 
 
 @settings(max_examples=15, deadline=None)
@@ -274,6 +274,33 @@ def test_chaotic_category_is_one_iso_class():
     assert categories_equivalent(chaotic, terminal_category()).kind == "yes"
 
 
+def late_composite_pair():
+    """Objects 0, 1, 2 with f: 0 → 1, g: 1 → 2 and parallel h1, h2: 0 → 2,
+    where f then g is h1 in the first category and h2 in the second.  The
+    composite has a greater index than both factors."""
+    arrows = [("id0", 0, 0), ("id1", 1, 1), ("id2", 2, 2), ("f", 0, 1), ("g", 1, 2),
+              ("h1", 0, 2), ("h2", 0, 2)]
+    ident = [0, 1, 2]
+
+    def category(fg):
+        def compose(f, g):
+            if f in ident:
+                return g
+            if g in ident:
+                return f
+            return fg
+        return make_category(["0", "1", "2"], arrows, compose, ident, [], [])
+
+    return category(5), category(6)
+
+
+def hand_built_categories():
+    return [terminal_category(), poset_category([[True] * 3] * 3, 3),
+            two_object_discrete(), two_isomorphic_objects(), retract_category(),
+            poset_category([[True, True, False], [False, True, False],
+                            [False, False, True]], 3), *late_composite_pair()]
+
+
 @pytest.fixture(scope="module")
 def order_four_cell_filters():
     """The distinct filters of the order-4 cells (M, τ): the open filter of
@@ -315,11 +342,7 @@ def test_fingerprint_matches_the_scan_on_both_sites_of_every_order_four_cell(
 
 
 def test_fingerprint_matches_the_scan_on_hand_built_categories_and_skeletons():
-    hand_built = [terminal_category(), poset_category([[True] * 3] * 3, 3),
-                  two_object_discrete(), two_isomorphic_objects(), retract_category(),
-                  poset_category([[True, True, False], [False, True, False],
-                                  [False, False, True]], 3)]
-    for cat in hand_built:
+    for cat in hand_built_categories():
         for each in (cat, _skeleton(cat)[0]):
             assert morita_fingerprint(each) == morita_fingerprint_by_scan(each)
     assert morita_fingerprint(retract_category()).object_count == 2
@@ -333,6 +356,45 @@ def test_fingerprint_matches_the_scan_on_relabelled_sites(order_four_cell_filter
         shuffled = relabeled_category(site, rng)
         assert morita_fingerprint(shuffled) == morita_fingerprint_by_scan(shuffled)
         assert morita_fingerprint(shuffled) == morita_fingerprint(site)
+
+
+def test_equivalence_search_matches_the_full_check_on_every_pair_of_sites_through_order_three():
+    sites = sites_through_order_three()
+    found = 0
+    for c1 in sites:
+        for c2 in sites:
+            verdict = categories_equivalent(c1, c2)
+            assert verdict == categories_equivalent_by_full_check(c1, c2)
+            found += verdict.kind == "yes"
+    assert found > len(sites)
+
+
+def test_equivalence_search_matches_the_full_check_on_hand_built_categories():
+    cats = hand_built_categories()
+    for c1 in cats:
+        for c2 in cats:
+            assert categories_equivalent(c1, c2) == categories_equivalent_by_full_check(c1, c2)
+
+
+def test_equivalence_search_matches_the_full_check_on_relabelled_sites(order_four_cell_filters):
+    rng = random.Random(23)
+    sites = sites_through_order_three() + [
+        principal_site(flt.monoid, flt) for flt in order_four_cell_filters[1]]
+    for site in sites:
+        shuffled = relabeled_category(site, rng)
+        for c1, c2 in ((site, shuffled), (shuffled, site)):
+            verdict = categories_equivalent(c1, c2)
+            assert verdict == categories_equivalent_by_full_check(c1, c2)
+            assert verdict.kind != "no"
+
+
+def test_equivalence_search_checks_a_composite_indexed_above_both_factors():
+    c1, c2 = late_composite_pair()
+    verdict = categories_equivalent(c1, c2)
+    assert verdict.kind == "yes"
+    assert verdict.object_map == (0, 1, 2)
+    assert verdict.arrow_map == (0, 1, 2, 3, 4, 6, 5)
+    assert verdict == categories_equivalent_by_full_check(c1, c2)
 
 
 def test_joint_covering_terminal():

@@ -151,6 +151,20 @@ def test_commutative_monoid_hom_has_identity_conjugation():
                     assert m2.identity in conjugations(hom, hom)
 
 
+def test_composites_are_semigroup_homs_through_order_three():
+    monoids = [m for n in (1, 2, 3) for m in all_monoids(n)]
+    homs = {(a, b): all_semigroup_homs(m1, m2)
+            for a, m1 in enumerate(monoids) for b, m2 in enumerate(monoids)}
+    composites = 0
+    for (a, b), firsts in homs.items():
+        for c in range(len(monoids)):
+            for first, second in itertools.product(firsts, homs[b, c]):
+                composite = first.then(second)
+                assert validate_hom(monoids[a], monoids[c], composite.map) == composite
+                composites += 1
+    assert composites == 10_146
+
+
 def test_factorization_monoid_hom(c4, c2):
     hom = validate_hom(c4, c2, [k % 2 for k in range(4)])
     first, second = factor_surjection_inclusion(hom)
@@ -178,6 +192,7 @@ def test_factorization_recomposes_everywhere():
         for tgt in monoids:
             for hom in all_semigroup_homs(src, tgt):
                 first, second = factor_surjection_inclusion(hom)
+                assert validate_hom(src, first.target, first.map) == first
                 assert first.then(second).map == hom.map
                 assert first.preserves_identity
                 assert first.map[src.identity] == first.target.identity

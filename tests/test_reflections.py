@@ -13,9 +13,9 @@ from conftest import (atom_image_congruence, full_transformation_monoid,
 from topact.actions import (continuous_part, is_continuous_mset, necessary_clopen,
                             orbit_congruence, power_of_m, quotient_mset)
 from topact.catalog import all_monoids, all_topologies, cyclic
-from topact.congruences import (RightCongruence, diagonal, enumerate_congruences,
-                                enumerate_filters, filter_generated, full_filter,
-                                generated_congruence, inverse_image_congruence,
+from topact.congruences import (RightCongruence, congruence_from_class_map, diagonal,
+                                enumerate_congruences, enumerate_filters, filter_generated,
+                                full_filter, generated_congruence, inverse_image_congruence,
                                 is_two_sided, open_congruences, total)
 from topact.errors import CapExceeded
 from topact.monoid import opposite, validate_hom, validate_monoid
@@ -558,6 +558,8 @@ def test_t0_quotient_topology_is_the_image_of_the_opens():
                 if not is_topological_monoid(monoid, topology):
                     continue
                 _, q_top, projection = t0_quotient(monoid, topology)
+                # the partition by minimal neighbourhood is a two-sided congruence
+                assert is_two_sided(congruence_from_class_map(monoid, projection.map))
                 images = {mask_of(projection.map[m] for m in bits(u)) for u in topology.opens}
                 assert q_top.opens == images
                 quotients += 1
