@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .congruences import RightCongruence, _canonical
-from .errors import CapExceeded, InternalCheckError, TopactError
+from .errors import MAX_LISTING, CapExceeded, InternalCheckError, TopactError
 from .monoid import BadShape, FiniteMonoid
 from .topology import Topology, is_locally_constant
 from .util import bits, mask_of, render_subset
@@ -185,17 +185,14 @@ def power_mset(monoid: FiniteMonoid, left_act: Sequence[Sequence[int]],
     return MSet(monoid, names, tuple(act))
 
 
-POWERSET_CARRIER_CAP = 1 << 16
-
-
 @lru_cache(maxsize=None)
 def power_of_m(monoid: FiniteMonoid) -> MSet:
     """The powerset of M under the inverse-image action of left
     multiplication; carrier index i is the subset with bitmask i.
 
-    Its 2^|M| points are capped like an open-set family, at 2^16.
+    Its 2^|M| points are capped like an open-set family, at MAX_LISTING.
     """
-    if 1 << monoid.order > POWERSET_CARRIER_CAP:
+    if 1 << monoid.order > MAX_LISTING:
         raise CapExceeded("powerset action carrier", 1 << monoid.order)
     return power_mset(monoid, monoid.table, monoid.elements)
 

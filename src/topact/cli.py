@@ -21,7 +21,8 @@ from .errors import TopactError
 from .invariants import (dense_units, is_atomic, joint_covering, morita_equivalent,
                          principal_site, strict_joint_covering,
                          zero_fixed_point_check)
-from .monoid import (FiniteMonoid, idempotents, unit_indices, zero_element)
+from .monoid import (FiniteMonoid, factor_surjection_inclusion, idempotents,
+                     unit_indices, zero_element)
 from .reflections import (continuous_subsets, is_topological_filter,
                           is_topological_monoid, mult_continuous_core,
                           powder_reflection, t0_quotient)
@@ -40,7 +41,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        # resolved here, since a cached lattice would never read it
+        # checked before any command, so a malformed value is rejected even
+        # by commands that build no lattice
         congruence_cap()
         return args.func(args)
     except TopactError as exc:
@@ -296,7 +298,6 @@ def cmd_factor_hom(args) -> int:
     if name not in ws.homs:
         raise files.UnknownName(f"no hom named {name!r} is loaded")
     hom = ws.homs[name]
-    from .monoid import factor_surjection_inclusion
     first, second = factor_surjection_inclusion(hom)
     lines = [
         f"surjection-inclusion factorization of {name}:",

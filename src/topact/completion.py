@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruences import (CongruenceFilter, RightCongruence, _canonical,
-                          least_open_congruence)
+                          is_two_sided, least_open_congruence)
 from .errors import TopactError
-from .monoid import FiniteMonoid, SemigroupHom, sub_monoid, unit_indices
+from .monoid import FiniteMonoid, NotIdempotent, SemigroupHom, sub_monoid, unit_indices
 from .topology import Topology, continuity_witness, discrete_topology, separation_report
 from .reflections import _quotient_monoid, continuous_subsets
 from .util import bits, mask_of
@@ -92,7 +92,6 @@ def prodiscrete_criteria(monoid: FiniteMonoid, flt: CongruenceFilter
     """Discreteness always holds at finite scale (the base is the single
     least member); prodiscreteness is verified, not assumed, by checking
     the least member two-sided; the group flag checks its quotient."""
-    from .congruences import is_two_sided
     cpl = complete(monoid, flt)
     group = len(unit_indices(cpl.monoid)) == cpl.monoid.order
     return ProdiscreteCriteria(cpl.topology.is_discrete(), is_two_sided(flt.least), group)
@@ -177,7 +176,6 @@ def closedness_report(monoid: FiniteMonoid, topology: Topology,
     if not (report.t0 and report.clopen_base):
         raise NotPowderInput("need a T0 topology with a clopen base")
     if monoid.table[e][e] != e:
-        from .monoid import NotIdempotent
         raise NotIdempotent(e)
     n = monoid.order
     left_ideal = mask_of(monoid.table[m][e] for m in range(n))

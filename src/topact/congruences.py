@@ -268,19 +268,19 @@ def enumerate_congruences(monoid: FiniteMonoid,
     base-class.  Members are kept in least-member form (m ↦ least element
     of m's class), a canonical key that the union-find yields directly.
 
-    The cap, ``TOPACT_MAX_CONGRUENCES`` as read on a cache miss, bounds the
-    work of that miss: CapExceeded is raised as soon as more than cap
-    members are found.  The lattice above the diagonal is the whole
-    lattice, one cache entry.
+    The cap, ``TOPACT_MAX_CONGRUENCES`` as read on each call, is part of
+    the cache key and bounds the work of a miss: CapExceeded is raised as
+    soon as more than cap members are found, so a lattice cached under one
+    cap is never returned under a smaller one.  The lattice above the
+    diagonal is the whole lattice, one cache entry per cap.
     """
     whole = base is None or base.num_classes == monoid.order
-    return _lattice_above(monoid, None if whole else base)
+    return _lattice_above(monoid, None if whole else base, congruence_cap())
 
 
 @lru_cache(maxsize=None)
-def _lattice_above(monoid: FiniteMonoid,
-                   base: Optional[RightCongruence]) -> CongruenceLattice:
-    limit = congruence_cap()
+def _lattice_above(monoid: FiniteMonoid, base: Optional[RightCongruence],
+                   limit: int) -> CongruenceLattice:
     start = tuple(range(monoid.order)) if base is None else _least_members(base.class_of)
     reps = [m for m, least in enumerate(start) if least == m]
     principal: dict[tuple[int, ...], tuple[int, int]] = {}

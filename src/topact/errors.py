@@ -1,9 +1,13 @@
-"""Shared error hierarchy.
+"""Shared error hierarchy, and the bound on listings of exponential size.
 
 Every diagnosable failure is a TopactError subclass carrying the offending
 data as attributes, so callers (and the CLI) can render witnesses without
-string parsing.
+string parsing; a cap raises CapExceeded with what it bounds and the count
+reached.  MAX_LISTING bounds each listing exponential in its input: the open
+sets, the unions of the action topology's classes, the powerset action.
 """
+
+MAX_LISTING = 1 << 16
 
 
 class TopactError(Exception):

@@ -23,9 +23,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .congruences import CongruenceFilter, RightCongruence
+from .completion import complete
+from .congruences import CongruenceFilter, RightCongruence, open_congruences
 from .errors import CapExceeded, TopactError
-from .monoid import FiniteMonoid, SemigroupHom, generating_set, zero_element
+from .monoid import FiniteMonoid, SemigroupHom, generating_set, unit_indices, zero_element
 from .reflections import powder_reflection
 from .topology import Topology
 from .util import mask_of
@@ -474,9 +475,6 @@ def dense_units(monoid: FiniteMonoid, topology: Topology) -> bool:
     """Units of the completion meet every non-empty open (atomicity
     condition 3), which the tests compare with is_atomic on the
     open-congruence filter."""
-    from .completion import complete
-    from .congruences import open_congruences
-    from .monoid import unit_indices
     flt = open_congruences(monoid, topology)
     cpl = complete(monoid, flt)
     return cpl.topology.is_dense(mask_of(unit_indices(cpl.monoid)))

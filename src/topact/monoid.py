@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalCheckError, TopactError
+from .util import filled_once
 
 
 class BadShape(TopactError):
@@ -69,23 +70,20 @@ class FiniteMonoid:
                 and self.table == other.table)
 
     def __hash__(self) -> int:
+        # hand-written, not util.filled_once: CPython 3.11 does not specialise
+        # a read that shadows a descriptor on the type, which slowed a filled
+        # hash(m) by about a fifth; integers only, so the value does not
+        # depend on string hashing
         try:
             return self._hash
         except AttributeError:
-            # integers only, so the value does not depend on string hashing;
-            # set as an attribute, since writing to __dict__ (as
-            # functools.cached_property does) slows every later attribute read
             value = hash((self.table, self.identity))
             object.__setattr__(self, "_hash", value)
             return value
 
-    @property
+    @filled_once
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        try:
-            return self._columns
-        except AttributeError:
-            object.__setattr__(self, "_columns", tuple(zip(*self.table)))
-            return self._columns
+        return tuple(zip(*self.table))
 
     @property
     def order(self) -> int:
@@ -264,14 +262,12 @@ def sub_monoid(monoid: FiniteMonoid, carrier: Iterable[int],
 
 
 def unit_indices(monoid: FiniteMonoid) -> tuple[int, ...]:
-    """Elements with a two-sided inverse."""
+    """Elements with a two-sided inverse: those whose row contains the
+    identity.  In a finite monoid a right inverse is two-sided: m·k = 1
+    makes x ↦ m·x surjective (m·(k·x) = x), hence injective, and
+    m·(k·m) = (m·k)·m = m = m·1 gives k·m = 1."""
     one = monoid.identity
-    out = []
-    for m in range(monoid.order):
-        if any(monoid.table[m][k] == one and monoid.table[k][m] == one
-               for k in range(monoid.order)):
-            out.append(m)
-    return tuple(out)
+    return tuple(m for m, row in enumerate(monoid.table) if one in row)
 
 
 def units_group(monoid: FiniteMonoid) -> FiniteMonoid:

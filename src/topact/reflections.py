@@ -9,7 +9,7 @@ the partition into connected components (see least_open_congruence).  So the
 powder reflection is M/r0 with the discrete topology, and the left and right
 action topologies coincide.  Neither reflection builds the 2^|M|-point
 powerset action: the continuous subsets are the unions of the r0 classes,
-listed only where a caller reads them and capped at 2^16 of them.
+listed only where a caller reads them and capped at `errors.MAX_LISTING`.
 Continuity of multiplication and the multiplication-continuous core are
 decided on the edges of the specialization preorder (`Topology.edges`),
 translated on either side by every element: on a finite space
@@ -28,10 +28,10 @@ from typing import Iterator
 from .actions import MSet, continuous_points
 from .congruences import (CongruenceFilter, RightCongruence, _canonical,
                           enumerate_congruences, least_open_congruence)
-from .errors import CapExceeded, InternalCheckError, TopactError
+from .errors import MAX_LISTING, CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, opposite
 from .topology import Topology, discrete_topology, generate_topology, separation_report
-from .util import bits, mask_of
+from .util import bits, filled_once, mask_of
 
 
 class NotTopologicalMonoid(TopactError):
@@ -40,9 +40,6 @@ class NotTopologicalMonoid(TopactError):
 
 class CommutationFailure(InternalCheckError):
     """Left-then-right and right-then-left action topologies disagree."""
-
-
-MAX_UNIONS = 1 << 16
 
 
 @dataclass(frozen=True, init=False)
@@ -63,24 +60,19 @@ class ActionTopologyReport:
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "is_action_topology", is_action_topology)
         if continuous_sets is not None:
-            object.__setattr__(self, "_unions", continuous_sets)
+            object.__setattr__(self, "continuous_sets", continuous_sets)
 
-    @property
+    @filled_once
     def continuous_sets(self) -> tuple[int, ...]:
         """Every union of the partition's classes, ascending, listed on first
-        read (filled like `Topology.opens`) and capped at MAX_UNIONS."""
-        try:
-            return self._unions
-        except AttributeError:
-            classes = [mask_of(c) for c in self.partition.classes()]
-            if 1 << len(classes) > MAX_UNIONS:
-                raise CapExceeded("continuous-subset union list", 1 << len(classes))
-            family = [0]
-            for c in classes:
-                family += [u | c for u in family]
-            value = tuple(sorted(family))
-            object.__setattr__(self, "_unions", value)
-            return value
+        read and capped at MAX_LISTING."""
+        classes = [mask_of(c) for c in self.partition.classes()]
+        if 1 << len(classes) > MAX_LISTING:
+            raise CapExceeded("continuous-subset union list", 1 << len(classes))
+        family = [0]
+        for c in classes:
+            family += [u | c for u in family]
+        return tuple(sorted(family))
 
 
 def _partition_topology(partition: RightCongruence) -> Topology:

@@ -2,8 +2,8 @@
 
 Runs every registered invariant over all monoids up to isomorphism and all
 topologies on their carriers (and all equivariant filters), collecting
-pass/fail counts and a minimal counterexample per invariant.  Hard caps:
-monoid order 4, topology carrier 4.
+pass/fail counts and a minimal counterexample per invariant.  Its caps are
+the catalog's enumeration bounds: monoid order 4, topology carrier 4.
 """
 
 from __future__ import annotations
@@ -12,21 +12,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .actions import is_continuous_mset, quotient_mset
-from .catalog import all_monoids, all_topologies
+from .catalog import MAX_ENUM_CARRIER, MAX_ENUM_ORDER, all_monoids, all_topologies
 from .completion import closedness_report, complete, prodiscrete_criteria
 from .congruences import enumerate_filters, full_filter, open_congruences
 from .errors import CapExceeded
 from .invariants import (is_atomic, joint_covering, morita_fingerprint,
-                         principal_site, strict_joint_covering)
+                         principal_site, strict_joint_covering, zero_fixed_point_check)
 from .monoid import FiniteMonoid, idempotents, unit_indices, zero_element
 from .reflections import (congruence_hat_topology, continuous_subsets,
-                          is_topological_monoid, powder_reflection,
-                          two_sided_commutation)
+                          induced_topology_from_filter, is_topological_monoid,
+                          powder_reflection, two_sided_commutation)
 from .topology import Topology, discrete_topology, separation_report
 from .util import mask_of
-
-HARD_ORDER_CAP = 4
-HARD_CARRIER_CAP = 4
 
 
 @dataclass
@@ -68,9 +65,9 @@ class SuiteSummary:
 
 
 def exhaustive_suite(order_bound: int = 3, topology_bound: int = 3) -> SuiteSummary:
-    if order_bound > HARD_ORDER_CAP:
+    if order_bound > MAX_ENUM_ORDER:
         raise CapExceeded("suite monoid order", order_bound)
-    if topology_bound > HARD_CARRIER_CAP:
+    if topology_bound > MAX_ENUM_CARRIER:
         raise CapExceeded("suite topology carrier", topology_bound)
     summary = SuiteSummary()
     for order in range(1, order_bound + 1):
@@ -148,11 +145,9 @@ def _filter_cell(summary: SuiteSummary, monoid: FiniteMonoid, flt) -> None:
     if z is not None:
         if flt.least.num_classes > 1:
             summary.check("zero-plus-proper-filter-not-atomic", not atomic, ctx)
-        from .invariants import zero_fixed_point_check
         summary.check("zero-unique-fixed-point",
                       zero_fixed_point_check(monoid, flt), ctx)
 
-    from .reflections import induced_topology_from_filter
     induced = induced_topology_from_filter(monoid, flt).topology
     for r in flt.members:
         ok, _ = is_continuous_mset(quotient_mset(monoid, r), induced)

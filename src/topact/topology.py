@@ -10,9 +10,11 @@ local constancy are decided along `Topology.edges`, a short list of pairs
 whose reflexive-transitive closure is the preorder: a map is continuous iff
 it is monotone, which it is iff it is monotone along each edge.  The
 carrier takes no cap, since nothing here is exponential in it but the
-open-set family `Topology.opens`: it is enumerated only on demand and
-capped at 2^16 members; the open counts printed by `analyze`,
-`act-topology` and `mult-core` and the suite read it.
+open-set family `Topology.opens`: it is enumerated only on demand, once per
+topology, and capped at `errors.MAX_LISTING` members; the open counts
+printed by `analyze`, `act-topology` and `mult-core` and the suite read it.
+`opens` and `edges` are filled on first read (`util.filled_once`), so they
+are not fields and leave ==, hash and repr unchanged.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import TopactError
-from .util import bits, full_mask, mask_of
+from .errors import MAX_LISTING, CapExceeded, TopactError
+from .util import bits, filled_once, full_mask, mask_of
 
 
 class OutOfRange(TopactError):
@@ -30,9 +32,6 @@ class OutOfRange(TopactError):
 
 class SizeMismatch(TopactError):
     """A map's domain or codomain does not fit the given topologies."""
-
-
-_MAX_FAMILY = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,25 +46,19 @@ class Topology:
     def full(self) -> int:
         return full_mask(self.carrier_size)
 
-    @property
+    @filled_once
     def opens(self) -> frozenset[int]:
         """Every open set, as the unions of the neighbourhoods: each distinct
-        one is folded into the family of unions found so far."""
-        try:
-            return self._opens
-        except AttributeError:
-            family = {0}
-            for v in set(self.nbhd):
-                family |= {u | v for u in family}
-                if len(family) > _MAX_FAMILY:
-                    raise TopactError(f"open-set family exceeds {_MAX_FAMILY} members")
-            # filled on first read like FiniteMonoid.__hash__, without the
-            # lock that functools.cached_property takes on every first read
-            value = frozenset(family)
-            object.__setattr__(self, "_opens", value)
-            return value
+        one is folded into the family of unions found so far, capped at
+        MAX_LISTING members."""
+        family = {0}
+        for v in set(self.nbhd):
+            family |= {u | v for u in family}
+            if len(family) > MAX_LISTING:
+                raise CapExceeded("open-set family", len(family))
+        return frozenset(family)
 
-    @property
+    @filled_once
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Pairs (x, y) with y ∈ nb[x], ascending in x, whose
         reflexive-transitive closure is the relation y ∈ nb[x].  The first
@@ -73,20 +66,15 @@ class Topology:
         point of v, and each later point with neighbourhood v one edge, to p;
         so a partition topology with k blocks has 2(n - k) edges and the
         discrete one none."""
-        try:
-            return self._edges
-        except AttributeError:
-            first: dict[int, int] = {}
-            out = []
-            for x, v in enumerate(self.nbhd):
-                p = first.setdefault(v, x)
-                if p == x:
-                    out += ((x, y) for y in bits(v ^ (1 << x)))
-                else:
-                    out.append((x, p))
-            value = tuple(out)
-            object.__setattr__(self, "_edges", value)
-            return value
+        first: dict[int, int] = {}
+        out = []
+        for x, v in enumerate(self.nbhd):
+            p = first.setdefault(v, x)
+            if p == x:
+                out += ((x, y) for y in bits(v ^ (1 << x)))
+            else:
+                out.append((x, p))
+        return tuple(out)
 
     def is_open(self, mask: int) -> bool:
         if mask & ~self.full:
@@ -208,13 +196,13 @@ def separation_report(topology: Topology) -> SeparationReport:
     classes: dict[int, list[int]] = {}
     for x, v in enumerate(nb):
         classes.setdefault(v, []).append(x)
-    # every open is a union of clopens iff every minimal neighbourhood is closed
-    clopen_base = all(topology.is_closed(v) for v in nb)
     return SeparationReport(
         preorder=nb,
         partition=tuple(map(tuple, classes.values())),
         t0=len(classes) == topology.carrier_size,
-        clopen_base=clopen_base,
+        # every open is a union of clopens iff every minimal neighbourhood
+        # is closed, iff the preorder is symmetric, iff each edge is
+        clopen_base=all(nb[y] >> x & 1 for x, y in topology.edges),
         discrete=topology.is_discrete(),
     )
 

@@ -563,7 +563,7 @@ def test_open_set_cap_stops_analyze(tmp_path, capsys):
          "base": [[e] for e in c17.elements]}))
     assert main(["analyze", str(tmp_path / "C17.json"),
                  str(tmp_path / "disc17.json")]) == 2
-    assert "open-set family exceeds 65536 members" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: open-set family: cap exceeded at 131072\n"
 
 
 @pytest.mark.parametrize("n", [17, 32])
@@ -587,6 +587,15 @@ def test_suite_command(capsys):
     out = capsys.readouterr().out
     assert "PASS action-topology-idempotent" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--order", "5"], "suite monoid order: cap exceeded at 5"),
+    (["--order", "2", "--topologies", "5"], "suite topology carrier: cap exceeded at 5"),
+])
+def test_suite_caps_are_the_catalog_enumeration_bounds(capsys, argv, message):
+    assert main(["suite", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _relabeled_copy(directory, monoid, blocks, rng):

@@ -105,9 +105,8 @@ def pairwise_join_closure(monoid, cap):
 
 
 def set_lattice_cap(monkeypatch, cap):
-    """TOPACT_MAX_CONGRUENCES=cap, read from the next cache miss on."""
+    """TOPACT_MAX_CONGRUENCES=cap for the enumerations that follow."""
     monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", str(cap))
-    enumerate_congruences.cache_clear()
 
 
 def capped_lattice(monoid, cap):
@@ -289,6 +288,21 @@ def test_lattice_cap_raises_once_the_count_passes_it(monkeypatch):
         set_lattice_cap(monkeypatch, cap)
         with pytest.raises(CapExceeded, match=f"cap exceeded at {cap + 1}$"):
             enumerate_congruences(t3)
+
+
+def test_a_cached_lattice_is_not_returned_under_a_smaller_cap(monkeypatch):
+    t3 = full_transformation_monoid(3)
+    monkeypatch.delenv("TOPACT_MAX_CONGRUENCES", raising=False)
+    lattice = enumerate_congruences(t3)
+    above = enumerate_congruences(t3, base=lattice[100])
+    set_lattice_cap(monkeypatch, 100)
+    with pytest.raises(CapExceeded, match="cap exceeded at 101$"):
+        enumerate_congruences(t3)
+    set_lattice_cap(monkeypatch, len(above) - 1)
+    with pytest.raises(CapExceeded, match=f"cap exceeded at {len(above)}$"):
+        enumerate_congruences(t3, base=lattice[100])
+    monkeypatch.delenv("TOPACT_MAX_CONGRUENCES")
+    assert enumerate_congruences(t3) is lattice
 
 
 @settings(max_examples=25, deadline=None)

@@ -86,6 +86,19 @@ def test_units(c4, m_lz, n2):
     assert group.order == 4
 
 
+def units_by_inverse_search(monoid):
+    """Oracle: the elements m with some k such that m·k = k·m = 1."""
+    one, n, table = monoid.identity, monoid.order, monoid.table
+    return tuple(m for m in range(n)
+                 if any(table[m][k] == one and table[k][m] == one for k in range(n)))
+
+
+def test_units_match_the_inverse_search_through_order_four_and_on_t3():
+    monoids = [m for order in (1, 2, 3, 4) for m in all_monoids(order)]
+    for monoid in monoids + [full_transformation_monoid(3)]:
+        assert unit_indices(monoid) == units_by_inverse_search(monoid)
+
+
 def test_units_group_closed_and_invertible():
     for monoid in all_monoids(3):
         units = units_group(monoid)

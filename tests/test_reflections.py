@@ -199,6 +199,27 @@ def test_reports_past_the_union_cap_compare_without_listing_unions():
         continuous_subsets(c17, disc).continuous_sets
 
 
+FILLED_ONCE = [
+    (lambda: generate_topology(4, [0b0011, 0b0110]), ("opens", "edges")),
+    (lambda: cyclic(5), ("columns",)),
+    (lambda: continuous_subsets(cyclic(4), partition_topology(4, [[0, 2], [1, 3]])),
+     ("continuous_sets",)),
+]
+
+
+@pytest.mark.parametrize("build, names", FILLED_ONCE,
+                         ids=["Topology", "FiniteMonoid", "ActionTopologyReport"])
+def test_filled_values_sit_on_the_instance_and_leave_eq_hash_repr(build, names):
+    value, fresh = build(), build()
+    before = (hash(value), repr(value))
+    for name in names:
+        assert name not in vars(value)
+        first = getattr(value, name)
+        assert vars(value)[name] is first and getattr(value, name) is first
+    assert value == fresh and fresh == value
+    assert (hash(value), repr(value)) == before == (hash(fresh), repr(fresh))
+
+
 def test_continuous_sets_passed_in_are_kept(m_lz, tau_a):
     # dataclasses.replace passes continuous_sets to the constructor; a
     # replaced partition or topology lists its own unions again

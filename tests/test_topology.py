@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import preorder_topologies
 from topact.catalog import all_topologies
-from topact.errors import TopactError
+from topact.errors import CapExceeded, TopactError
 from topact.topology import (OutOfRange, SizeMismatch, connected_components,
                              continuity_witness, discrete_topology, generate_topology,
                              indiscrete_topology, is_continuous, is_locally_constant,
@@ -104,9 +104,17 @@ def test_families_beyond_the_cap_fail_fast():
     for build in (lambda: discrete_topology(17).opens,
                   lambda: product_topology(discrete_topology(5), discrete_topology(5)).opens):
         start = time.perf_counter()
-        with pytest.raises(TopactError, match="open-set family exceeds 65536 members"):
+        with pytest.raises(TopactError, match="^open-set family: cap exceeded at 131072$"):
             build()
         assert time.perf_counter() - start < 1
+
+
+def test_open_set_cap_names_the_family_and_the_count():
+    t = discrete_topology(17)
+    with pytest.raises(CapExceeded) as info:
+        t.opens
+    assert (info.value.what, info.value.count) == ("open-set family", 1 << 17)
+    assert "opens" not in vars(t)
 
 
 def test_product_discrete_discrete():
@@ -213,6 +221,22 @@ def test_clopen_base_matches_unions_of_clopens():
             clopens = t.clopens()
             expected = all(_union_of_contained(u, clopens) == u for u in t.opens)
             assert separation_report(t).clopen_base == expected
+
+
+def clopen_base_by_closed_neighbourhoods(t):
+    """Oracle: every minimal neighbourhood is closed."""
+    return all(t.is_closed(v) for v in t.nbhd)
+
+
+def test_clopen_base_matches_closed_neighbourhoods_through_4():
+    for _, t in _every_topology_through_4():
+        assert separation_report(t).clopen_base == clopen_base_by_closed_neighbourhoods(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(preorder_topologies))
+def test_clopen_base_matches_closed_neighbourhoods_of_drawn_topologies(t):
+    assert separation_report(t).clopen_base == clopen_base_by_closed_neighbourhoods(t)
 
 
 def test_locally_constant_means_open_fibres():
