@@ -221,7 +221,9 @@ class CongruenceLattice(tuple):
     ``position`` maps a class map to its index, and the row of member i,
     ``translates(i)``, is built the first time it is asked for.  Translates
     stay in the lattice when it is closed under them: the whole lattice, or
-    the lattice above a two-sided congruence.
+    the lattice above a two-sided congruence.  ``site`` holds the principal
+    site on these members once invariants.principal_site has built it, so
+    the site shares the lattice cache's key and its cache_clear.
     """
 
     def __new__(cls, monoid: FiniteMonoid, members: Iterable[RightCongruence]):
@@ -229,6 +231,7 @@ class CongruenceLattice(tuple):
         lattice.position = {r.class_of: i for i, r in enumerate(lattice)}
         lattice._table = monoid.table
         lattice._translates = [None] * len(lattice)
+        lattice.site = None
         return lattice
 
     def index_of(self, r: RightCongruence) -> int:

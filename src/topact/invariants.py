@@ -4,7 +4,11 @@ the tail/cycle classification of monogenic actions.
 
 A hand-built finite category (make_category) is checked law by law by
 validate_category; a principal site is a category by construction, and no
-command validates one.
+command validates one.  A site depends only on the monoid and the
+filter's members, so principal_site builds it once per congruence lattice
+and stores it there (CongruenceLattice.site): it lives as long as the
+lattice's cache entry, under the same congruence cap, and
+enumerate_congruences.cache_clear drops it.
 
 Arrows of a principal site are congruence classes [m]: r1 -> r2 with
 r1 ⊆ m*(r2); the underlying map of classes sends [x] to [mx], so composing
@@ -13,8 +17,10 @@ strict joint-covering check takes them as the strict epis too, which the
 engine does not verify.
 
 A Morita fingerprint, of any finite category, reads one pass over its
-arrows (_hom_counts); its oracle, morita_fingerprint_by_scan in
-tests/conftest.py, rescans them for every arrow and pair of objects.
+arrows (_hom_counts) and is stored on the category on first read
+(FiniteCategory.fingerprint), so a stored site is fingerprinted once; its
+oracle, morita_fingerprint_by_scan in tests/conftest.py, rescans the
+arrows for every arrow and pair of objects.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import CapExceeded, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, generating_set, unit_indices, zero_element
 from .reflections import powder_reflection
 from .topology import Topology
-from .util import mask_of
+from .util import filled_once, mask_of
 
 
 class NoZeroElement(TopactError):
@@ -59,6 +65,11 @@ class FiniteCategory:
     @property
     def arrow_count(self) -> int:
         return len(self.arrow_names)
+
+    @filled_once
+    def fingerprint(self) -> MoritaFingerprint:
+        """The Morita fingerprint (morita_fingerprint), computed on first read."""
+        return _fingerprint(self)
 
     def __repr__(self) -> str:
         return f"FiniteCategory({len(self.objects)} objects, {self.arrow_count} arrows)"
@@ -123,8 +134,22 @@ MAX_SITE_ARROWS = 4096
 
 
 def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategory:
-    """The category with the filter's congruences as objects and classes
-    [m] as arrows, by source r_i, then target r_j, then the r_j-class c of
+    """The filter's principal site, built once per lattice of members and
+    stored on it (CongruenceLattice.site); a filter over another monoid is
+    a TopactError."""
+    if flt.monoid is not monoid and flt.monoid != monoid:
+        raise TopactError(f"the filter is over another monoid (order {flt.monoid.order}) "
+                          f"than the site's (order {monoid.order})")
+    members = flt.members
+    site = members.site
+    if site is None:
+        site = members.site = _build_site(monoid, members)
+    return site
+
+
+def _build_site(monoid: FiniteMonoid, members: Sequence[RightCongruence]) -> FiniteCategory:
+    """The category with the congruences as objects and classes [m] as
+    arrows, by source r_i, then target r_j, then the r_j-class c of
     m, the least of its class.  [m] is an arrow when r_i ⊆ m*(r_j): x ↦
     r_j-class of m·x is constant on r_i-classes.  One pass over the carrier
     decides this and builds the class map, stopping at the first x whose
@@ -134,7 +159,7 @@ def principal_site(monoid: FiniteMonoid, flt: CongruenceFilter) -> FiniteCategor
     [m]: r_i → r_j composed with [n]: r_j → r_k is [n·m], whose r_k-class
     is the class map of [n] at the r_j-class of m.
     """
-    members, table, names = flt.members, monoid.table, monoid.elements
+    table, names = monoid.table, monoid.elements
     # the r_k-class c is at slot offset[k] + c of the lookup lists, one per
     # source, and the class maps write each class as its slot
     classes, labels, slot_of, offset = [], [], [], [0]
@@ -278,7 +303,12 @@ class MoritaFingerprint:
 
 def morita_fingerprint(cat: FiniteCategory) -> MoritaFingerprint:
     """The (hom, epi, mono) counts between the least objects of the iso
-    classes, in the least order among those sorting them by profile."""
+    classes, in the least order among those sorting them by profile;
+    computed once per category and stored on it."""
+    return cat.fingerprint
+
+
+def _fingerprint(cat: FiniteCategory) -> MoritaFingerprint:
     counts, between = _hom_counts(cat)
     k = len(cat.objects)
     reps = _iso_representatives(cat, between)

@@ -16,8 +16,10 @@ from topact import files
 from topact.catalog import (all_monoids, all_topologies, cyclic, left_zeros,
                             truncated_addition, two_idempotents)
 from topact.completion import complete
-from topact.congruences import (congruence_from_class_map, enumerate_filters, filter_generated,
-                                full_filter, open_congruences, total)
+from topact.congruences import (congruence_from_class_map, enumerate_congruences,
+                                enumerate_filters, filter_generated, full_filter,
+                                open_congruences, total)
+from topact.errors import CapExceeded, TopactError
 from topact.invariants import (BadCategory, FiniteCategory, MonogenicHomFlags,
                                NoZeroElement, _skeleton,
                                categories_equivalent, validate_category,
@@ -216,6 +218,71 @@ def test_identity_and_composition_laws_hold_on_all_small_sites():
     assert sites == 217
 
 
+def test_marked_epis_cancel_on_the_left_and_marked_monos_on_the_right_on_all_small_sites():
+    """A site arrow is fixed by its class map, so a class-surjective arrow
+    (marked epi) is an epimorphism and a class-injective one (marked mono)
+    a monomorphism: read on the composition table, f then g differs for
+    distinct g into one target, and g then f for distinct g from one
+    source."""
+    sites = 0
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            for flt in enumerate_filters(monoid):
+                site = principal_site(monoid, flt)
+                table, src, tgt = site.compose_table, site.arrow_src, site.arrow_tgt
+                arrows = range(site.arrow_count)
+                for f in site.epis:
+                    after = {}
+                    for g in arrows:
+                        if src[g] == tgt[f]:
+                            after.setdefault(tgt[g], []).append(table[f][g])
+                    assert all(len(set(hs)) == len(hs) for hs in after.values())
+                for f in site.monos:
+                    before = {}
+                    for g in arrows:
+                        if tgt[g] == src[f]:
+                            before.setdefault(src[g], []).append(table[g][f])
+                    assert all(len(set(hs)) == len(hs) for hs in before.values())
+                sites += 1
+    assert sites == 217
+
+
+def test_principal_site_rejects_a_filter_over_another_monoid(c2, c4, m_lz, m_rz):
+    with pytest.raises(TopactError, match="another monoid"):
+        principal_site(c4, full_filter(c2))
+    # equal orders, different tables
+    assert m_lz.order == m_rz.order
+    with pytest.raises(TopactError, match="another monoid"):
+        principal_site(m_rz, full_filter(m_lz))
+    # an equal monoid built apart is the same monoid
+    assert principal_site(cyclic(4), full_filter(c4)) == principal_site(c4, full_filter(c4))
+
+
+def test_principal_site_is_built_once_per_lattice(m_lz, tau_a):
+    site = principal_site(cyclic(4), full_filter(cyclic(4)))
+    assert principal_site(cyclic(4), full_filter(cyclic(4))) is site
+    site = principal_site(m_lz, open_congruences(m_lz, tau_a))
+    assert principal_site(left_zeros(), open_congruences(left_zeros(), tau_a)) is site
+
+
+def test_cache_clear_drops_the_stored_site(c4):
+    site = principal_site(c4, full_filter(c4))
+    enumerate_congruences.cache_clear()
+    again = principal_site(c4, full_filter(c4))
+    assert again is not site
+    assert again == site
+
+
+def test_stored_site_keeps_the_congruence_cap(c4, monkeypatch):
+    site = principal_site(c4, full_filter(c4))
+    assert len(full_filter(c4).members) == 3
+    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "2")
+    with pytest.raises(CapExceeded):
+        principal_site(c4, full_filter(c4))
+    monkeypatch.delenv("TOPACT_MAX_CONGRUENCES")
+    assert principal_site(c4, full_filter(c4)) is site
+
+
 def test_fingerprint_terminal():
     fp = morita_fingerprint(terminal_category())
     assert fp.object_count == 1
@@ -345,6 +412,8 @@ def test_fingerprint_matches_the_scan_on_hand_built_categories_and_skeletons():
     for cat in hand_built_categories():
         for each in (cat, _skeleton(cat)[0]):
             assert morita_fingerprint(each) == morita_fingerprint_by_scan(each)
+            # stored on first read
+            assert morita_fingerprint(each) is each.fingerprint
     assert morita_fingerprint(retract_category()).object_count == 2
 
 
@@ -356,6 +425,21 @@ def test_fingerprint_matches_the_scan_on_relabelled_sites(order_four_cell_filter
         shuffled = relabeled_category(site, rng)
         assert morita_fingerprint(shuffled) == morita_fingerprint_by_scan(shuffled)
         assert morita_fingerprint(shuffled) == morita_fingerprint(site)
+
+
+def test_stored_fingerprint_matches_the_scan_on_both_sites_of_seeded_order_four_cells():
+    rng = random.Random(25)
+    monoids, topologies = all_monoids(4), all_topologies(4)
+    for _ in range(300):
+        monoid, topology = rng.choice(monoids), rng.choice(topologies)
+        powder = powder_reflection(monoid, topology).monoid
+        for m, flt in ((monoid, open_congruences(monoid, topology)),
+                       (powder, full_filter(powder))):
+            site = principal_site(m, flt)
+            fp = morita_fingerprint(site)
+            assert fp is site.fingerprint
+            assert fp == morita_fingerprint_by_scan(site)
+            assert morita_fingerprint(principal_site(m, flt)) is fp
 
 
 def test_equivalence_search_matches_the_full_check_on_every_pair_of_sites_through_order_three():
