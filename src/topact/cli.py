@@ -15,8 +15,8 @@ from pathlib import Path
 from . import files
 from .completion import (complete, dense_closed_factorization, is_complete,
                          prodiscrete_criteria)
-from .congruences import (CongruenceFilter, congruence_cap, enumerate_congruences,
-                          filter_generated, full_filter, open_congruences)
+from .congruences import (CongruenceFilter, enumerate_congruences, filter_generated,
+                          full_filter, open_congruences)
 from .errors import TopactError
 from .invariants import (dense_units, is_atomic, joint_covering, morita_equivalent,
                          principal_site, strict_joint_covering,
@@ -41,9 +41,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        # checked before any command, so a malformed value is rejected even
-        # by commands that build no lattice
-        congruence_cap()
         return args.func(args)
     except TopactError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -105,10 +102,15 @@ def _filter(ws: files.Workspace, spec: str, monoid: FiniteMonoid) -> CongruenceF
         return open_congruences(monoid, topo)
     name = _resolve(ws, spec)
     if name in ws.filters:
-        return ws.filters[name]
-    if name in ws.congruences:
-        return filter_generated(monoid, [ws.congruences[name]])
-    raise files.UnknownName(f"filter spec {spec!r} names nothing loaded")
+        flt = ws.filters[name]
+    elif name in ws.congruences:
+        cong = ws.congruences[name]
+        flt = filter_generated(cong.monoid, [cong])
+    else:
+        raise files.UnknownName(f"filter spec {spec!r} names nothing loaded")
+    if flt.monoid != monoid:
+        raise TopactError(f"filter {name!r} was declared over a different monoid")
+    return flt
 
 
 def _emit(args, report: dict, text: list[str], name: str | None = None) -> None:

@@ -4,18 +4,18 @@ filters of congruences.
 A right congruence is stored as its class map, canonicalized so class ids
 appear in order of least member.  The lattice above a right congruence
 (above the diagonal, the whole lattice) is generated as the join closure of
-it and the principal congruences above it, and indexes its members.  On a
-finite monoid an equivariant filter is the up-set of its least member,
-which is two-sided, and every up-set of a two-sided congruence satisfies
-the four axioms (non-empty, upward closed, downward directed, closed under
-the inverse-image action).  So a filter is stored as its least member, and
-its members are the lattice above it.  validate_filter checks a list of
-members against the axioms, as a bitset over the lattice.
+it and the principal congruences above it, indexes its members, and holds
+at most MAX_CONGRUENCES of them.  On a finite monoid an equivariant filter
+is the up-set of its least member, which is two-sided, and every up-set of
+a two-sided congruence satisfies the four axioms (non-empty, upward closed,
+downward directed, closed under the inverse-image action).  So a filter is
+stored as its least member, and its members are the lattice above it.
+validate_filter checks a list of members against the axioms, as a bitset
+over the lattice.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -58,22 +58,7 @@ class NotEquivariant(InvalidFilter):
         self.member = member
 
 
-DEFAULT_CAP = 100_000
-
-
-def congruence_cap() -> int:
-    """The lattice size cap: TOPACT_MAX_CONGRUENCES when set, else DEFAULT_CAP."""
-    value = os.environ.get("TOPACT_MAX_CONGRUENCES")
-    if not value:
-        return DEFAULT_CAP
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise TopactError(
-            f"TOPACT_MAX_CONGRUENCES must be a positive integer, not {value!r}")
-    return cap
+MAX_CONGRUENCES = 100_000
 
 
 def _canonical(class_of: Sequence[int]) -> tuple[int, ...]:
@@ -223,7 +208,7 @@ class CongruenceLattice(tuple):
     stay in the lattice when it is closed under them: the whole lattice, or
     the lattice above a two-sided congruence.  ``site`` holds the principal
     site on these members once invariants.principal_site has built it, so
-    the site shares the lattice cache's key and its cache_clear.
+    the site lives as long as the lattice's cache entry.
     """
 
     def __new__(cls, monoid: FiniteMonoid, members: Iterable[RightCongruence]):
@@ -271,19 +256,17 @@ def enumerate_congruences(monoid: FiniteMonoid,
     base-class.  Members are kept in least-member form (m ↦ least element
     of m's class), a canonical key that the union-find yields directly.
 
-    The cap, ``TOPACT_MAX_CONGRUENCES`` as read on each call, is part of
-    the cache key and bounds the work of a miss: CapExceeded is raised as
-    soon as more than cap members are found, so a lattice cached under one
-    cap is never returned under a smaller one.  The lattice above the
-    diagonal is the whole lattice, one cache entry per cap.
+    A miss raises CapExceeded as soon as it finds more than MAX_CONGRUENCES
+    members.  The lattice above the diagonal is the whole lattice and shares
+    its cache entry.
     """
     whole = base is None or base.num_classes == monoid.order
-    return _lattice_above(monoid, None if whole else base, congruence_cap())
+    return _lattice_above(monoid, None if whole else base)
 
 
 @lru_cache(maxsize=None)
-def _lattice_above(monoid: FiniteMonoid, base: Optional[RightCongruence],
-                   limit: int) -> CongruenceLattice:
+def _lattice_above(monoid: FiniteMonoid, base: Optional[RightCongruence]
+                   ) -> CongruenceLattice:
     start = tuple(range(monoid.order)) if base is None else _least_members(base.class_of)
     reps = [m for m, least in enumerate(start) if least == m]
     principal: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -323,7 +306,7 @@ def _lattice_above(monoid: FiniteMonoid, base: Optional[RightCongruence],
             if j not in found:
                 found.add(j)
                 lattice.append(j)
-                if len(found) > limit:
+                if len(found) > MAX_CONGRUENCES:
                     raise CapExceeded("right congruences", len(found))
     classes = sorted((_canonical(r) for r in lattice), key=lambda c: (max(c) + 1, c))
     return CongruenceLattice(monoid, (RightCongruence(monoid, c) for c in classes))

@@ -7,8 +7,7 @@ validate_category; a principal site is a category by construction, and no
 command validates one.  A site depends only on the monoid and the
 filter's members, so principal_site builds it once per congruence lattice
 and stores it there (CongruenceLattice.site): it lives as long as the
-lattice's cache entry, under the same congruence cap, and
-enumerate_congruences.cache_clear drops it.
+lattice's cache entry, and enumerate_congruences.cache_clear drops both.
 
 Arrows of a principal site are congruence classes [m]: r1 -> r2 with
 r1 ⊆ m*(r2); the underlying map of classes sends [x] to [mx], so composing

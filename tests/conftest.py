@@ -16,7 +16,7 @@ from topact.congruences import (congruence_from_class_map,
                                 validate_filter)
 from topact.errors import CapExceeded, TopactError
 from topact.files import monoid_to_obj
-from topact import invariants
+from topact import congruences, invariants
 from topact.invariants import MonogenicHomFlags, MoritaFingerprint, monogenic_orbit
 from topact.monoid import (BadShape, FiniteMonoid, NoIdentity, NonAssociative,
                            first_nonassociative, generating_set, validate_hom,
@@ -74,6 +74,15 @@ def tau_a():
 
 class NotInFilter(TopactError):
     pass
+
+
+def set_lattice_cap(monkeypatch, cap):
+    """Cap the lattices built by the enumerations that follow at cap
+    members.  The lattice cache is cleared, so no lattice built under a
+    larger cap is returned; every cached lattice is whole, so none needs
+    dropping when the patch is undone."""
+    monkeypatch.setattr(congruences, "MAX_CONGRUENCES", cap)
+    enumerate_congruences.cache_clear()
 
 
 def validate_monoid_by_triples(elements, table, identity):

@@ -2,14 +2,19 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import (relabeled_monoid, transformation_closure, transformation_monoid,
-                      write_past_cap_inputs)
+from conftest import (relabeled_monoid, set_lattice_cap, transformation_closure,
+                      transformation_monoid, write_past_cap_inputs)
+import topact
 from topact import files
 from topact.actions import power_of_m
 from topact.catalog import cyclic, left_zeros, truncated_addition
@@ -109,6 +114,20 @@ def test_complete_with_congruence_filter(fixture_dir, capsys):
     out = capsys.readouterr().out
     assert "L: order 2" in out
     assert "group=True" in out
+
+
+@pytest.mark.parametrize("argv", [["complete", "M_LZ.json", "--filter", "F.json"],
+                                  ["check", "topological-filter", "M_LZ.json",
+                                   "--filter", "F.json"],
+                                  ["check", "atomic", "M_LZ.json", "--filter", "mod2.json"],
+                                  ["site", "M_LZ.json", "--filter", "mod2.json"]])
+def test_filter_over_another_monoid_exits_2(fixture_dir, capsys, argv):
+    (fixture_dir / "F.json").write_text(json.dumps(
+        {"monoid": "C4.json", "generators": [[["0", "2"], ["1", "3"]]]}))
+    assert main([path(fixture_dir, a) if a.endswith(".json") else a for a in argv]) == 2
+    name = argv[-1].removesuffix(".json")
+    assert f"filter {name!r} was declared over a different monoid" \
+        in capsys.readouterr().err
 
 
 def test_complete_with_open_filter(fixture_dir, capsys):
@@ -270,31 +289,18 @@ def test_json_flag(fixture_dir, capsys):
     assert payload["idempotents"] == ["0", "2"]
 
 
-def test_congruence_cap_env(fixture_dir, capsys, monkeypatch):
-    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "100000")
-    from topact.congruences import congruence_cap
-    assert congruence_cap() == 100000
-    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "7")
-    assert congruence_cap() == 7
-    enumerate_congruences.cache_clear()     # the cap is read on a cache miss
-    for bad in ("abc", "0", "-3", "2.5"):
-        monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", bad)
-        assert main(["congruences", path(fixture_dir, "C4.json")]) == 2
-        err = capsys.readouterr().err
-        assert "TOPACT_MAX_CONGRUENCES" in err and repr(bad) in err
-
-
-def test_malformed_cap_exits_2_with_a_warm_lattice(fixture_dir, capsys, monkeypatch):
-    monkeypatch.delenv("TOPACT_MAX_CONGRUENCES", raising=False)
-    enumerate_congruences(cyclic(4))
+@pytest.mark.parametrize("value", ["1", "abc"])
+def test_congruences_ignore_the_old_cap_variable(fixture_dir, capsys, value):
     assert main(["congruences", path(fixture_dir, "C4.json")]) == 0
-    capsys.readouterr()
-    misses = enumerate_congruences.cache_info().misses
-    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "abc")
-    assert main(["congruences", path(fixture_dir, "C4.json")]) == 2
-    assert "TOPACT_MAX_CONGRUENCES must be a positive integer, not 'abc'" \
-        in capsys.readouterr().err
-    assert enumerate_congruences.cache_info().misses == misses
+    listing = capsys.readouterr().out
+    src = str(Path(topact.__file__).parents[1])
+    env = {**os.environ, "TOPACT_MAX_CONGRUENCES": value,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "topact.cli", "congruences",
+                          path(fixture_dir, "C4.json")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, listing, "")
+    assert listing.startswith("right congruences of C4: 3\n")
 
 
 def test_powerset_cap_stops_act_topology(tmp_path, capsys):
@@ -373,23 +379,20 @@ def test_site_cap_stops_site_on_the_full_filter_of_t3(t3_dir, capsys):
 def test_filter_commands_reading_only_the_base_need_no_lattice(t3_dir, capsys, monkeypatch,
                                                                argv):
     # a lattice of one member is exceeded by every monoid past order 1
-    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "1")
-    enumerate_congruences.cache_clear()
+    set_lattice_cap(monkeypatch, 1)
     assert main([a.format(t3_dir) for a in argv]) == 0
     assert enumerate_congruences.cache_info().misses == 0
     capsys.readouterr()
 
 
 def test_congruence_cap_still_stops_site_on_t3(t3_dir, capsys, monkeypatch):
-    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "1")
-    enumerate_congruences.cache_clear()
+    set_lattice_cap(monkeypatch, 1)
     assert main(["site", str(t3_dir / "T3.json"), "--filter", "all"]) == 2
     assert "right congruences: cap exceeded at 2" in capsys.readouterr().err
 
 
 def test_check_zero_reads_no_lattice(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "1")
-    enumerate_congruences.cache_clear()
+    set_lattice_cap(monkeypatch, 1)
     (tmp_path / "N3.json").write_text(json.dumps(files.monoid_to_obj(truncated_addition(3))))
     assert main(["check", "zero", str(tmp_path / "N3.json"), "--filter", "all"]) == 0
     assert enumerate_congruences.cache_info().misses == 0
@@ -512,8 +515,7 @@ def test_validate_checks_c512_within_3_seconds(tmp_path, capsys):
 
 
 def test_check_atomic_on_a_group_reads_no_lattice(fixture_dir, capsys, monkeypatch):
-    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "1")
-    enumerate_congruences.cache_clear()     # the cap is read on a cache miss
+    set_lattice_cap(monkeypatch, 1)
     assert main(["check", "atomic", path(fixture_dir, "C4.json"), "--filter", "all"]) == 0
     capsys.readouterr()
 

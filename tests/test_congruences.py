@@ -26,8 +26,9 @@ from topact.topology import (connected_components, discrete_topology, indiscrete
 
 from conftest import (NotInFilter, full_transformation_monoid, hom_classes, join,
                       preorder_topologies, preorder_topology, relabeled_monoid,
-                      relabeled_topology, relation_mask, transformation_closure,
-                      transformation_monoid, transformation_monoids)
+                      relabeled_topology, relation_mask, set_lattice_cap,
+                      transformation_closure, transformation_monoid,
+                      transformation_monoids)
 
 
 def all_partitions(n):
@@ -102,11 +103,6 @@ def pairwise_join_closure(monoid, cap):
                         raise CapExceeded("right congruences", len(found))
         frontier = fresh
     return tuple(sorted(found, key=lambda r: (r.num_classes, r.class_of)))
-
-
-def set_lattice_cap(monkeypatch, cap):
-    """TOPACT_MAX_CONGRUENCES=cap for the enumerations that follow."""
-    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", str(cap))
 
 
 def capped_lattice(monoid, cap):
@@ -288,21 +284,6 @@ def test_lattice_cap_raises_once_the_count_passes_it(monkeypatch):
         set_lattice_cap(monkeypatch, cap)
         with pytest.raises(CapExceeded, match=f"cap exceeded at {cap + 1}$"):
             enumerate_congruences(t3)
-
-
-def test_a_cached_lattice_is_not_returned_under_a_smaller_cap(monkeypatch):
-    t3 = full_transformation_monoid(3)
-    monkeypatch.delenv("TOPACT_MAX_CONGRUENCES", raising=False)
-    lattice = enumerate_congruences(t3)
-    above = enumerate_congruences(t3, base=lattice[100])
-    set_lattice_cap(monkeypatch, 100)
-    with pytest.raises(CapExceeded, match="cap exceeded at 101$"):
-        enumerate_congruences(t3)
-    set_lattice_cap(monkeypatch, len(above) - 1)
-    with pytest.raises(CapExceeded, match=f"cap exceeded at {len(above)}$"):
-        enumerate_congruences(t3, base=lattice[100])
-    monkeypatch.delenv("TOPACT_MAX_CONGRUENCES")
-    assert enumerate_congruences(t3) is lattice
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,7 +19,7 @@ from topact.completion import complete
 from topact.congruences import (congruence_from_class_map, enumerate_congruences,
                                 enumerate_filters, filter_generated, full_filter,
                                 open_congruences, total)
-from topact.errors import CapExceeded, TopactError
+from topact.errors import TopactError
 from topact.invariants import (BadCategory, FiniteCategory, MonogenicHomFlags,
                                NoZeroElement, _skeleton,
                                categories_equivalent, validate_category,
@@ -223,7 +223,8 @@ def test_marked_epis_cancel_on_the_left_and_marked_monos_on_the_right_on_all_sma
     (marked epi) is an epimorphism and a class-injective one (marked mono)
     a monomorphism: read on the composition table, f then g differs for
     distinct g into one target, and g then f for distinct g from one
-    source."""
+    source.  On every site through order 4 the converse holds too: an arrow
+    that cancels so is marked."""
     sites = 0
     for order in (1, 2, 3, 4):
         for monoid in all_monoids(order):
@@ -231,18 +232,17 @@ def test_marked_epis_cancel_on_the_left_and_marked_monos_on_the_right_on_all_sma
                 site = principal_site(monoid, flt)
                 table, src, tgt = site.compose_table, site.arrow_src, site.arrow_tgt
                 arrows = range(site.arrow_count)
-                for f in site.epis:
-                    after = {}
+                for f in arrows:
+                    after, before = {}, {}
                     for g in arrows:
                         if src[g] == tgt[f]:
                             after.setdefault(tgt[g], []).append(table[f][g])
-                    assert all(len(set(hs)) == len(hs) for hs in after.values())
-                for f in site.monos:
-                    before = {}
-                    for g in arrows:
                         if tgt[g] == src[f]:
                             before.setdefault(src[g], []).append(table[g][f])
-                    assert all(len(set(hs)) == len(hs) for hs in before.values())
+                    assert (f in site.epis) == all(len(set(hs)) == len(hs)
+                                                   for hs in after.values())
+                    assert (f in site.monos) == all(len(set(hs)) == len(hs)
+                                                    for hs in before.values())
                 sites += 1
     assert sites == 217
 
@@ -271,16 +271,6 @@ def test_cache_clear_drops_the_stored_site(c4):
     again = principal_site(c4, full_filter(c4))
     assert again is not site
     assert again == site
-
-
-def test_stored_site_keeps_the_congruence_cap(c4, monkeypatch):
-    site = principal_site(c4, full_filter(c4))
-    assert len(full_filter(c4).members) == 3
-    monkeypatch.setenv("TOPACT_MAX_CONGRUENCES", "2")
-    with pytest.raises(CapExceeded):
-        principal_site(c4, full_filter(c4))
-    monkeypatch.delenv("TOPACT_MAX_CONGRUENCES")
-    assert principal_site(c4, full_filter(c4)) is site
 
 
 def test_fingerprint_terminal():
