@@ -1,9 +1,9 @@
 """Named fixtures and exhaustive enumeration of small structures.
 
 Enumerations power the acceptance suites: monoids up to table isomorphism
-(identity pinned at index 0), all topologies on a carrier via reflexive
-transitive relations (finite topologies are exactly their up-set families),
-and M-sets on small carriers up to carrier permutation.
+(identity pinned at index 0), searched entry by entry; all topologies on a
+carrier as preorders, each extending one on a point fewer (finite spaces
+are Alexandrov); and M-sets on small carriers up to carrier permutation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import CapExceeded
 from .monoid import FiniteMonoid, SemigroupHom, generating_set, validate_monoid
 from .reflections import continuous_subsets
 from .topology import Topology, partition_topology
-from .util import mask_of
+from .util import bits, mask_of
 
 MAX_ENUM_ORDER = 4
 MAX_ENUM_CARRIER = 4
@@ -63,115 +63,112 @@ def left_zero_split_topology() -> Topology:
 @lru_cache(maxsize=None)
 def all_monoids(order: int) -> tuple[FiniteMonoid, ...]:
     """All monoids of the given order up to isomorphism, identity at 0,
-    elements named 1, a, b, c.
+    elements named 1, a, b, c, d.
 
-    The table is filled one row at a time by a depth-first search: row k
-    is (k,) + values, the values in itertools.product order, so the full
-    tables arrive in the order of one product over all free entries, and
-    the first table of each isomorphism class is kept.  After row k is
-    placed, (a·b)·c = a·(b·c) is checked for every c over each pair (a, b)
-    whose rows a, b and a·b are placed and whose largest is k, and a
-    prefix that fails is cut off with its whole subtree.
+    A depth-first search fills the free entries (a, b), a, b ≥ 1, one at a
+    time in row-major order, values ascending, so full tables arrive in the
+    order of one itertools.product over the free entries.  Each placed entry
+    is checked by _associative_at, and a prefix that fails is cut off with
+    its subtree.  The first table of each isomorphism class is kept, and its
+    (order − 1)! relabellings fixing 0 are marked seen.
 
-    Sound: each triple is checked exactly once, at the row where the last
-    of a, b and a·b arrives (a = b = 0 needs no check, 0 being the
-    identity), so every full table reached is associative.  Complete: a
-    check reads only placed rows, so a prefix is cut only for a triple
-    that fails in every table it extends, and every associative table is
-    reached.
+    Sound: a triple (x, y, z) with x, y, z ≥ 1 is checked when the last of
+    x·y, (x·y)·z, y·z and x·(y·z) is placed (a triple with a 0 holds, 0
+    being the identity), so every full table reached is associative.
+    Complete: a check reads only placed entries, so a prefix is cut only for
+    a triple that fails in every table it extends; and a relabelling fixing
+    0 keeps a table associative with identity 0, so the marked tables are
+    exactly the later members of the kept classes.
     """
     if order > MAX_ENUM_ORDER:
         raise CapExceeded("monoid enumeration order", order)
     if order < 1:
         return ()
-    names = ("1", "a", "b", "c")[:order]
+    names = ("1", "a", "b", "c", "d")[:order]
+    table = [[b if a == 0 else a if b == 0 else -1 for b in range(order)]  # -1: not placed
+             for a in range(order)]
+    cells = [(a, b) for a in range(1, order) for b in range(1, order)]
+    perms = [(0,) + p for p in itertools.permutations(range(1, order))]
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out = []
-    for table in _associative_tables([tuple(range(order))], order):
-        canon = _canonical_table(table, order)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(FiniteMonoid(names, table, 0))
+
+    def place(k: int) -> None:
+        if k == len(cells):
+            full = tuple(map(tuple, table))
+            if full not in seen:
+                out.append(FiniteMonoid(names, full, 0))
+                # relabelled by p⁻¹: x·y becomes p⁻¹(p(x)·p(y))
+                seen.update(tuple(tuple(p.index(full[x][y]) for y in p) for x in p)
+                            for p in perms)
+            return
+        a, b = cells[k]
+        for v in range(order):
+            table[a][b] = v
+            if _associative_at(table, a, b):
+                place(k + 1)
+        table[a][b] = -1
+
+    place(0)
     return tuple(out)
 
 
-def _associative_tables(rows: list[tuple[int, ...]], order: int):
-    """Every associative table whose first rows are `rows`, each further
-    row k being (k,) + values with the values in itertools.product order."""
-    k = len(rows)
-    if k == order:
-        yield tuple(rows)
-        return
-    for values in itertools.product(range(order), repeat=order - 1):
-        rows.append((k,) + values)
-        if _associative_at_last_row(rows):
-            yield from _associative_tables(rows, order)
-        rows.pop()
-
-
-def _associative_at_last_row(rows: list[tuple[int, ...]]) -> bool:
-    """(a·b)·c = a·(b·c) for every c, over the pairs (a, b) with rows a, b
-    and a·b placed and max(a, b, a·b) the last placed row."""
-    k = len(rows) - 1
-    span = range(len(rows[0]))
-    for a in range(k + 1):
-        row_a = rows[a]
-        for b in range(k + 1):
-            ab = row_a[b]
-            if max(a, b, ab) != k:
-                continue
-            row_ab, row_b = rows[ab], rows[b]
-            for c in span:
-                if row_ab[c] != row_a[row_b[c]]:
+def _associative_at(t: list[list[int]], a: int, b: int) -> bool:
+    """(x·y)·z = x·(y·z) over the triples with x, y, z ≥ 1 whose four
+    products are placed (not -1) and include ab = t[a][b], in its four
+    roles: x·y = ab, y·z = ab, (x·y)·z = ab and x·(y·z) = ab."""
+    ab, row_a, rest = t[a][b], t[a], range(1, len(t))
+    for z in rest:              # (a·b)·z = a·(b·z)
+        left, bz = t[ab][z], t[b][z]
+        if left >= 0 and bz >= 0 and row_a[bz] >= 0 and left != row_a[bz]:
+            return False
+    for x in rest:              # (x·a)·b = x·(a·b)
+        xa, right = t[x][a], t[x][ab]
+        if xa >= 0 and right >= 0 and t[xa][b] >= 0 and t[xa][b] != right:
+            return False
+    for x, row_x in zip(rest, t[1:]):
+        for y in rest:
+            if row_x[y] == a:   # (x·y)·b = x·(y·b), where x·y = a
+                yb = t[y][b]
+                if yb >= 0 and row_x[yb] >= 0 and row_x[yb] != ab:
+                    return False
+            if row_x[y] == b and row_a[x] >= 0:   # (a·x)·y = a·(x·y), where x·y = b
+                left = t[row_a[x]][y]
+                if left >= 0 and left != ab:
                     return False
     return True
 
 
-def _canonical_table(table, n: int) -> tuple[tuple[int, ...], ...]:
-    best = None
-    for perm in itertools.permutations(range(1, n)):
-        relabel = (0,) + perm
-        inverse = [0] * n
-        for old, new in enumerate(relabel):
-            inverse[new] = old
-        candidate = tuple(tuple(relabel[table[inverse[a]][inverse[b]]]
-                                for b in range(n)) for a in range(n))
-        if best is None or candidate < best:
-            best = candidate
-    return best
-
-
 @lru_cache(maxsize=None)
 def all_topologies(carrier: int) -> tuple[Topology, ...]:
-    """All topologies on the carrier: up-set families of the reflexive
-    transitive relations (finite spaces are Alexandrov)."""
+    """All topologies on the carrier, as specialization preorders (a ≤ b
+    when b ∈ nb[a]; finite spaces are Alexandrov), in the order of one
+    itertools.product over the pairs a ≠ b, row-major, of whether a ≤ b.
+
+    Each preorder on the first carrier − 1 points is extended by a last
+    point p: nb[p] is {p} ∪ U for an open (up-)set U, and p joins nb[a] for
+    each a in a closed (down-)set D whose points all have U ⊆ nb[a].
+
+    Sound: for a ≤ p ≤ u, U ⊆ nb[a] gives a ≤ u; the other chains through p
+    stay inside U or D, as U is an up-set and D a down-set.  Complete: a
+    preorder on the carrier restricts to one on the first carrier − 1
+    points, in which the points above p are open, those below p closed, and
+    U ⊆ nb[a] for each a below p; distinct choices give distinct preorders.
+    """
     if carrier > MAX_ENUM_CARRIER:
         raise CapExceeded("topology enumeration carrier", carrier)
-    out = []
-    pairs = [(a, b) for a in range(carrier) for b in range(carrier) if a != b]
-    for choice in itertools.product((False, True), repeat=len(pairs)):
-        rel = [[a == b for b in range(carrier)] for a in range(carrier)]
-        for (a, b), on in zip(pairs, choice):
-            rel[a][b] = on
-        if not _transitive(rel, carrier):
-            continue
-        out.append(Topology(carrier, tuple(mask_of_rows(rel, carrier))))
-    return tuple(out)
-
-
-def _transitive(rel, n: int) -> bool:
-    for a in range(n):
-        for b in range(n):
-            if rel[a][b]:
-                for c in range(n):
-                    if rel[b][c] and not rel[a][c]:
-                        return False
-    return True
-
-
-def mask_of_rows(rel, n: int) -> list[int]:
-    return [mask_of(b for b in range(n) if rel[a][b]) for a in range(n)]
+    if carrier < 1:
+        return (Topology(0, ()),) if carrier == 0 else ()
+    p, out = 1 << (carrier - 1), []
+    for old in all_topologies(carrier - 1):
+        nbhd = old.nbhd
+        opens = [s for s in range(p) if all(nbhd[a] | s == s for a in bits(s))]
+        for up in opens:
+            below = mask_of(a for a, nb in enumerate(nbhd) if nb & up == up)
+            for down in ((p - 1) ^ s for s in opens):
+                if down & below == down:
+                    out.append(Topology(carrier, tuple(nb | p if down >> a & 1 else nb
+                                                       for a, nb in enumerate(nbhd)) + (p | up,)))
+    return tuple(sorted(out, key=lambda t: [m >> b & 1 for m in t.nbhd for b in range(carrier)]))
 
 
 def action_topologies(monoid: FiniteMonoid) -> tuple[Topology, ...]:

@@ -409,9 +409,9 @@ def _match_arrows(c1: FiniteCategory, c2: FiniteCategory,
     """The lexicographically least arrow bijection that follows obj_map,
     keeps epis, monos and identities, and is a functor.  Arrows are assigned
     in index order, and each composite (f, g, f then g) is checked once,
-    when the last of its three arrows is assigned (the rule of
-    catalog._associative_at_last_row), so every full assignment is a
-    functor."""
+    when the last of its three arrows is assigned (as catalog.all_monoids
+    checks a triple once its last product is placed), so every full
+    assignment is a functor."""
     count, table2 = c1.arrow_count, c2.compose_table
     # last[k]: the composites (f, g, f then g) whose greatest arrow is k
     last: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]

@@ -15,7 +15,7 @@ from .actions import is_continuous_mset, quotient_mset
 from .catalog import MAX_ENUM_CARRIER, MAX_ENUM_ORDER, all_monoids, all_topologies
 from .completion import closedness_report, complete, prodiscrete_criteria
 from .congruences import enumerate_filters, full_filter, open_congruences
-from .errors import CapExceeded
+from .errors import CapExceeded, TopactError
 from .invariants import (is_atomic, joint_covering, morita_fingerprint,
                          principal_site, strict_joint_covering, zero_fixed_point_check)
 from .monoid import FiniteMonoid, idempotents, unit_indices, zero_element
@@ -65,10 +65,13 @@ class SuiteSummary:
 
 
 def exhaustive_suite(order_bound: int = 3, topology_bound: int = 3) -> SuiteSummary:
-    if order_bound > MAX_ENUM_ORDER:
-        raise CapExceeded("suite monoid order", order_bound)
-    if topology_bound > MAX_ENUM_CARRIER:
-        raise CapExceeded("suite topology carrier", topology_bound)
+    for what, bound, least, cap in (("suite monoid order", order_bound, 1, MAX_ENUM_ORDER),
+                                    ("suite topology carrier", topology_bound, 0,
+                                     MAX_ENUM_CARRIER)):
+        if bound > cap:
+            raise CapExceeded(what, bound)
+        if bound < least:
+            raise TopactError(f"{what}: must be at least {least}, got {bound}")
     summary = SuiteSummary()
     for order in range(1, order_bound + 1):
         for monoid in all_monoids(order):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from topact.catalog import (MAX_ENUM_ORDER, _canonical_table, cyclic, left_zeros,
+from topact.catalog import (MAX_ENUM_CARRIER, MAX_ENUM_ORDER, cyclic, left_zeros,
                             left_zero_split_topology, right_zeros, truncated_addition,
                             trivial_monoid, two_idempotents)
 from topact.actions import MSet, orbit_congruence, power_of_m, quotient_mset
@@ -123,7 +123,7 @@ def all_monoids_by_product(order):
     associative and it is the first of its isomorphism class."""
     if order > MAX_ENUM_ORDER:
         raise CapExceeded("monoid enumeration order", order)
-    names = ("1", "a", "b", "c")[:order]
+    names = ("1", "a", "b", "c", "d")[:order]
     if order == 1:
         return (validate_monoid(names, [[0]], 0),)
     free = order - 1
@@ -145,6 +145,55 @@ def all_monoids_by_product(order):
         seen.add(canon)
         out.append(FiniteMonoid(names, tuple(tuple(r) for r in table), 0))
     return tuple(out)
+
+
+def _canonical_table(table, n: int) -> tuple[tuple[int, ...], ...]:
+    """The least relabelling of the table by a permutation fixing 0."""
+    best = None
+    for perm in itertools.permutations(range(1, n)):
+        relabel = (0,) + perm
+        inverse = [0] * n
+        for old, new in enumerate(relabel):
+            inverse[new] = old
+        candidate = tuple(tuple(relabel[table[inverse[a]][inverse[b]]]
+                                for b in range(n)) for a in range(n))
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+def all_topologies_by_product(carrier):
+    """Oracle for catalog.all_topologies: one product over the pairs a != b,
+    row-major, choosing whether b is in nb[a]; each choice whose relation is
+    transitive is kept."""
+    if carrier > MAX_ENUM_CARRIER:
+        raise CapExceeded("topology enumeration carrier", carrier)
+    if carrier < 0:
+        return ()
+    out = []
+    pairs = [(a, b) for a in range(carrier) for b in range(carrier) if a != b]
+    for choice in itertools.product((False, True), repeat=len(pairs)):
+        rel = [[a == b for b in range(carrier)] for a in range(carrier)]
+        for (a, b), on in zip(pairs, choice):
+            rel[a][b] = on
+        if not _transitive(rel, carrier):
+            continue
+        out.append(Topology(carrier, tuple(mask_of_rows(rel, carrier))))
+    return tuple(out)
+
+
+def _transitive(rel, n: int) -> bool:
+    for a in range(n):
+        for b in range(n):
+            if rel[a][b]:
+                for c in range(n):
+                    if rel[b][c] and not rel[a][c]:
+                        return False
+    return True
+
+
+def mask_of_rows(rel, n: int) -> list[int]:
+    return [mask_of(b for b in range(n) if rel[a][b]) for a in range(n)]
 
 
 def action_orbit(cols, carrier):

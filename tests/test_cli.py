@@ -594,10 +594,20 @@ def test_suite_command(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--order", "5"], "suite monoid order: cap exceeded at 5"),
     (["--order", "2", "--topologies", "5"], "suite topology carrier: cap exceeded at 5"),
+    (["--order", "0"], "suite monoid order: must be at least 1, got 0"),
+    (["--order", "-1"], "suite monoid order: must be at least 1, got -1"),
+    (["--order", "2", "--topologies", "-2"], "suite topology carrier: must be at least 0, got -2"),
 ])
 def test_suite_caps_are_the_catalog_enumeration_bounds(capsys, argv, message):
     assert main(["suite", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_suite_with_no_topology_cells(capsys):
+    # --topologies 0 runs the filter and closedness cells alone
+    assert main(["suite", "--order", "2", "--topologies", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "action-topology" not in out and "PASS" in out
 
 
 def _relabeled_copy(directory, monoid, blocks, rng):

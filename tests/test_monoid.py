@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import (all_monoids_by_product, full_transformation_monoid,
                       transformation_monoids, validate_monoid_by_triples)
+from topact import catalog
 from topact.catalog import all_monoids, all_semigroup_homs
 from topact.errors import TopactError
 from topact.monoid import (BadShape, MismatchedHoms, NoIdentity, NonAssociative,
                            NotIdempotent, NotMultiplicative, conjugations,
-                           corner_monoid, factor_surjection_inclusion, generating_set, identity_hom,
+                           corner_monoid, factor_surjection_inclusion, first_nonassociative,
+                           generating_set, identity_hom,
                            idempotents, is_group, opposite, unit_indices,
                            units_group, validate_hom, validate_monoid, zero_element)
 
@@ -251,11 +253,46 @@ def validates_like_the_triple_scan(monoid, a=None, b=None, v=None):
 
 
 def test_all_monoids_matches_the_product_enumeration_through_order_four():
-    # the row-by-row search keeps the product loop's tables, names and order;
+    # the entry-wise search keeps the product loop's tables, names and order;
     # the counts are OEIS A058129
     for order in (0, 1, 2, 3, 4):
         assert all_monoids(order) == all_monoids_by_product(order)
     assert [len(all_monoids(order)) for order in (1, 2, 3, 4)] == [1, 2, 7, 35]
+
+
+def _relabelled(table, p):
+    out = [[0] * len(p) for _ in p]
+    for x, row in enumerate(table):
+        for y, xy in enumerate(row):
+            out[p[x]][p[y]] = p[xy]
+    return tuple(map(tuple, out))
+
+
+def test_order_five_enumerations_under_patched_caps(monkeypatch):
+    # order 5 is past the caps and the product oracles (5^16 tables, 2^20
+    # relations), so the outputs are pinned by the known counts: 4 122
+    # identity-at-0 associative tables in 228 classes (OEIS A058129), and
+    # 6 942 preorders on 5 points (A000798).  __wrapped__ bypasses the
+    # caches, so no order-5 entry outlives the patched caps.
+    monkeypatch.setattr(catalog, "MAX_ENUM_ORDER", 5)
+    monkeypatch.setattr(catalog, "MAX_ENUM_CARRIER", 5)
+    monoids = catalog.all_monoids.__wrapped__(5)
+    perms = [(0,) + p for p in itertools.permutations(range(1, 5))]
+    classes = [{_relabelled(m.table, p) for p in perms} for m in monoids]
+    assert len(monoids) == 228 and len(set().union(*classes)) == sum(map(len, classes)) == 4122
+    assert all(first_nonassociative(m.table) is None for m in monoids)
+    # each kept table is the first of its class in product order, and they
+    # come in that order
+    assert [m.table for m in monoids] == sorted(min(c) for c in classes)
+    assert {(m.elements, m.identity) for m in monoids} == {(("1", "a", "b", "c", "d"), 0)}
+
+    topologies = catalog.all_topologies.__wrapped__(5)
+    assert len(topologies) == 6942
+    for t in topologies:
+        assert all(nb >> a & 1 and all(t.nbhd[b] | nb == nb for b in range(5) if nb >> b & 1)
+                   for a, nb in enumerate(t.nbhd))
+    keys = [[nb >> b & 1 for nb in t.nbhd for b in range(5)] for t in topologies]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 def test_validate_monoid_matches_the_triple_scan_through_order_four():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import preorder_topologies
+from conftest import all_topologies_by_product, preorder_topologies
 from topact.catalog import all_topologies
 from topact.errors import CapExceeded, TopactError
-from topact.topology import (OutOfRange, SizeMismatch, connected_components,
+from topact.topology import (OutOfRange, SizeMismatch, Topology, connected_components,
                              continuity_witness, discrete_topology, generate_topology,
                              indiscrete_topology, is_continuous, is_locally_constant,
                              is_open_in_product, minimal_base, minimal_neighborhoods,
@@ -319,6 +319,14 @@ def test_minimal_neighborhoods_are_open():
 
 def test_topology_counts():
     assert [len(all_topologies(n)) for n in (1, 2, 3, 4)] == [1, 4, 29, 355]
+
+
+def test_all_topologies_matches_the_product_enumeration_through_carrier_four():
+    # the one-point extension keeps the product loop's topologies and order,
+    # on which sweep's seeded sample and the tests' strided slices depend
+    for carrier in (-1, 0, 1, 2, 3, 4):
+        assert all_topologies(carrier) == all_topologies_by_product(carrier)
+    assert all_topologies(-1) == () and all_topologies(0) == (Topology(0, ()),)
 
 
 def test_diagonal_subspace_of_discrete_square():
