@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruences import (CongruenceFilter, RightCongruence, _canonical,
+from .congruences import (CongruenceFilter, RightCongruence, _canonical, _quotient_monoid,
                           is_two_sided, least_open_congruence)
 from .errors import TopactError
 from .monoid import FiniteMonoid, NotIdempotent, SemigroupHom, sub_monoid, unit_indices
 from .topology import Topology, continuity_witness, discrete_topology, separation_report
-from .reflections import _quotient_monoid, continuous_subsets
+from .reflections import continuous_subsets
 from .util import bits, mask_of
 
 

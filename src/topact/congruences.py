@@ -21,9 +21,9 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, InternalCheckError, TopactError
-from .monoid import FiniteMonoid
+from .monoid import FiniteMonoid, SemigroupHom
 from .topology import Topology
-from .util import mask_of
+from .util import filled_once, mask_of
 
 
 class NotStable(TopactError):
@@ -103,6 +103,41 @@ class RightCongruence:
 
     def __repr__(self) -> str:
         return f"RightCongruence({self.label()})"
+
+    @filled_once
+    def partition_topology(self) -> Topology:
+        """The topology whose opens are the unions of the classes, built on
+        first read by _partition_topology."""
+        return _partition_topology(self)
+
+    @filled_once
+    def quotient(self) -> tuple[FiniteMonoid, SemigroupHom]:
+        """M/self and the projection, built on first read by
+        _quotient_monoid: valid only when self is two-sided, as r0 and a
+        filter's least member are."""
+        return _quotient_monoid(self.monoid, self)
+
+
+def _partition_topology(partition: RightCongruence) -> Topology:
+    """The topology whose opens are the unions of the partition's classes."""
+    masks = [0] * partition.num_classes
+    for m, c in enumerate(partition.class_of):
+        masks[c] |= 1 << m
+    return Topology(len(partition.class_of), tuple(masks[c] for c in partition.class_of))
+
+
+def _quotient_monoid(monoid: FiniteMonoid, cong: RightCongruence
+                     ) -> tuple[FiniteMonoid, SemigroupHom]:
+    """M/cong for a two-sided congruence, each class named [m] after its
+    least member m, in order of least member, with the quotient map.  Since
+    cong is two-sided, the class of a·b depends only on the classes of a and
+    b, so the table is well defined and inherits associativity and the
+    identity from M, and the quotient map is a monoid hom."""
+    reps = cong.representatives()
+    table = tuple(tuple(cong.class_of[monoid.table[a][b]] for b in reps) for a in reps)
+    names = tuple(f"[{monoid.elements[m]}]" for m in reps)
+    quotient = FiniteMonoid(names, table, cong.class_of[monoid.identity])
+    return quotient, SemigroupHom(monoid, quotient, cong.class_of, True)
 
 
 def congruence_from_class_map(monoid: FiniteMonoid,
@@ -404,8 +439,18 @@ def full_filter(monoid: FiniteMonoid) -> CongruenceFilter:
     return CongruenceFilter(monoid, diagonal(monoid))
 
 
+# the keys one suite cell asks for are τ and τ~, on M and on its opposite
+R0_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=R0_MEMO_SIZE)
 def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCongruence:
-    """r0, the least open right congruence, in one union-find pass.
+    """r0, the least open right congruence, in one union-find pass, returned
+    as the monoid's one stored congruence with r0's class map (monoid.r0s),
+    so that the values built on it (its partition topology, the action
+    topology, and its quotient, the powder monoid) are built once per
+    (monoid, r0).  The last R0_MEMO_SIZE (monoid, topology) pairs are
+    memoized.
 
     A right congruence r is open iff every q*(r) has open, hence clopen,
     classes, i.e. iff r relates q·a and q·b whenever a and b lie in one
@@ -454,7 +499,11 @@ def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCong
         for x, y in zip(monoid.columns[a], monoid.columns[b]):
             if label[x] != label[y]:
                 merge(x, y)
-    return RightCongruence(monoid, _canonical(label))
+    class_of = _canonical(label)
+    stored = monoid.r0s.get(class_of)
+    if stored is None:
+        stored = monoid.r0s[class_of] = RightCongruence(monoid, class_of)
+    return stored
 
 
 def open_congruences(monoid: FiniteMonoid, topology: Topology) -> CongruenceFilter:

@@ -5,6 +5,12 @@ computation uses indices, the I/O layer translates names.  Values are
 immutable after validation, so everything here is a pure function and safe
 for concurrent use.  The package's one generating-set routine and its one
 associativity scan live here.
+
+A FiniteMonoid holds one mutable store, `r0s`: the least open congruences
+found on it so far, one object per class map, which
+congruences.least_open_congruence fills.  It holds only two-sided
+congruences of this monoid, so it is bounded by their count, and it changes
+no answer: a class map always gets an equal congruence, stored or not.
 """
 
 from __future__ import annotations
@@ -84,6 +90,21 @@ class FiniteMonoid:
     @filled_once
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.table))
+
+    @filled_once
+    def dual(self) -> "FiniteMonoid":
+        """The opposite monoid, built once: its table is these columns, its
+        columns this table, and its own dual this monoid."""
+        op = FiniteMonoid(self.elements, self.columns, self.identity)
+        object.__setattr__(op, "columns", self.table)
+        object.__setattr__(op, "dual", self)
+        return op
+
+    @filled_once
+    def r0s(self) -> dict:
+        """Class map -> the one stored least open congruence with it (see
+        the module docstring)."""
+        return {}
 
     @property
     def order(self) -> int:
@@ -222,8 +243,9 @@ def identity_hom(monoid: FiniteMonoid) -> SemigroupHom:
 
 
 def opposite(monoid: FiniteMonoid) -> FiniteMonoid:
-    """Same carrier with the transposed table."""
-    return FiniteMonoid(monoid.elements, monoid.columns, monoid.identity)
+    """Same carrier with the transposed table, stored on the monoid, so
+    opposite(opposite(m)) is m."""
+    return monoid.dual
 
 
 def idempotents(monoid: FiniteMonoid) -> tuple[int, ...]:

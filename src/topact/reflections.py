@@ -7,9 +7,12 @@ The action topology is the partition topology on the classes of r0, the
 least open right congruence, which is the two-sided congruence generated by
 the partition into connected components (see least_open_congruence).  So the
 powder reflection is M/r0 with the discrete topology, and the left and right
-action topologies coincide.  Neither reflection builds the 2^|M|-point
-powerset action: the continuous subsets are the unions of the r0 classes,
-listed only where a caller reads them and capped at `errors.MAX_LISTING`.
+action topologies coincide.  Both are read from r0, one stored object per
+(monoid, class map): its partition topology and its quotient with the
+projection are built on first read and stored on it, so once per (monoid,
+r0).  Neither reflection builds the 2^|M|-point powerset action: the
+continuous subsets are the unions of the r0 classes, listed only where a
+caller reads them and capped at `errors.MAX_LISTING`.
 Continuity of multiplication and the multiplication-continuous core are
 decided on the edges of the specialization preorder (`Topology.edges`),
 translated on either side by every element: on a finite space
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .actions import MSet, continuous_points
-from .congruences import (CongruenceFilter, RightCongruence, _canonical,
+from .congruences import (CongruenceFilter, RightCongruence, _canonical, _quotient_monoid,
                           enumerate_congruences, least_open_congruence)
 from .errors import MAX_LISTING, CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, opposite
@@ -75,18 +78,11 @@ class ActionTopologyReport:
         return tuple(sorted(family))
 
 
-def _partition_topology(partition: RightCongruence) -> Topology:
-    """The topology whose opens are the unions of the partition's classes."""
-    masks = [0] * partition.num_classes
-    for m, c in enumerate(partition.class_of):
-        masks[c] |= 1 << m
-    return Topology(len(partition.class_of), tuple(masks[c] for c in partition.class_of))
-
-
 def _report(partition: RightCongruence, topology: Topology) -> ActionTopologyReport:
     """The report on the partition topology of an action-topology partition,
-    which is two-sided with every class open in the topology."""
-    tau_tilde = _partition_topology(partition)
+    which is two-sided with every class open in the topology; the partition
+    topology is the one stored on the partition."""
+    tau_tilde = partition.partition_topology
     return ActionTopologyReport(partition, tau_tilde, tau_tilde == topology)
 
 
@@ -160,20 +156,6 @@ def mult_continuous_core(monoid: FiniteMonoid, topology: Topology) -> Topology:
     return current
 
 
-def _quotient_monoid(monoid: FiniteMonoid, cong: RightCongruence
-                     ) -> tuple[FiniteMonoid, SemigroupHom]:
-    """M/cong for a two-sided congruence, each class named [m] after its
-    least member m, in order of least member, with the quotient map.  Since
-    cong is two-sided, the class of a·b depends only on the classes of a and
-    b, so the table is well defined and inherits associativity and the
-    identity from M, and the quotient map is a monoid hom."""
-    reps = cong.representatives()
-    table = tuple(tuple(cong.class_of[monoid.table[a][b]] for b in reps) for a in reps)
-    names = tuple(f"[{monoid.elements[m]}]" for m in reps)
-    quotient = FiniteMonoid(names, table, cong.class_of[monoid.identity])
-    return quotient, SemigroupHom(monoid, quotient, cong.class_of, True)
-
-
 def t0_quotient(monoid: FiniteMonoid, topology: Topology
                 ) -> tuple[FiniteMonoid, Topology, SemigroupHom]:
     """Quotient a topological monoid by topological indistinguishability;
@@ -203,9 +185,10 @@ def powder_reflection(monoid: FiniteMonoid, topology: Topology) -> PowderReflect
     """Action topology followed by the T0 quotient: M/r0, since the action
     topology's points are indistinguishable exactly within an r0 class.  The
     result is a powder monoid, which at finite scale always carries the
-    discrete topology."""
+    discrete topology.  The quotient is the one stored on r0, so every
+    topology with the same r0 gets the same powder monoid object."""
     report = continuous_subsets(monoid, topology)
-    quotient, projection = _quotient_monoid(monoid, report.partition)
+    quotient, projection = report.partition.quotient
     return PowderReflection(quotient, discrete_topology(quotient.order), projection, report)
 
 
@@ -235,7 +218,7 @@ def induced_topology_from_filter(monoid: FiniteMonoid, flt: CongruenceFilter
     the filter.  So the result is the partition topology on b's classes,
     its own action topology; the tests check it against the scan of every
     subset."""
-    return ActionTopologyReport(flt.least, _partition_topology(flt.least), True)
+    return ActionTopologyReport(flt.least, flt.least.partition_topology, True)
 
 
 def is_topological_filter(monoid: FiniteMonoid, flt: CongruenceFilter

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topact import files
+from topact import congruences, files
 from topact.catalog import all_monoids, all_topologies, cyclic, truncated_addition
 from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, InvalidFilter,
                                 NotDirected, NotEquivariant,
@@ -20,6 +20,7 @@ from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, Inva
                                 least_open_congruence, leq, meet,
                                 open_congruences, total, validate_filter)
 from topact.errors import InternalCheckError, TopactError
+from topact.suite import exhaustive_suite
 from topact.reflections import _quotient_monoid
 from topact.topology import (connected_components, discrete_topology, indiscrete_topology,
                              is_open_in_product, partition_topology)
@@ -250,6 +251,27 @@ def test_least_open_congruence_matches_queue_closure_on_t3():
     assert least_open_congruence(t3, topologies[0]) == diagonal(t3)
     assert least_open_congruence(t3, topologies[1]) == total(t3)
     assert len({least_open_congruence(t3, t).num_classes for t in topologies}) > 2
+
+
+def test_least_open_congruence_memo_is_bounded_and_agrees_with_the_unmemoized_pass():
+    assert least_open_congruence.__module__ == "topact.congruences"
+    assert vars(congruences)["least_open_congruence"] is least_open_congruence
+    assert least_open_congruence.cache_info().maxsize == congruences.R0_MEMO_SIZE == 16
+    least_open_congruence.cache_clear()
+    for monoid in all_monoids(4):
+        for topology in all_topologies(4):
+            assert least_open_congruence(monoid, topology) \
+                == least_open_congruence.__wrapped__(monoid, topology)
+    least_open_congruence.cache_clear()
+    exhaustive_suite(4, 4)
+    info = least_open_congruence.cache_info()
+    assert info.currsize <= info.maxsize and info.hits > info.misses
+    cells = [(m, t) for m in all_monoids(4) for t in all_topologies(4)[::11]]
+    before = [least_open_congruence(m, t) for m, t in cells]
+    least_open_congruence.cache_clear()
+    assert least_open_congruence.cache_info().currsize == 0
+    # recomputed, and read from the store on the monoid
+    assert all(least_open_congruence(m, t) is r for (m, t), r in zip(cells, before))
 
 
 def test_lattice_matches_pairwise_join_closure_through_order_four():

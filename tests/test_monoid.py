@@ -10,8 +10,8 @@ from conftest import (all_monoids_by_product, full_transformation_monoid,
 from topact import catalog
 from topact.catalog import all_monoids, all_semigroup_homs
 from topact.errors import TopactError
-from topact.monoid import (BadShape, MismatchedHoms, NoIdentity, NonAssociative,
-                           NotIdempotent, NotMultiplicative, conjugations,
+from topact.monoid import (BadShape, FiniteMonoid, MismatchedHoms, NoIdentity,
+                           NonAssociative, NotIdempotent, NotMultiplicative, conjugations,
                            corner_monoid, factor_surjection_inclusion, first_nonassociative,
                            generating_set, identity_hom,
                            idempotents, is_group, opposite, unit_indices,
@@ -216,6 +216,17 @@ def test_factorization_recomposes_everywhere():
 def test_opposite_involution(m_lz, m_rz):
     assert opposite(m_lz).table == m_rz.table
     assert opposite(opposite(m_lz)) == m_lz
+    # the opposite is stored once, and its own opposite is the monoid itself
+    for order in (1, 2, 3, 4):
+        for monoid in all_monoids(order):
+            op = opposite(monoid)
+            assert opposite(monoid) is op and opposite(op) is monoid
+            n = monoid.order
+            assert op.table == tuple(tuple(monoid.table[b][a] for b in range(n))
+                                     for a in range(n))
+            assert op.columns == monoid.table and op.columns == tuple(zip(*op.table))
+            assert (op.elements, op.identity) == (monoid.elements, monoid.identity)
+            assert op == FiniteMonoid(monoid.elements, monoid.columns, monoid.identity)
 
 
 def test_equal_monoids_compare_and_hash_equal():

@@ -13,12 +13,13 @@ from conftest import (atom_image_congruence, full_transformation_monoid,
 from topact.actions import (continuous_part, is_continuous_mset, necessary_clopen,
                             orbit_congruence, power_of_m, quotient_mset)
 from topact.catalog import all_monoids, all_topologies, cyclic
-from topact.congruences import (RightCongruence, congruence_from_class_map, diagonal,
+from topact.congruences import (RightCongruence, _partition_topology,
+                                congruence_from_class_map, diagonal,
                                 enumerate_congruences, enumerate_filters, filter_generated,
                                 full_filter, generated_congruence, inverse_image_congruence,
                                 is_two_sided, open_congruences, total)
 from topact.errors import CapExceeded
-from topact.monoid import opposite, validate_hom, validate_monoid
+from topact.monoid import FiniteMonoid, opposite, validate_hom, validate_monoid
 from topact.reflections import (NotTopologicalMonoid, _quotient_monoid,
                                 congruence_hat_topology, congruence_set,
                                 continuous_subsets,
@@ -129,6 +130,71 @@ def test_least_open_congruence_is_the_least_open_member():
             for topology in all_topologies(order)[::5]:
                 assert least_open_congruence(monoid, topology) \
                     == open_congruences_by_scan(monoid, topology).least
+
+
+def assert_one_value_per_r0(monoid, topologies):
+    """Topologies with equal r0 get the identical r0, action topology and
+    powder monoid, each equal to a fresh build; the store on the monoid
+    holds only two-sided congruences of it.  The memo starts empty, so that
+    no equal monoid's r0 is returned from it."""
+    least_open_congruence.cache_clear()
+    first = {}
+    for topology in topologies:
+        r0 = least_open_congruence(monoid, topology)
+        report = continuous_subsets(monoid, topology)
+        powder = powder_reflection(monoid, topology)
+        assert report.partition is r0 and powder.action_report.partition is r0
+        values = (r0, report.topology, powder.monoid)
+        assert all(a is b for a, b in zip(first.setdefault(r0.class_of, values), values))
+        assert report.topology == _partition_topology(r0)
+        assert report.is_action_topology == (report.topology == topology)
+        quotient, projection = _quotient_monoid(monoid, r0)
+        assert powder.monoid.elements == quotient.elements
+        assert powder.monoid.table == quotient.table
+        assert powder.monoid.identity == quotient.identity
+        assert powder.projection.map == projection.map
+        assert powder.projection.target is powder.monoid
+    assert all(r.monoid is monoid and is_two_sided(r) for r in monoid.r0s.values())
+    assert len(monoid.r0s) <= len(enumerate_filters(monoid))
+    return first
+
+
+def test_one_r0_action_topology_and_powder_per_class_map_through_order_four():
+    rng = random.Random(29)
+    cells = shared = 0
+    for order in (1, 2, 3, 4):
+        topologies = all_topologies(order)
+        for monoid in all_monoids(order):
+            classes = assert_one_value_per_r0(monoid, topologies)
+            cells += len(topologies)
+            shared += len(topologies) - len(classes)
+            copy = relabeled_monoid(monoid, rng)
+            moved = [relabeled_topology(monoid, copy, t) for t in topologies]
+            assert len(assert_one_value_per_r0(copy, moved)) == len(classes)
+    assert cells == 12637
+    # most topologies share their r0 with an earlier one
+    assert shared > cells // 2
+
+
+def test_an_equal_distinct_monoid_gets_equal_correctly_named_results():
+    for order in (2, 3, 4):
+        topologies = all_topologies(order)[::7]
+        for monoid in all_monoids(order):
+            twin = FiniteMonoid(monoid.elements, monoid.table, monoid.identity)
+            assert twin is not monoid and twin == monoid
+            # the twin first, so that it fills its own store
+            least_open_congruence.cache_clear()
+            for topology in topologies:
+                ours = powder_reflection(twin, topology)
+                r0 = ours.action_report.partition
+                assert r0.monoid is twin and twin.r0s[r0.class_of] is r0
+                assert ours.monoid.elements \
+                    == tuple(f"[{twin.elements[m]}]" for m in r0.representatives())
+                theirs = powder_reflection(monoid, topology)
+                assert ours.monoid == theirs.monoid
+                assert ours.projection.map == theirs.projection.map
+                assert ours.action_report == theirs.action_report
+                assert r0.label() == theirs.action_report.partition.label()
 
 
 @settings(max_examples=40, deadline=None)
