@@ -86,8 +86,9 @@ def _topology(ws: files.Workspace, arg: str, monoid: FiniteMonoid
               ) -> tuple[str, Topology]:
     name = _resolve(ws, arg)
     topo = ws.topology(name)
-    if topo.carrier_size != monoid.order:
-        raise TopactError(f"topology {name!r} lives on a different carrier")
+    if ws.topology_points[name] != monoid.elements:
+        raise TopactError(f"topology {name!r} lives on a different carrier: "
+                          f"its points are not the monoid's elements, in order")
     declared = ws.topology_carriers.get(name)
     if declared is not None and declared != monoid:
         raise TopactError(f"topology {name!r} was declared over a different monoid")

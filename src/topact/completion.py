@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruences import (CongruenceFilter, RightCongruence, _canonical, _quotient_monoid,
-                          is_two_sided, least_open_congruence)
+from .congruences import (CongruenceFilter, RightCongruence, _canonical, is_two_sided,
+                          least_open_congruence)
 from .errors import TopactError
 from .monoid import FiniteMonoid, NotIdempotent, SemigroupHom, sub_monoid, unit_indices
 from .topology import Topology, continuity_witness, discrete_topology, separation_report
@@ -58,11 +58,12 @@ class Completion:
 def complete(monoid: FiniteMonoid, flt: CongruenceFilter) -> Completion:
     """Limit of the quotients over the filter, with its prodiscrete topology
     and the canonical dense comparison hom: M/least, discrete, with the
-    quotient map.  An element of the limit picks one class of each member,
-    compatibly; since least refines every member, its class picks all the
-    others.  The product topology is spanned by the fibres of the
-    coordinates, and those of least are points."""
-    quotient, comparison = _quotient_monoid(monoid, flt.least)
+    quotient map, both stored on least (RightCongruence.quotient).  An
+    element of the limit picks one class of each member, compatibly; since
+    least refines every member, its class picks all the others.  The
+    product topology is spanned by the fibres of the coordinates, and those
+    of least are points."""
+    quotient, comparison = flt.least.quotient
     return Completion(quotient, discrete_topology(quotient.order), comparison)
 
 

@@ -238,8 +238,8 @@ def is_two_sided(r: RightCongruence) -> bool:
 
 class CongruenceLattice(tuple):
     """Right congruences in (num_classes, class_of) order, indexed:
-    ``position`` maps a class map to its index, and the row of member i,
-    ``translates(i)``, is built the first time it is asked for.  Translates
+    ``position`` maps a class map to its index, and ``action``, the
+    inverse-image action on the indices, is built on first read.  Translates
     stay in the lattice when it is closed under them: the whole lattice, or
     the lattice above a two-sided congruence.  ``site`` holds the principal
     site on these members once invariants.principal_site has built it, so
@@ -250,7 +250,6 @@ class CongruenceLattice(tuple):
         lattice = super().__new__(cls, members)
         lattice.position = {r.class_of: i for i, r in enumerate(lattice)}
         lattice._table = monoid.table
-        lattice._translates = [None] * len(lattice)
         lattice.site = None
         return lattice
 
@@ -261,14 +260,12 @@ class CongruenceLattice(tuple):
             raise TopactError(f"{r!r} is not in the right-congruence lattice")
         return i
 
-    def translates(self, i: int) -> tuple[int, ...]:
-        """The index of q*(r_i) for each q."""
-        row = self._translates[i]
-        if row is None:
-            cls = self[i].class_of
-            row = self._translates[i] = tuple(
-                self.position[_canonical([cls[t] for t in q_row])] for q_row in self._table)
-        return row
+    @filled_once
+    def action(self) -> tuple[tuple[int, ...], ...]:
+        """Row i: the index of q*(r_i) for each q."""
+        position, table = self.position, self._table
+        return tuple(tuple(position[_canonical([r.class_of[t] for t in q_row])] for q_row in table)
+                     for r in self)
 
 
 def enumerate_congruences(monoid: FiniteMonoid,
@@ -413,9 +410,9 @@ def validate_filter(monoid: FiniteMonoid,
                 if not flt >> lattice.position[meet(r1, r2).class_of] & 1:
                     raise NotDirected(r1, r2)
         raise InternalCheckError("directed finite filter must have a unique minimum")
-    if not all(flt >> t & 1 for t in lattice.translates(index[-1])):
+    if not all(flt >> t & 1 for t in lattice.action[index[-1]]):
         for i in index:
-            for q, t in enumerate(lattice.translates(i)):
+            for q, t in enumerate(lattice.action[i]):
                 if not flt >> t & 1:
                     raise NotEquivariant(q, lattice[i])
     return CongruenceFilter(monoid, mem[-1])

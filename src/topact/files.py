@@ -41,6 +41,7 @@ class Workspace:
     monoids: dict[str, FiniteMonoid] = field(default_factory=dict)
     topologies: dict[str, Topology] = field(default_factory=dict)
     topology_carriers: dict[str, FiniteMonoid] = field(default_factory=dict)
+    topology_points: dict[str, tuple[str, ...]] = field(default_factory=dict)  # carrier names
     msets: dict[str, MSet] = field(default_factory=dict)
     congruences: dict[str, RightCongruence] = field(default_factory=dict)
     filters: dict[str, CongruenceFilter] = field(default_factory=dict)
@@ -153,6 +154,7 @@ def load_file(ws: Workspace, path: Path) -> str:
         elif kind == "topology":
             monoid, topo = parse_topology(obj, ws, path)
             ws.register(ws.topologies, name, topo, str(path))
+            ws.topology_points[name] = tuple(obj["carrier"])
             if monoid is not None:
                 ws.topology_carriers[name] = monoid
         elif kind == "mset":
@@ -197,6 +199,8 @@ def parse_topology(obj: Any, ws: Workspace, path: Path
                    ) -> tuple[Optional[FiniteMonoid], Topology]:
     carrier = list(obj["carrier"])
     index = {n: i for i, n in enumerate(carrier)}
+    if len(index) != len(carrier):
+        raise ParseError(str(path), "carrier names are not unique")
     base = []
     for subset in obj["base"]:
         for v in subset:

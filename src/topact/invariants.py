@@ -42,21 +42,22 @@ class NoZeroElement(TopactError):
 
 
 class BadCategory(TopactError):
-    """Composition table violates a category law."""
+    """A category's data violates a category law."""
 
 
 @dataclass(frozen=True)
 class FiniteCategory:
-    """Objects, globally indexed arrows, and a composition table.
+    """Objects, globally indexed arrows, and their composites.
 
-    compose_table[f][g] is "f then g" when tgt(f) = src(g), else -1.
+    after[f][k] is "f then g" for the k-th arrow g out of tgt(f), in index
+    order; only composable pairs are stored, and then reads them.
     """
 
     objects: tuple[str, ...]
     arrow_names: tuple[str, ...]
     arrow_src: tuple[int, ...]
     arrow_tgt: tuple[int, ...]
-    compose_table: tuple[tuple[int, ...], ...]
+    after: tuple[tuple[int, ...], ...]
     identities: tuple[int, ...]
     epis: frozenset[int]
     monos: frozenset[int]
@@ -64,6 +65,27 @@ class FiniteCategory:
     @property
     def arrow_count(self) -> int:
         return len(self.arrow_names)
+
+    @filled_once
+    def out(self) -> tuple[tuple[int, ...], ...]:
+        """The arrows out of each object, in index order."""
+        out: list[list[int]] = [[] for _ in self.objects]
+        for g, i in enumerate(self.arrow_src):
+            out[i].append(g)
+        return tuple(map(tuple, out))
+
+    @filled_once
+    def rank(self) -> tuple[int, ...]:
+        """Each arrow's position among the arrows out of its source."""
+        rank = [0] * self.arrow_count
+        for arrows in self.out:
+            for k, g in enumerate(arrows):
+                rank[g] = k
+        return tuple(rank)
+
+    def then(self, f: int, g: int) -> int:
+        """f then g, for tgt(f) = src(g)."""
+        return self.after[f][self.rank[g]]
 
     @filled_once
     def fingerprint(self) -> MoritaFingerprint:
@@ -77,16 +99,14 @@ class FiniteCategory:
 def validate_category(cat: FiniteCategory) -> FiniteCategory:
     """Check the category law by law, raising BadCategory at the first
     failure: the shape of the data (list lengths, endpoints among the
-    objects, identities and composites among the arrows, each an int), the
-    identities' endpoints, every table entry against composability and
-    endpoints, the unit laws, and associativity over the composable triples
-    in (f, g, h) order."""
-    src, tgt, table = cat.arrow_src, cat.arrow_tgt, cat.compose_table
+    objects, identities and composites among the arrows, each an int, one
+    composite per arrow out of each arrow's target), the identities'
+    endpoints, the composites' endpoints, the unit laws, and associativity
+    over the composable triples in (f, g, h) order."""
+    src, tgt, after = cat.arrow_src, cat.arrow_tgt, cat.after
     count, objects = cat.arrow_count, len(cat.objects)
     if len(src) != count or len(tgt) != count or len(cat.identities) != objects:
         raise BadCategory("each arrow needs a source and a target, each object an identity")
-    if len(table) != count or any(len(row) != count for row in table):
-        raise BadCategory(f"composition table is not {count} by {count}")
     for f in range(count):
         if not (_is_index(src[f], objects) and _is_index(tgt[f], objects)):
             raise BadCategory(f"arrow {f} has an endpoint that is not an object")
@@ -95,30 +115,24 @@ def validate_category(cat: FiniteCategory) -> FiniteCategory:
             raise BadCategory(f"identity of object {i} is not an arrow")
         if src[ident] != i or tgt[ident] != i:
             raise BadCategory(f"identity of object {i} has wrong endpoints")
+    out = cat.out
+    if len(after) != count or any(len(row) != len(out[j]) for row, j in zip(after, tgt)):
+        raise BadCategory("each arrow needs one composite per arrow out of its target")
     for f in range(count):
-        for g, h in enumerate(table[f]):
-            if not isinstance(h, int):
+        for g, h in zip(out[tgt[f]], after[f]):
+            if not _is_index(h, count):
                 raise BadCategory(f"composite of arrows {f} and {g} is not an arrow")
-            if (tgt[f] == src[g]) != (h >= 0):
-                raise BadCategory("composition table disagrees with composability")
-            if h >= count:
-                raise BadCategory(f"composite of arrows {f} and {g} is not an arrow")
-            if h >= 0 and (src[h] != src[f] or tgt[h] != tgt[g]):
+            if src[h] != src[f] or tgt[h] != tgt[g]:
                 raise BadCategory("composite has wrong endpoints")
     for f in range(count):
-        if table[cat.identities[src[f]]][f] != f:
+        if cat.then(cat.identities[src[f]], f) != f:
             raise BadCategory(f"left unit law fails at arrow {f}")
-        if table[f][cat.identities[tgt[f]]] != f:
+        if cat.then(f, cat.identities[tgt[f]]) != f:
             raise BadCategory(f"right unit law fails at arrow {f}")
-    out: list[list[int]] = [[] for _ in cat.objects]  # arrows by source
-    for g in range(count):
-        out[src[g]].append(g)
     for f in range(count):
-        row_f = table[f]
-        for g in out[tgt[f]]:
-            row_fg, row_g = table[row_f[g]], table[g]
-            for h in out[tgt[g]]:
-                if row_fg[h] != row_f[row_g[h]]:
+        for g, fg in zip(out[tgt[f]], after[f]):
+            for h, gh, fg_h in zip(out[tgt[g]], after[g], after[fg]):
+                if fg_h != cat.then(f, gh):
                     raise BadCategory(f"associativity fails at ({f}, {g}, {h})")
     return cat
 
@@ -127,8 +141,8 @@ def _is_index(value: object, size: int) -> bool:
     return isinstance(value, int) and 0 <= value < size
 
 
-# The composition table is quadratic in the arrows; sites past this many
-# stop with CapExceeded before any table is built.
+# A site stores one composite per composable pair of arrows; sites past
+# this many arrows stop with CapExceeded before any composite is stored.
 MAX_SITE_ARROWS = 4096
 
 
@@ -156,9 +170,11 @@ def _build_site(monoid: FiniteMonoid, members: Sequence[RightCongruence]) -> Fin
     epi or mono from the size of its image, as it is found.
 
     [m]: r_i → r_j composed with [n]: r_j → r_k is [n·m], whose r_k-class
-    is the class map of [n] at the r_j-class of m.
+    is the class map of [n] at the r_j-class of m; the arrows out of r_j
+    are listed together, in index order, so these are the arrow's after row.
     """
     table, names = monoid.table, monoid.elements
+    bracketed = [f"[{name}]" for name in names]  # one string per element, shared by its arrows
     # the r_k-class c is at slot offset[k] + c of the lookup lists, one per
     # source, and the class maps write each class as its slot
     classes, labels, slot_of, offset = [], [], [], [0]
@@ -192,7 +208,7 @@ def _build_site(monoid: FiniteMonoid, members: Sequence[RightCongruence]) -> Fin
                     if f == MAX_SITE_ARROWS:
                         raise CapExceeded("principal-site arrows", f + 1)
                     found[base + c] = f
-                    arrow_names.append(f"[{names[m]}]")
+                    arrow_names.append(bracketed[m])
                     src.append(i)
                     tgt.append(j)
                     slot.append(base + c)
@@ -205,21 +221,16 @@ def _build_site(monoid: FiniteMonoid, members: Sequence[RightCongruence]) -> Fin
         lookup.append(found)
         identities.append(found[offset[i] + cls_i[monoid.identity]])
         start.append(len(src))
-    count = len(src)
     # through[offset[j] + c]: for each [n] out of r_j, the slot of n·m for m in c
     through: list[tuple[int, ...]] = []
     for j in range(len(members)):
         through.extend(zip(*cmaps[start[j]:start[j + 1]]))
-    compose = []
-    for i, j, p in zip(src, tgt, slot):
-        compose.append((-1,) * start[j] + tuple(map(lookup[i].__getitem__, through[p]))
-                       + (-1,) * (count - start[j + 1]))
     return FiniteCategory(
         objects=tuple(labels),
         arrow_names=tuple(arrow_names),
         arrow_src=tuple(src),
         arrow_tgt=tuple(tgt),
-        compose_table=tuple(compose),
+        after=tuple(tuple(map(lookup[i].__getitem__, through[p])) for i, p in zip(src, slot)),
         identities=tuple(identities),
         epis=frozenset(epis),
         monos=frozenset(monos),
@@ -233,22 +244,17 @@ def make_category(objects: Sequence[str],
                   epis: Sequence[int],
                   monos: Sequence[int] = ()) -> FiniteCategory:
     """Assemble and validate a hand-built category; compose(f, g) is
-    "f then g" on arrow indices."""
-    table = []
-    for f in range(len(arrows)):
-        row = []
-        for g in range(len(arrows)):
-            if arrows[f][2] != arrows[g][1]:
-                row.append(-1)
-            else:
-                row.append(compose(f, g))
-        table.append(tuple(row))
+    "f then g" on arrow indices, called on the composable pairs only."""
+    out: dict[int, list[int]] = {}
+    for g, (_, i, _) in enumerate(arrows):
+        out.setdefault(i, []).append(g)
     cat = FiniteCategory(
         objects=tuple(objects),
         arrow_names=tuple(a[0] for a in arrows),
         arrow_src=tuple(a[1] for a in arrows),
         arrow_tgt=tuple(a[2] for a in arrows),
-        compose_table=tuple(table),
+        after=tuple(tuple(compose(f, g) for g in out.get(j, ()))
+                    for f, (_, _, j) in enumerate(arrows)),
         identities=tuple(identities),
         epis=frozenset(epis),
         monos=frozenset(monos),
@@ -256,37 +262,32 @@ def make_category(objects: Sequence[str],
     return validate_category(cat)
 
 
-def _hom_counts(cat: FiniteCategory
-                ) -> tuple[list[list[int]], dict[tuple[int, int], list[int]]]:
+def _hom_counts(cat: FiniteCategory) -> list[list[int]]:
     """One pass over the arrows: the (hom, epi, mono) counts of every ordered
-    pair of objects (i, j), at position i·k + j for k objects, and the
-    arrows from i to j for every pair of distinct objects that has one."""
+    pair of objects (i, j), at position i·k + j for k objects."""
     k = len(cat.objects)
     counts = [[0, 0, 0] for _ in range(k * k)]
-    between: dict[tuple[int, int], list[int]] = {}
     for f, (i, j) in enumerate(zip(cat.arrow_src, cat.arrow_tgt)):
         count = counts[i * k + j]
         count[0] += 1
         count[1] += f in cat.epis
         count[2] += f in cat.monos
-        if i != j:
-            between.setdefault((i, j), []).append(f)
-    return counts, between
+    return counts
 
 
-def _iso_representatives(cat: FiniteCategory,
-                         between: dict[tuple[int, int], list[int]]) -> list[int]:
+def _iso_representatives(cat: FiniteCategory) -> list[int]:
     """The least object of each iso class, in order: j is one when no i < j
-    has f: i → j and g: j → i (from _hom_counts) composing to both
+    has f: i → j and g: j → i, read from f's after row, composing to both
     identities.  Every pair is tested, so no transitive step is needed."""
-    table, ident = cat.compose_table, cat.identities
+    out, tgt, ident = cat.out, cat.arrow_tgt, cat.identities
     above: set[int] = set()
-    for (i, j), forth in between.items():
-        back = between.get((j, i))
-        if i < j and back and j not in above and any(
-                table[f][g] == ident[i] and table[g][f] == ident[j]
-                for f in forth for g in back):
-            above.add(j)
+    for i, arrows in enumerate(out):
+        for f in arrows:
+            j = tgt[f]
+            if i < j and j not in above and any(
+                    tgt[g] == i and fg == ident[i] and cat.then(g, f) == ident[j]
+                    for g, fg in zip(out[j], cat.after[f])):
+                above.add(j)
     return [i for i in range(len(cat.objects)) if i not in above]
 
 
@@ -308,9 +309,9 @@ def morita_fingerprint(cat: FiniteCategory) -> MoritaFingerprint:
 
 
 def _fingerprint(cat: FiniteCategory) -> MoritaFingerprint:
-    counts, between = _hom_counts(cat)
+    counts = _hom_counts(cat)
     k = len(cat.objects)
-    reps = _iso_representatives(cat, between)
+    reps = _iso_representatives(cat)
     n = len(reps)
     raw = [[counts[a * k + b] for b in reps] for a in reps]
     # canonicalize only within invariantly-computed profile groups; the
@@ -354,7 +355,7 @@ def categories_equivalent(c1: FiniteCategory, c2: FiniteCategory) -> Equivalence
     s1, o1 = _skeleton(c1)
     s2, o2 = _skeleton(c2)
     if (len(s1.objects) > MAX_ISO_CLASSES
-            or max((count[0] for count in _hom_counts(s1)[0]), default=0) > MAX_HOM_SET):
+            or max((count[0] for count in _hom_counts(s1)), default=0) > MAX_HOM_SET):
         return EquivalenceVerdict("unknown", "beyond search caps")
     witness = _find_isomorphism(s1, s2)
     if witness is None:
@@ -367,20 +368,18 @@ def categories_equivalent(c1: FiniteCategory, c2: FiniteCategory) -> Equivalence
 
 def _skeleton(cat: FiniteCategory) -> tuple[FiniteCategory, tuple[int, ...]]:
     """Full subcategory on one object per iso class."""
-    reps = tuple(_iso_representatives(cat, _hom_counts(cat)[1]))
+    reps = tuple(_iso_representatives(cat))
     keep = [f for f in range(cat.arrow_count)
             if cat.arrow_src[f] in reps and cat.arrow_tgt[f] in reps]
     arrow_pos = {f: i for i, f in enumerate(keep)}
     obj_pos = {o: i for i, o in enumerate(reps)}
-    table = tuple(tuple(arrow_pos[cat.compose_table[f][g]]
-                        if cat.compose_table[f][g] >= 0 else -1
-                        for g in keep) for f in keep)
     sk = FiniteCategory(
         objects=tuple(cat.objects[o] for o in reps),
         arrow_names=tuple(cat.arrow_names[f] for f in keep),
         arrow_src=tuple(obj_pos[cat.arrow_src[f]] for f in keep),
         arrow_tgt=tuple(obj_pos[cat.arrow_tgt[f]] for f in keep),
-        compose_table=table,
+        after=tuple(tuple(arrow_pos[h] for g, h in zip(cat.out[cat.arrow_tgt[f]], cat.after[f])
+                          if g in arrow_pos) for f in keep),
         identities=tuple(arrow_pos[cat.identities[o]] for o in reps),
         epis=frozenset(arrow_pos[f] for f in keep if f in cat.epis),
         monos=frozenset(arrow_pos[f] for f in keep if f in cat.monos),
@@ -393,7 +392,7 @@ def _find_isomorphism(c1: FiniteCategory, c2: FiniteCategory
     k = len(c1.objects)
     if k != len(c2.objects) or c1.arrow_count != c2.arrow_count:
         return None
-    counts1, counts2 = _hom_counts(c1)[0], _hom_counts(c2)[0]
+    counts1, counts2 = _hom_counts(c1), _hom_counts(c2)
     for obj_map in itertools.permutations(range(k)):
         if any(counts1[i * k + j] != counts2[obj_map[i] * k + obj_map[j]]
                for i in range(k) for j in range(k)):
@@ -412,13 +411,12 @@ def _match_arrows(c1: FiniteCategory, c2: FiniteCategory,
     when the last of its three arrows is assigned (as catalog.all_monoids
     checks a triple once its last product is placed), so every full
     assignment is a functor."""
-    count, table2 = c1.arrow_count, c2.compose_table
+    count = c1.arrow_count
     # last[k]: the composites (f, g, f then g) whose greatest arrow is k
     last: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
-    for f, row in enumerate(c1.compose_table):
-        for g, h in enumerate(row):
-            if h >= 0:
-                last[max(f, g, h)].append((f, g, h))
+    for f, (j, row) in enumerate(zip(c1.arrow_tgt, c1.after)):
+        for g, h in zip(c1.out[j], row):
+            last[max(f, g, h)].append((f, g, h))
     assignment: list[int] = []
 
     def consistent(f: int, image: int) -> bool:
@@ -444,7 +442,7 @@ def _match_arrows(c1: FiniteCategory, c2: FiniteCategory,
             if image in used or not consistent(f, image):
                 continue
             assignment.append(image)
-            if all(table2[assignment[a]][assignment[b]] == assignment[h]
+            if all(c2.then(assignment[a], assignment[b]) == assignment[h]
                    for a, b, h in last[f]):
                 used.add(image)
                 if search(f + 1):

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .actions import MSet, continuous_points
-from .congruences import (CongruenceFilter, RightCongruence, _canonical, _quotient_monoid,
-                          enumerate_congruences, least_open_congruence)
+from .congruences import (CongruenceFilter, RightCongruence, _canonical, enumerate_congruences,
+                          least_open_congruence)
 from .errors import MAX_LISTING, CapExceeded, InternalCheckError, TopactError
 from .monoid import FiniteMonoid, SemigroupHom, opposite
 from .topology import Topology, discrete_topology, generate_topology, separation_report
@@ -167,7 +167,7 @@ def t0_quotient(monoid: FiniteMonoid, topology: Topology
         raise NotTopologicalMonoid("T0 quotient needs continuous multiplication")
     nb = topology.nbhd
     cong = RightCongruence(monoid, _canonical(nb))
-    quotient, projection = _quotient_monoid(monoid, cong)
+    quotient, projection = cong.quotient
     q_top = Topology(quotient.order, tuple(mask_of(cong.class_of[m] for m in bits(nb[rep]))
                                            for rep in cong.representatives()))
     return quotient, q_top, projection
@@ -237,19 +237,17 @@ def is_topological_filter(monoid: FiniteMonoid, flt: CongruenceFilter
 def congruence_set(monoid: FiniteMonoid) -> MSet:
     """All right congruences as an M-set under the inverse-image action."""
     lattice = enumerate_congruences(monoid)
-    act = tuple(map(lattice.translates, range(len(lattice))))
-    return MSet(monoid, tuple(r.label() for r in lattice), act)
+    return MSet(monoid, tuple(r.label() for r in lattice), lattice.action)
 
 
 def congruence_hat_topology(monoid: FiniteMonoid, topology: Topology) -> Topology:
     """Counterexample support, not a reflection: span a topology by the
     classes of the continuous congruences, the continuous points of
-    congruence_set read from the lattice's translate rows.  Its category of
+    congruence_set read from the lattice's stored action.  Its category of
     continuous actions can differ from the input's."""
     lattice = enumerate_congruences(monoid)
-    act = tuple(map(lattice.translates, range(len(lattice))))
     base = []
-    for i in bits(continuous_points(act, topology)):
+    for i in bits(continuous_points(lattice.action, topology)):
         for cls in lattice[i].classes():
             base.append(mask_of(cls))
     return generate_topology(monoid.order, base)

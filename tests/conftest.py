@@ -455,8 +455,8 @@ def iso_classes_by_scan(cat):
         if i == j:
             continue
         for g in hom_by_scan(cat, j, i):
-            if (cat.compose_table[f][g] == cat.identities[i]
-                    and cat.compose_table[g][f] == cat.identities[j]):
+            if (cat.then(f, g) == cat.identities[i]
+                    and cat.then(g, f) == cat.identities[j]):
                 iso[i].add(j)
                 iso[j].add(i)
     classes = []
@@ -531,11 +531,10 @@ def match_arrows_by_full_check(c1, c2, obj_map):
                 continue
             for a, b, ia, ib in ((f, g, image, assignment[g]),
                                  (g, f, assignment[g], image)):
-                h = c1.compose_table[a][b]
-                if h >= 0:
-                    h2 = c2.compose_table[ia][ib]
-                    if h2 < 0:
+                if c1.arrow_tgt[a] == c1.arrow_src[b]:
+                    if c2.arrow_tgt[ia] != c2.arrow_src[ib]:
                         return False
+                    h, h2 = c1.then(a, b), c2.then(ia, ib)
                     if assignment[h] >= 0 and assignment[h] != h2:
                         return False
         return True
@@ -566,8 +565,12 @@ def full_functor_check(c1, c2, assignment):
     """Every composite of c1 goes to the composite of the images."""
     for f in range(c1.arrow_count):
         for g in range(c1.arrow_count):
-            h = c1.compose_table[f][g]
-            if h >= 0 and c2.compose_table[assignment[f]][assignment[g]] != assignment[h]:
+            if c1.arrow_tgt[f] != c1.arrow_src[g]:
+                continue
+            af, ag = assignment[f], assignment[g]
+            if c2.arrow_tgt[af] != c2.arrow_src[ag]:
+                return False
+            if c2.then(af, ag) != assignment[c1.then(f, g)]:
                 return False
     return True
 

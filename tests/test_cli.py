@@ -130,6 +130,21 @@ def test_filter_over_another_monoid_exits_2(fixture_dir, capsys, argv):
         in capsys.readouterr().err
 
 
+def test_topology_naming_no_monoid_must_list_the_elements_in_order(tmp_path, capsys):
+    # the same two names as the monoid's elements, in the other order: read
+    # by position, the base {1} would land on a
+    (tmp_path / "M.json").write_text(json.dumps(
+        {"elements": ["1", "a"], "identity": "1", "table": [["1", "a"], ["a", "a"]]}))
+    (tmp_path / "T.json").write_text(json.dumps({"carrier": ["a", "1"], "base": [["1"]]}))
+    m, t = str(tmp_path / "M.json"), str(tmp_path / "T.json")
+    for argv in (["analyze", m, t], ["site", m, "--filter", "open@" + t]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: topology 'T' lives on a different carrier: "
+                                "its points are not the monoid's elements, in order\n")
+
+
 def test_complete_with_open_filter(fixture_dir, capsys):
     assert main(["complete", path(fixture_dir, "M_LZ.json"),
                  "--filter", "open@" + path(fixture_dir, "tau_A.json")]) == 0
@@ -490,6 +505,7 @@ def test_values_of_the_wrong_type_exit_2_naming_the_file(fixture_dir, capsys, na
      "base subset mentions unknown element 'q'"),
     ({"monoid": "C4.json", "carrier": ["0", "1", "2", "x"], "base": []},
      "topology carrier does not match its monoid's elements"),
+    ({"carrier": ["1", "1"], "base": [["1"]]}, "carrier names are not unique"),
     ({"monoid": "C4.json", "carrier": ["a"], "action": [["a", "a"]]},
      "action row 0 must list one value per monoid element"),
     ({"monoid": "C4.json", "classes": [["0", "2"], ["0", "1", "3"]]},
@@ -499,7 +515,7 @@ def test_values_of_the_wrong_type_exit_2_naming_the_file(fixture_dir, capsys, na
     ({"source": "C4.json", "target": "C2.json", "map": {"0": "0", "1": "1", "2": "0"}},
      "map is missing element '3'"),
 ], ids=["top-level", "kind", "unique-names", "identity", "table-row", "base", "carrier",
-        "action-row", "two-classes", "partition", "map"])
+        "unique-carrier-names", "action-row", "two-classes", "partition", "map"])
 def test_parse_errors_name_the_bad_file_among_several(fixture_dir, capsys, obj, message):
     (fixture_dir / "bad.json").write_text(json.dumps(obj))
     assert main(["validate", path(fixture_dir, "C4.json"), path(fixture_dir, "bad.json")]) == 2

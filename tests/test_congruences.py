@@ -12,7 +12,7 @@ from topact import congruences, files
 from topact.catalog import all_monoids, all_topologies, cyclic, truncated_addition
 from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, InvalidFilter,
                                 NotDirected, NotEquivariant,
-                                NotStable, NotUpwardClosed, RightCongruence,
+                                NotStable, NotUpwardClosed, RightCongruence, _quotient_monoid,
                                 congruence_from_class_map,
                                 diagonal, enumerate_congruences, enumerate_filters,
                                 filter_generated, full_filter, generated_congruence,
@@ -21,7 +21,6 @@ from topact.congruences import (CapExceeded, CongruenceFilter, EmptyFilter, Inva
                                 open_congruences, total, validate_filter)
 from topact.errors import InternalCheckError, TopactError
 from topact.suite import exhaustive_suite
-from topact.reflections import _quotient_monoid
 from topact.topology import (connected_components, discrete_topology, indiscrete_topology,
                              is_open_in_product, partition_topology)
 

@@ -35,7 +35,8 @@ from topact.topology import discrete_topology
 
 
 def relabeled_category(cat, rng):
-    """Shuffle object and arrow indexing; the fingerprint must not move."""
+    """Shuffle object and arrow indexing; the fingerprint must not move.
+    The arrows out of one object end up scattered over the indices."""
     k = len(cat.objects)
     obj_perm = list(range(k))
     rng.shuffle(obj_perm)
@@ -44,17 +45,16 @@ def relabeled_category(cat, rng):
     inv = [0] * cat.arrow_count
     for new, old in enumerate(arrow_perm):
         inv[old] = new
-    table = [[-1] * cat.arrow_count for _ in range(cat.arrow_count)]
-    for f in range(cat.arrow_count):
-        for g in range(cat.arrow_count):
-            h = cat.compose_table[f][g]
-            table[inv[f]][inv[g]] = inv[h] if h >= 0 else -1
+    src = tuple(obj_perm[cat.arrow_src[arrow_perm[i]]] for i in range(cat.arrow_count))
+    tgt = tuple(obj_perm[cat.arrow_tgt[arrow_perm[i]]] for i in range(cat.arrow_count))
+    out = [[g for g in range(cat.arrow_count) if src[g] == o] for o in range(k)]
     return FiniteCategory(
         objects=tuple(cat.objects[obj_perm.index(i)] for i in range(k)),
         arrow_names=tuple(cat.arrow_names[arrow_perm[i]] for i in range(cat.arrow_count)),
-        arrow_src=tuple(obj_perm[cat.arrow_src[arrow_perm[i]]] for i in range(cat.arrow_count)),
-        arrow_tgt=tuple(obj_perm[cat.arrow_tgt[arrow_perm[i]]] for i in range(cat.arrow_count)),
-        compose_table=tuple(tuple(row) for row in table),
+        arrow_src=src,
+        arrow_tgt=tgt,
+        after=tuple(tuple(inv[cat.then(arrow_perm[f], arrow_perm[g])] for g in out[tgt[f]])
+                    for f in range(cat.arrow_count)),
         identities=tuple(inv[cat.identities[obj_perm.index(i)]] for i in range(k)),
         epis=frozenset(inv[f] for f in cat.epis),
         monos=frozenset(inv[f] for f in cat.monos),
@@ -141,11 +141,11 @@ def principal_site_by_hom_classes(monoid, flt):
               for j, r2 in enumerate(members) for m in hom_classes(flt, r1, r2)]
     lookup = {(i, j, members[j].class_of[m]): idx
               for idx, (i, j, m) in enumerate(arrows)}
-    compose = []
+    after = []
     for i, j, m in arrows:
-        compose.append(tuple(
-            lookup[(i, k, members[k].class_of[monoid.table[n][m]])] if j == j2 else -1
-            for j2, k, n in arrows))
+        after.append(tuple(
+            lookup[(i, k, members[k].class_of[monoid.table[n][m]])]
+            for j2, k, n in arrows if j2 == j))
     epis, monos = set(), set()
     for idx, (i, j, m) in enumerate(arrows):
         cmap = [members[j].class_of[monoid.table[m][rep]]
@@ -159,7 +159,7 @@ def principal_site_by_hom_classes(monoid, flt):
         arrow_names=tuple(f"[{monoid.elements[m]}]" for _, _, m in arrows),
         arrow_src=tuple(a[0] for a in arrows),
         arrow_tgt=tuple(a[1] for a in arrows),
-        compose_table=tuple(compose),
+        after=tuple(after),
         identities=tuple(lookup[(i, i, r.class_of[monoid.identity])]
                          for i, r in enumerate(members)),
         epis=frozenset(epis),
@@ -186,7 +186,7 @@ def test_principal_site_matches_oracle_on_transformation_monoids(data):
     monoid = data.draw(transformation_monoids(points=4, orders=(5, 10)))
     topology = data.draw(preorder_topologies(monoid.order))
     for flt in (open_congruences(monoid, topology), full_filter(monoid)):
-        # the composition table grows with the square of the arrows, which
+        # the oracle's composites grow with the square of the arrows, which
         # grow with the square of the members
         if len(flt.members) <= 16:
             assert principal_site(monoid, flt) == principal_site_by_hom_classes(monoid, flt)
@@ -221,7 +221,7 @@ def test_identity_and_composition_laws_hold_on_all_small_sites():
 def test_marked_epis_cancel_on_the_left_and_marked_monos_on_the_right_on_all_small_sites():
     """A site arrow is fixed by its class map, so a class-surjective arrow
     (marked epi) is an epimorphism and a class-injective one (marked mono)
-    a monomorphism: read on the composition table, f then g differs for
+    a monomorphism: read on the composites, f then g differs for
     distinct g into one target, and g then f for distinct g from one
     source.  On every site through order 4 the converse holds too: an arrow
     that cancels so is marked."""
@@ -230,15 +230,15 @@ def test_marked_epis_cancel_on_the_left_and_marked_monos_on_the_right_on_all_sma
         for monoid in all_monoids(order):
             for flt in enumerate_filters(monoid):
                 site = principal_site(monoid, flt)
-                table, src, tgt = site.compose_table, site.arrow_src, site.arrow_tgt
+                src, tgt = site.arrow_src, site.arrow_tgt
                 arrows = range(site.arrow_count)
                 for f in arrows:
                     after, before = {}, {}
                     for g in arrows:
                         if src[g] == tgt[f]:
-                            after.setdefault(tgt[g], []).append(table[f][g])
+                            after.setdefault(tgt[g], []).append(site.then(f, g))
                         if tgt[g] == src[f]:
-                            before.setdefault(src[g], []).append(table[g][f])
+                            before.setdefault(src[g], []).append(site.then(g, f))
                     assert (f in site.epis) == all(len(set(hs)) == len(hs)
                                                    for hs in after.values())
                     assert (f in site.monos) == all(len(set(hs)) == len(hs)
@@ -740,7 +740,7 @@ def test_endomorphisms_of_r0_in_the_site_form_the_powder_monoid():
         pos = {f: k for k, f in enumerate(arrows)}
         endo = validate_monoid(
             [site.arrow_names[f] for f in arrows],
-            [[pos[site.compose_table[f][g]] for g in arrows] for f in arrows],
+            [[pos[site.then(f, g)] for g in arrows] for f in arrows],
             pos[site.identities[r0]])
         powder = powder_reflection(monoid, topology).monoid
         assert endo.order == powder.order
@@ -797,8 +797,8 @@ def test_bad_category_rejected():
                       lambda f, g: 0, [0], [], [])
 
 
-def one_object(table, identities=(0,), src=(0, 0), tgt=(0, 0), objects=("*",)):
-    return FiniteCategory(objects, ("e", "a"), src, tgt, table, identities,
+def one_object(after, identities=(0,), src=(0, 0), tgt=(0, 0), objects=("*",)):
+    return FiniteCategory(objects, ("e", "a"), src, tgt, after, identities,
                           frozenset(), frozenset())
 
 
@@ -806,8 +806,8 @@ def one_object(table, identities=(0,), src=(0, 0), tgt=(0, 0), objects=("*",)):
     (one_object(((0, 1), (1, 2))), "composite of arrows 1 and 1 is not an arrow"),
     (one_object(((0, 1), (1, 0)), identities=(2,)), "identity of object 0 is not an arrow"),
     (one_object(((0, 1), (1, 0)), identities=(-1,)), "identity of object 0 is not an arrow"),
-    (one_object(((0, 1), (1,))), "composition table is not 2 by 2"),
-    (one_object(((0, 1),)), "composition table is not 2 by 2"),
+    (one_object(((0, 1), (1,))), "each arrow needs one composite per arrow out of its target"),
+    (one_object(((0, 1),)), "each arrow needs one composite per arrow out of its target"),
     (one_object(((0, 1), (1, 0)), tgt=(0, 1)), "arrow 1 has an endpoint that is not an object"),
     (one_object(((0, 1), (1, 0)), src=(0, -1)), "arrow 1 has an endpoint that is not an object"),
     (one_object(((0, 1), (1, 0)), src=(0,)),
@@ -837,10 +837,13 @@ def bad_category_message(check, cat):
     return None
 
 
-def with_entry(cat, f, g, value):
-    table = [list(row) for row in cat.compose_table]
-    table[f][g] = value
-    return dataclasses.replace(cat, compose_table=tuple(tuple(row) for row in table))
+def with_entry(cat, f, k, value):
+    """cat with the composite of f and the k-th arrow out of tgt(f) set to
+    value; k past the end of f's row appends it, a composite stored for a
+    pair that does not compose."""
+    after = [list(row) for row in cat.after]
+    after[f][k:k + 1] = [value]
+    return dataclasses.replace(cat, after=tuple(tuple(row) for row in after))
 
 
 def with_endpoint(cat, field, f, obj):
@@ -854,14 +857,11 @@ def faults(cat, rng):
     a sample of them can be built alone: every composite changed (to an
     arrow with the same endpoints where there is one, so that the unit laws
     and associativity are reached), every arrow's source or target moved,
-    and every composable entry, and one entry that does not compose,
-    flipped."""
+    every composite set to -1, and one composite appended to a row."""
     arrows = range(cat.arrow_count)
-    table = cat.compose_table
-    pairs = [(f, g) for f in arrows for g in arrows if table[f][g] >= 0]
-    apart = [(f, g) for f in arrows for g in arrows if table[f][g] < 0]
+    pairs = [(f, k) for f in arrows for k in range(len(cat.after[f]))]
     for f, g in pairs:
-        h = table[f][g]
+        h = cat.after[f][g]
         parallel = [k for k in arrows if k != h and cat.arrow_src[k] == cat.arrow_src[h]
                     and cat.arrow_tgt[k] == cat.arrow_tgt[h]]
         others = parallel or [k for k in arrows if k != h]
@@ -875,9 +875,8 @@ def faults(cat, rng):
                                   rng.choice([o for o in range(len(cat.objects)) if o != old]))
     for f, g in pairs:
         yield with_entry, (cat, f, g, -1)
-    if apart:
-        f, g = rng.choice(apart)
-        yield with_entry, (cat, f, g, rng.choice(arrows))
+    f = rng.choice(arrows)
+    yield with_entry, (cat, f, len(cat.after[f]), rng.choice(arrows))
 
 
 def corruptions(cat, rng):
@@ -893,15 +892,14 @@ def test_validate_category_names_every_fault_kind_on_corrupted_sites():
     for monoid in all_monoids(1) + all_monoids(2) + all_monoids(3):
         for flt in enumerate_filters(monoid):
             site = principal_site(monoid, flt)
-            negated = dataclasses.replace(site, compose_table=tuple(
-                tuple(-2 if h < 0 else h for h in row) for row in site.compose_table))
-            for cat in (site, negated, *corruptions(site, rng)):
+            for cat in (site, *corruptions(site, rng)):
                 message = bad_category_message(validate_category, cat)
                 seen.add(re.sub(r"\d+", "N", message) if message else None)
                 cases += 1
     assert cases > 1000
     assert seen == {None, "identity of object N has wrong endpoints",
-                    "composition table disagrees with composability",
+                    "each arrow needs one composite per arrow out of its target",
+                    "composite of arrows N and N is not an arrow",
                     "composite has wrong endpoints", "left unit law fails at arrow N",
                     "right unit law fails at arrow N", "associativity fails at (N, N, N)"}
 

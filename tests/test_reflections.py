@@ -13,21 +13,22 @@ from conftest import (atom_image_congruence, full_transformation_monoid,
 from topact.actions import (continuous_part, is_continuous_mset, necessary_clopen,
                             orbit_congruence, power_of_m, quotient_mset)
 from topact.catalog import all_monoids, all_topologies, cyclic
-from topact.congruences import (RightCongruence, _partition_topology,
+from topact.congruences import (CongruenceLattice, RightCongruence, _partition_topology,
+                                _quotient_monoid,
                                 congruence_from_class_map, diagonal,
                                 enumerate_congruences, enumerate_filters, filter_generated,
                                 full_filter, generated_congruence, inverse_image_congruence,
                                 is_two_sided, open_congruences, total)
 from topact.errors import CapExceeded
 from topact.monoid import FiniteMonoid, opposite, validate_hom, validate_monoid
-from topact.reflections import (NotTopologicalMonoid, _quotient_monoid,
+from topact.reflections import (NotTopologicalMonoid,
                                 congruence_hat_topology, congruence_set,
                                 continuous_subsets,
                                 induced_topology_from_filter, is_topological_filter,
                                 is_topological_monoid, least_open_congruence,
                                 left_action_topology, mult_continuous_core,
                                 powder_reflection, t0_quotient, two_sided_commutation)
-from topact.invariants import monoids_isomorphic
+from topact.invariants import FiniteCategory, monoids_isomorphic
 from topact.topology import (discrete_topology, generate_topology,
                              indiscrete_topology, is_open_in_product,
                              partition_topology, separation_report)
@@ -270,11 +271,18 @@ FILLED_ONCE = [
     (lambda: cyclic(5), ("columns",)),
     (lambda: continuous_subsets(cyclic(4), partition_topology(4, [[0, 2], [1, 3]])),
      ("continuous_sets",)),
+    # the identities of a and b and one arrow a → b, unvalidated, so that
+    # nothing has read out or rank yet
+    (lambda: FiniteCategory(("a", "b"), ("ida", "idb", "f"), (0, 1, 0), (0, 1, 1),
+                            ((0, 2), (1,), (2,)), (0, 1), frozenset(), frozenset()),
+     ("out", "rank", "fingerprint")),
+    (lambda: CongruenceLattice(cyclic(4), enumerate_congruences(cyclic(4))), ("action",)),
 ]
 
 
 @pytest.mark.parametrize("build, names", FILLED_ONCE,
-                         ids=["Topology", "FiniteMonoid", "ActionTopologyReport"])
+                         ids=["Topology", "FiniteMonoid", "ActionTopologyReport",
+                              "FiniteCategory", "CongruenceLattice"])
 def test_filled_values_sit_on_the_instance_and_leave_eq_hash_repr(build, names):
     value, fresh = build(), build()
     before = (hash(value), repr(value))
