@@ -18,8 +18,8 @@ from .reflections import continuous_subsets
 from .topology import Topology, partition_topology
 from .util import bits, mask_of
 
-MAX_ENUM_ORDER = 4
-MAX_ENUM_CARRIER = 4
+MAX_ENUM_ORDER = 5
+MAX_ENUM_CARRIER = 5
 
 
 def cyclic(n: int) -> FiniteMonoid:

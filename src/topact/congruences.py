@@ -440,14 +440,23 @@ def full_filter(monoid: FiniteMonoid) -> CongruenceFilter:
 R0_MEMO_SIZE = 16
 
 
-@lru_cache(maxsize=R0_MEMO_SIZE)
 def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCongruence:
-    """r0, the least open right congruence, in one union-find pass, returned
-    as the monoid's one stored congruence with r0's class map (monoid.r0s),
-    so that the values built on it (its partition topology, the action
-    topology, and its quotient, the powder monoid) are built once per
-    (monoid, r0).  The last R0_MEMO_SIZE (monoid, topology) pairs are
-    memoized.
+    """r0, the least open right congruence, as the monoid's one stored
+    congruence with r0's class map (monoid.r0s), so that the values built on
+    it (its partition topology, the action topology, and its quotient, the
+    powder monoid) are built once per (monoid, r0)."""
+    class_of = _r0_class_map(monoid, topology)
+    stored = monoid.r0s.get(class_of)
+    if stored is None:
+        stored = monoid.r0s[class_of] = RightCongruence(monoid, class_of)
+    return stored
+
+
+@lru_cache(maxsize=R0_MEMO_SIZE)
+def _r0_class_map(monoid: FiniteMonoid, topology: Topology) -> tuple[int, ...]:
+    """r0's canonical class map, in one union-find pass.  The last
+    R0_MEMO_SIZE (monoid, topology) pairs are memoized; the memo compares
+    monoids by value, so it holds class maps, never a monoid's stored r0.
 
     A right congruence r is open iff every q*(r) has open, hence clopen,
     classes, i.e. iff r relates q·a and q·b whenever a and b lie in one
@@ -496,11 +505,12 @@ def least_open_congruence(monoid: FiniteMonoid, topology: Topology) -> RightCong
         for x, y in zip(monoid.columns[a], monoid.columns[b]):
             if label[x] != label[y]:
                 merge(x, y)
-    class_of = _canonical(label)
-    stored = monoid.r0s.get(class_of)
-    if stored is None:
-        stored = monoid.r0s[class_of] = RightCongruence(monoid, class_of)
-    return stored
+    return _canonical(label)
+
+
+# the memo's statistics and reset, under the name callers know
+least_open_congruence.cache_info = _r0_class_map.cache_info
+least_open_congruence.cache_clear = _r0_class_map.cache_clear
 
 
 def open_congruences(monoid: FiniteMonoid, topology: Topology) -> CongruenceFilter:

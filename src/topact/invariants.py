@@ -312,25 +312,36 @@ def _fingerprint(cat: FiniteCategory) -> MoritaFingerprint:
     counts = _hom_counts(cat)
     k = len(cat.objects)
     reps = _iso_representatives(cat)
-    n = len(reps)
-    raw = [[counts[a * k + b] for b in reps] for a in reps]
-    # canonicalize only within invariantly-computed profile groups; the
-    # restricted minimum is still a relabeling invariant and stays cheap
+    raw = [[tuple(counts[a * k + b]) for b in reps] for a in reps]
     profile = [(row[i], sorted(row), sorted([r[i] for r in raw])) for i, row in enumerate(raw)]
-    order = sorted(range(n), key=profile.__getitem__)
-    orders = [order]
-    lo = 0
-    for hi in range(1, n + 1):
-        if hi == n or profile[order[hi]] != profile[order[lo]]:
-            if hi - lo > 1:
-                orders = [perm[:lo] + list(part) + perm[hi:] for perm in orders
-                          for part in itertools.permutations(order[lo:hi])]
-            lo = hi
-    best = min(tuple([tuple([tuple(raw[a][b]) for b in perm]) for a in perm])
-               for perm in orders)
+    # the least matrix over the orders sorting the objects by profile (still a
+    # relabeling invariant), row by row: placing a next fixes its least row, the
+    # entries at the placed positions, raw[a][a], then each remaining cell split
+    # by a's entries, ascending; only the candidates with the least row go on,
+    # and a branch past the best matrix's prefix is cut
+    best, stack = [], [([], [], _split([range(len(raw))], profile.__getitem__))]
+    while stack:
+        rows, placed, cells = stack.pop()
+        if best and rows > best[:len(rows)]:
+            continue
+        if not cells:
+            best = rows
+            continue
+        options = []
+        for a in cells[0]:
+            split = _split([[b for b in cells[0] if b != a]] + cells[1:], raw[a].__getitem__)
+            order = placed + [a] + [b for cell in split for b in cell]
+            options.append((tuple(map(raw[a].__getitem__, order)), a, split))
+        least = min(options)[0]
+        stack += [(rows + [row], placed + [a], split) for row, a, split in options if row == least]
     # an object is terminal when its sorted column starts and ends with one arrow
     has_terminal = any(column[0][0] == column[-1][0] == 1 for _, _, column in profile)
-    return MoritaFingerprint(n, best, has_terminal)
+    return MoritaFingerprint(len(raw), tuple(best), has_terminal)
+
+
+def _split(cells: list, key: Callable) -> list[list[int]]:
+    """Each cell cut into runs of equal key, in ascending order of key."""
+    return [list(g) for cell in cells for _, g in itertools.groupby(sorted(cell, key=key), key)]
 
 
 @dataclass(frozen=True)

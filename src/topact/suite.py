@@ -3,7 +3,8 @@
 Runs every registered invariant over all monoids up to isomorphism and all
 topologies on their carriers (and all equivariant filters), collecting
 pass/fail counts and a minimal counterexample per invariant.  Its caps are
-the catalog's enumeration bounds: monoid order 4, topology carrier 4.
+the catalog's enumeration bounds, catalog.MAX_ENUM_ORDER and
+catalog.MAX_ENUM_CARRIER (5 each), read when the suite starts.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import catalog
 from .actions import is_continuous_mset, quotient_mset
-from .catalog import MAX_ENUM_CARRIER, MAX_ENUM_ORDER, all_monoids, all_topologies
+from .catalog import all_monoids, all_topologies
 from .completion import closedness_report, complete, prodiscrete_criteria
 from .congruences import enumerate_filters, full_filter, open_congruences
 from .errors import CapExceeded, TopactError
@@ -65,9 +67,10 @@ class SuiteSummary:
 
 
 def exhaustive_suite(order_bound: int = 3, topology_bound: int = 3) -> SuiteSummary:
-    for what, bound, least, cap in (("suite monoid order", order_bound, 1, MAX_ENUM_ORDER),
+    for what, bound, least, cap in (("suite monoid order", order_bound, 1,
+                                     catalog.MAX_ENUM_ORDER),
                                     ("suite topology carrier", topology_bound, 0,
-                                     MAX_ENUM_CARRIER)):
+                                     catalog.MAX_ENUM_CARRIER)):
         if bound > cap:
             raise CapExceeded(what, bound)
         if bound < least:

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from topact.catalog import (MAX_ENUM_CARRIER, MAX_ENUM_ORDER, cyclic, left_zeros,
-                            left_zero_split_topology, right_zeros, truncated_addition,
-                            trivial_monoid, two_idempotents)
+from topact.catalog import (cyclic, left_zeros, left_zero_split_topology, right_zeros,
+                            truncated_addition, trivial_monoid, two_idempotents)
 from topact.actions import MSet, orbit_congruence, power_of_m, quotient_mset
 from topact.completion import (Completion, PullbackOutsideFilter, complete,
                                dense_closed_factorization, pullback_congruence)
@@ -117,11 +116,16 @@ def validate_monoid_by_triples(elements, table, identity):
     return FiniteMonoid(names, tab, identity)
 
 
+# the product oracles' own bound: at order 5 the monoid product runs over
+# 5^16 tables, and the topology product over 2^20 relations
+MAX_PRODUCT_ORDER = 4
+
+
 def all_monoids_by_product(order):
     """Oracle for catalog.all_monoids: every identity-at-0 table from one
     product over the free entries, kept when the full triple scan finds it
     associative and it is the first of its isomorphism class."""
-    if order > MAX_ENUM_ORDER:
+    if order > MAX_PRODUCT_ORDER:
         raise CapExceeded("monoid enumeration order", order)
     names = ("1", "a", "b", "c", "d")[:order]
     if order == 1:
@@ -166,7 +170,7 @@ def all_topologies_by_product(carrier):
     """Oracle for catalog.all_topologies: one product over the pairs a != b,
     row-major, choosing whether b is in nb[a]; each choice whose relation is
     transitive is kept."""
-    if carrier > MAX_ENUM_CARRIER:
+    if carrier > MAX_PRODUCT_ORDER:
         raise CapExceeded("topology enumeration carrier", carrier)
     if carrier < 0:
         return ()

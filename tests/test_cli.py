@@ -15,7 +15,7 @@ import pytest
 from conftest import (relabeled_monoid, set_lattice_cap, transformation_closure,
                       transformation_monoid, write_past_cap_inputs)
 import topact
-from topact import files
+from topact import catalog, files
 from topact.actions import power_of_m
 from topact.catalog import cyclic, left_zeros, truncated_addition
 from topact.cli import SUBCOMMANDS, build_parser, main
@@ -608,13 +608,26 @@ def test_suite_command(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--order", "5"], "suite monoid order: cap exceeded at 5"),
-    (["--order", "2", "--topologies", "5"], "suite topology carrier: cap exceeded at 5"),
+    (["--order", "6"], "suite monoid order: cap exceeded at 6"),
+    (["--order", "2", "--topologies", "6"], "suite topology carrier: cap exceeded at 6"),
     (["--order", "0"], "suite monoid order: must be at least 1, got 0"),
     (["--order", "-1"], "suite monoid order: must be at least 1, got -1"),
     (["--order", "2", "--topologies", "-2"], "suite topology carrier: must be at least 0, got -2"),
 ])
 def test_suite_caps_are_the_catalog_enumeration_bounds(capsys, argv, message):
+    assert main(["suite", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cap, argv, message", [
+    ("MAX_ENUM_ORDER", ["--order", "3"], "suite monoid order: cap exceeded at 3"),
+    ("MAX_ENUM_CARRIER", ["--order", "2", "--topologies", "3"],
+     "suite topology carrier: cap exceeded at 3"),
+])
+def test_suite_reads_each_cap_from_the_catalog_when_it_runs(capsys, monkeypatch, cap, argv,
+                                                            message):
+    # one assignment moves a cap: the suite holds no copy of it
+    monkeypatch.setattr(catalog, cap, 2)
     assert main(["suite", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +431,40 @@ def test_stored_fingerprint_matches_the_scan_on_both_sites_of_seeded_order_four_
             assert fp is site.fingerprint
             assert fp == morita_fingerprint_by_scan(site)
             assert morita_fingerprint(principal_site(m, flt)) is fp
+
+
+# order-5 monoids whose full-filter sites have the largest tie groups, with
+# their objects and iso classes: the scan orders the classes 103 680,
+# 103 680, 46 656 and 1.07e10 ways
+ORDER_FIVE_TIED = {34: (16, 16), 161: (16, 16), 219: (30, 25), 223: (52, 30)}
+
+
+def test_fingerprint_matches_the_scan_on_seeded_order_five_filter_sites():
+    # every filter site of a seeded third of the other order-5 monoids; the
+    # tied ones are past the scan and are checked by relabelling below
+    monoids = all_monoids(5)
+    chosen = random.Random(31).sample(
+        [i for i in range(len(monoids)) if i not in ORDER_FIVE_TIED], 75)
+    sites = [principal_site(monoids[i], flt) for i in chosen
+             for flt in enumerate_filters(monoids[i])]
+    assert len(sites) > 600 and max(len(site.objects) for site in sites) >= 12
+    for site in sites:
+        assert morita_fingerprint(site) == morita_fingerprint_by_scan(site)
+
+
+@pytest.mark.parametrize("index", sorted(ORDER_FIVE_TIED))
+def test_fingerprint_of_tied_order_five_sites_is_quick_and_relabelling_invariant(index):
+    monoid = all_monoids(5)[index]
+    site = principal_site(monoid, full_filter(monoid))
+    fp = morita_fingerprint(site)
+    assert (len(site.objects), fp.object_count) == ORDER_FIVE_TIED[index]
+    rng = random.Random(index)
+    for _ in range(2):
+        # a fresh copy, so its fingerprint is computed, not read
+        shuffled = relabeled_category(site, rng)
+        start = time.perf_counter()
+        assert morita_fingerprint(shuffled) == fp
+        assert time.perf_counter() - start < 1.0
 
 
 def test_equivalence_search_matches_the_full_check_on_every_pair_of_sites_through_order_three():

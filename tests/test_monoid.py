@@ -279,15 +279,12 @@ def _relabelled(table, p):
     return tuple(map(tuple, out))
 
 
-def test_order_five_enumerations_under_patched_caps(monkeypatch):
-    # order 5 is past the caps and the product oracles (5^16 tables, 2^20
-    # relations), so the outputs are pinned by the known counts: 4 122
-    # identity-at-0 associative tables in 228 classes (OEIS A058129), and
-    # 6 942 preorders on 5 points (A000798).  __wrapped__ bypasses the
-    # caches, so no order-5 entry outlives the patched caps.
-    monkeypatch.setattr(catalog, "MAX_ENUM_ORDER", 5)
-    monkeypatch.setattr(catalog, "MAX_ENUM_CARRIER", 5)
-    monoids = catalog.all_monoids.__wrapped__(5)
+def test_order_five_enumerations_match_the_known_counts():
+    # order 5 is past the product oracles (5^16 tables, 2^20 relations), so
+    # the outputs are pinned by the known counts: 4 122 identity-at-0
+    # associative tables in 228 classes (OEIS A058129), and 6 942 preorders
+    # on 5 points (A000798)
+    monoids = catalog.all_monoids(5)
     perms = [(0,) + p for p in itertools.permutations(range(1, 5))]
     classes = [{_relabelled(m.table, p) for p in perms} for m in monoids]
     assert len(monoids) == 228 and len(set().union(*classes)) == sum(map(len, classes)) == 4122
@@ -297,7 +294,7 @@ def test_order_five_enumerations_under_patched_caps(monkeypatch):
     assert [m.table for m in monoids] == sorted(min(c) for c in classes)
     assert {(m.elements, m.identity) for m in monoids} == {(("1", "a", "b", "c", "d"), 0)}
 
-    topologies = catalog.all_topologies.__wrapped__(5)
+    topologies = catalog.all_topologies(5)
     assert len(topologies) == 6942
     for t in topologies:
         assert all(nb >> a & 1 and all(t.nbhd[b] | nb == nb for b in range(5) if nb >> b & 1)

@@ -192,6 +192,9 @@ def test_an_equal_distinct_monoid_gets_equal_correctly_named_results():
                 assert ours.monoid.elements \
                     == tuple(f"[{twin.elements[m]}]" for m in r0.representatives())
                 theirs = powder_reflection(monoid, topology)
+                # the memo hands out class maps, so each monoid gets its own r0
+                assert theirs.action_report.partition.monoid is monoid
+                assert theirs.projection.source is monoid
                 assert ours.monoid == theirs.monoid
                 assert ours.projection.map == theirs.projection.map
                 assert ours.action_report == theirs.action_report
